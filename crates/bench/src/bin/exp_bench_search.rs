@@ -5,9 +5,11 @@
 //! Times `Framework::optimize` at 1 thread and at `--threads N` on the
 //! two hardest zoo configurations (the VGG-E body under the paper's
 //! 8-layer cap, and the Table-2 AlexNet body fully fused), reports the
-//! median of `--runs` repetitions, cross-checks that both thread counts
-//! reach identical latencies, and writes `BENCH_search.json` to the
-//! current directory for CI to archive.
+//! median of `--runs` repetitions, cross-checks that every optimization
+//! at either thread count reaches the same design latency, plan count
+//! and dominated-entry count, and writes `BENCH_search.json` to the
+//! current directory for CI to archive. Those exact fields are per
+//! optimization, so they do not depend on `--runs`.
 //!
 //! ```text
 //! exp_bench_search [--smoke] [--runs N] [--threads N]
@@ -36,8 +38,26 @@ struct Case {
 struct Measurement {
     median_serial_ms: f64,
     median_parallel_ms: f64,
-    latency: u64,
-    telemetry: RunTelemetry,
+    exact: Exact,
+}
+
+/// The deterministic outputs of one optimization, compared exactly by
+/// `bench_diff`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Exact {
+    latency_cycles: u64,
+    plans_computed: u64,
+    menu_dominated: u64,
+}
+
+impl Exact {
+    fn of(design_latency: u64, run: &RunTelemetry) -> Self {
+        Exact {
+            latency_cycles: design_latency,
+            plans_computed: run.counter("bnb.plans_computed"),
+            menu_dominated: run.counter("bnb.menu_dominated"),
+        }
+    }
 }
 
 fn cases() -> Vec<Case> {
@@ -63,31 +83,35 @@ fn cases() -> Vec<Case> {
 }
 
 /// Median of `runs` timed optimizations at `threads` workers. Returns
-/// the median milliseconds, the design latency, and the merged telemetry
-/// of every run.
-fn measure(case: &Case, threads: usize, runs: usize, merged: &mut RunTelemetry) -> (f64, u64) {
+/// the median milliseconds and the exact fields, which every run must
+/// reproduce.
+fn measure(case: &Case, threads: usize, runs: usize) -> (f64, Exact) {
     let fw = Framework::new(FpgaDevice::zc706())
         .with_max_group_layers(case.max_group_layers)
         .with_threads(threads);
     let samples = LatencySamples::new();
-    let mut latency = 0;
+    let mut exact = None;
     for _ in 0..runs {
         let (design, run) = samples.time(|| {
             fw.optimize_traced(&case.net, case.budget)
                 .expect("benchmark configurations are feasible")
         });
-        latency = design.timing.latency;
-        merged.merge(&run);
+        let this = Exact::of(design.timing.latency, &run);
+        assert_eq!(
+            *exact.get_or_insert(this),
+            this,
+            "{}: repeated optimizations disagree",
+            case.name
+        );
     }
-    (samples.median_ms(), latency)
+    (samples.median_ms(), exact.expect("at least one run"))
 }
 
 fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
-    let mut telemetry = RunTelemetry::default();
-    let (serial_ms, serial_latency) = measure(case, 1, runs, &mut telemetry);
-    let (parallel_ms, parallel_latency) = measure(case, threads, runs, &mut telemetry);
+    let (serial_ms, exact) = measure(case, 1, runs);
+    let (parallel_ms, parallel_exact) = measure(case, threads, runs);
     assert_eq!(
-        serial_latency, parallel_latency,
+        exact, parallel_exact,
         "{}: thread counts disagree on the optimum",
         case.name
     );
@@ -96,13 +120,12 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
          speedup {:.2}x | latency {} cycles",
         case.name,
         serial_ms / parallel_ms,
-        fmt_cycles(serial_latency),
+        fmt_cycles(exact.latency_cycles),
     );
     Measurement {
         median_serial_ms: serial_ms,
         median_parallel_ms: parallel_ms,
-        latency: serial_latency,
-        telemetry,
+        exact,
     }
 }
 
@@ -125,9 +148,9 @@ fn main() {
                 .float("median_serial_ms", m.median_serial_ms)
                 .float("median_parallel_ms", m.median_parallel_ms)
                 .float("speedup", m.median_serial_ms / m.median_parallel_ms)
-                .int("latency_cycles", m.latency)
-                .int("plans_computed", m.telemetry.counter("bnb.plans_computed"))
-                .int("menu_dominated", m.telemetry.counter("bnb.menu_dominated")),
+                .int("latency_cycles", m.exact.latency_cycles)
+                .int("plans_computed", m.exact.plans_computed)
+                .int("menu_dominated", m.exact.menu_dominated),
         );
     }
     let path = report.write().expect("write BENCH_search.json");

@@ -145,3 +145,55 @@ fn bench_diff_gates_on_regressions() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `bench_diff` compares a search report's exact fields (design latency,
+/// plans computed, dominated menu entries) to the committed baseline
+/// with no tolerance, so they must describe one optimization, not a sum
+/// over however many optimizations `--runs` asked for.
+#[test]
+fn bench_search_exact_fields_do_not_depend_on_runs() {
+    use winofuse_bench::diff::{direction_for, Direction};
+    use winofuse_telemetry::JsonValue;
+
+    let bin = env!("CARGO_BIN_EXE_exp_bench_search");
+    let report = |runs: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("bench_search_runs{runs}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(bin)
+            .args(["--runs", runs, "--threads", "2"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn exp_bench_search");
+        assert!(
+            out.status.success(),
+            "exp_bench_search --runs {runs} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(dir.join("BENCH_search.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        winofuse_telemetry::json::parse(&text).expect("BENCH_search.json parses")
+    };
+    let (one, three) = (report("1"), report("3"));
+
+    let Some(JsonValue::Object(cases)) = one.get("cases") else {
+        panic!("report has no cases: {one:?}");
+    };
+    let mut compared = 0;
+    for (case, metrics) in cases {
+        let JsonValue::Object(metrics) = metrics else {
+            panic!("case {case} is not an object");
+        };
+        for (key, value) in metrics {
+            if direction_for(key) == Direction::Exact {
+                let other = three.get("cases").and_then(|c| c.get(case)?.get(key));
+                assert_eq!(Some(value), other, "{case}/{key}: --runs 1 vs --runs 3");
+                compared += 1;
+            }
+        }
+    }
+    assert_eq!(
+        compared, 6,
+        "latency, plans and dominated entries of both cases"
+    );
+}

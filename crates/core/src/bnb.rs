@@ -20,6 +20,21 @@
 //! than a same-algorithm sibling in any position a group could place it
 //! is dropped before the search starts).
 //!
+//! Every node is O(1) and allocation-free. Each menu entry stores its
+//! latency profile — the exact per-layer body and fill cycles
+//! `group_timing` derives in each of the four head/tail slots — and each
+//! range precomputes the parts of `group_timing` no path choice changes
+//! (inter-layer FIFO resources, group feature-map bytes). A node extends
+//! its parent's running totals (slowest body, total fill, weight bytes,
+//! engine resources) by one entry, so a leaf's latency is
+//! `max(slowest + fill, ⌈(fmap + weights) / bpc⌉)` and its resources are
+//! `used + fifo`: the same integers and the same single f64 division
+//! `group_timing` computes. `group_timing` stays the single source of
+//! truth: it runs only when a leaf beats the incumbent, to materialize
+//! the plan, and a debug assertion checks the incremental numbers
+//! against it there. Search-tree counts are tallied in plain integers
+//! and published to telemetry once per search.
+//!
 //! The search core is immutable (`&self`) and `Sync`: the `fusion[i][j]`
 //! cache lives behind a sharded lock so [`crate::parallel`] can fill the
 //! whole plan table from scoped worker threads, and a single large group
@@ -33,10 +48,12 @@ use std::sync::Mutex;
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_fpga::engine::{parallelism_candidates, Algorithm, EngineConfig};
 use winofuse_fpga::resource::ResourceVec;
-use winofuse_fusion::pipeline::{group_timing, GroupTiming, LayerConfig};
+use winofuse_fusion::pipeline::{
+    fifo_resources, group_timing, layer_timing, GroupTiming, LayerConfig,
+};
 use winofuse_model::network::Network;
 use winofuse_model::shape::DataType;
-use winofuse_telemetry::{Counter, Telemetry};
+use winofuse_telemetry::Telemetry;
 
 use crate::{CoreError, MAX_FUSION_LAYERS};
 
@@ -155,13 +172,17 @@ struct MenuEntry {
     /// its compute cycles (nothing overlaps below this) or its weight
     /// stream time, whichever is larger.
     bound: u64,
+    /// The entry's latency contribution in every group position.
+    profile: LatencyProfile,
 }
 
 /// The position-dependent latency contribution of a menu entry: the
 /// steady-state body cycles (`iterations · stage`) and the pipeline fill
 /// cycles for each of the four (heads group?, tails group?) positions a
-/// layer can occupy — exactly the per-layer numbers `group_timing`
-/// derives, so dominance on this profile is exact, not heuristic.
+/// layer can occupy, indexed by [`LatencyProfile::slot`]. They come from
+/// `layer_timing`, which `group_timing` runs per member, so dominance on
+/// this profile is exact, not heuristic, and a search leaf can fold them
+/// into the group latency without calling `group_timing`.
 #[derive(Debug, Clone, Copy)]
 struct LatencyProfile {
     body: [u64; 4],
@@ -169,37 +190,19 @@ struct LatencyProfile {
 }
 
 impl LatencyProfile {
+    /// Profile index of the layer at offset `off` of an `n`-layer group:
+    /// the head loads the group's input fmap, the tail stores its output.
+    fn slot(off: usize, n: usize) -> usize {
+        2 * usize::from(off == 0) + usize::from(off + 1 == n)
+    }
+
     fn of(config: &LayerConfig, bpc: f64) -> Self {
-        let dtype = DataType::Fixed16;
-        let est = &config.estimate;
-        let iterations = (config.output.height as u64)
-            .div_ceil(est.output_rows_per_iter as u64)
-            .max(1);
-        let compute = est.compute_cycles.div_ceil(iterations);
-        let weight_per_iter = config.weight_bytes.div_ceil(iterations);
-        let fill_iters = (est.line_buffer_rows as u64).div_ceil(est.input_rows_per_iter as u64);
         let mut body = [0u64; 4];
         let mut fill = [0u64; 4];
-        for (slot, (head, tail)) in [(false, false), (false, true), (true, false), (true, true)]
-            .into_iter()
-            .enumerate()
-        {
-            let fmap = if head {
-                est.input_rows_per_iter as u64 * config.input.row_bytes(dtype) as u64
-            } else {
-                0
-            };
-            let load = ((fmap + weight_per_iter) as f64 / bpc).ceil() as u64;
-            let store = if tail {
-                ((est.output_rows_per_iter as u64 * config.output.row_bytes(dtype) as u64) as f64
-                    / bpc)
-                    .ceil() as u64
-            } else {
-                0
-            };
-            let stage = load.max(compute).max(store);
-            body[slot] = iterations * stage;
-            fill[slot] = stage * fill_iters;
+        for slot in 0..4 {
+            let t = layer_timing(config, slot >= 2, slot % 2 == 1, bpc);
+            body[slot] = t.iterations * t.stage_cycles_per_iter;
+            fill[slot] = t.fill_cycles;
         }
         LatencyProfile { body, fill }
     }
@@ -217,16 +220,12 @@ impl LatencyProfile {
 /// `b` substituted. Mutually-equal entries keep the earlier one, so the
 /// surviving menu is a deterministic subsequence and its `bound`s stay
 /// monotone.
-fn dominance_prune(entries: Vec<MenuEntry>, bpc: f64) -> (Vec<MenuEntry>, u64) {
+fn dominance_prune(entries: Vec<MenuEntry>) -> (Vec<MenuEntry>, u64) {
     if entries.len() < 2 {
         return (entries, 0);
     }
-    let profiles: Vec<LatencyProfile> = entries
-        .iter()
-        .map(|e| LatencyProfile::of(&e.config, bpc))
-        .collect();
     let dominates = |b: usize, a: usize| -> bool {
-        profiles[b].le(&profiles[a])
+        entries[b].profile.le(&entries[a].profile)
             && entries[b]
                 .config
                 .estimate
@@ -328,24 +327,28 @@ pub struct GroupPlanner<'a> {
     telemetry: Telemetry,
 }
 
-/// Cached counter handles for the search hot loop, so instrumentation is
-/// one inlined null check per event when telemetry is disabled.
-struct SearchCounters {
+/// Search-tree counts, tallied in plain integers by the searching thread
+/// and published to the `bnb.*` counters once per search (or split
+/// task), so a traced search pays no atomic read-modify-write per node
+/// and split workers never contend on a shared counter.
+#[derive(Debug, Default)]
+struct Tally {
     /// `visit` calls actually made (tree nodes entered).
-    expanded: Counter,
+    expanded: u64,
     /// Subtree nodes skipped by the monotone latency bound (line 16-17).
-    pruned_bound: Counter,
+    pruned_bound: u64,
     /// Subtree nodes skipped by the suffix resource-feasibility check.
-    pruned_resource: Counter,
+    pruned_resource: u64,
     /// Subtree nodes skipped by the DRAM-floor optimality early exit.
-    pruned_floor: Counter,
-    /// Complete assignments handed to `group_timing`.
-    leaves_evaluated: Counter,
+    pruned_floor: u64,
+    /// Complete assignments evaluated at a leaf.
+    leaves_evaluated: u64,
     /// Times a leaf replaced the best incumbent.
-    incumbent_updates: Counter,
+    incumbent_updates: u64,
 }
 
-/// Precomputed admissible bounds of one search range.
+/// Precomputed bounds and path-independent constants of one search
+/// range.
 struct RangeBounds {
     /// DRAM-traffic latency floor of the range.
     floor: u64,
@@ -356,64 +359,121 @@ struct RangeBounds {
     /// exactly regardless of which cuts fire (tested against exhaustive
     /// enumeration).
     subtree: Vec<u64>,
+    /// Inter-layer FIFO resources: every path pays them, so a leaf adds
+    /// them once to its engines' sum.
+    fifo: ResourceVec,
+    /// Group feature-map traffic (first input + last output), the
+    /// path-independent part of a leaf's DRAM bound.
+    fmap_bytes: u64,
+}
+
+/// Running totals of a partial path, carried by value down the search.
+/// Each field is one of the folds `group_timing` performs over a whole
+/// group, so extending a path by one layer is O(1).
+#[derive(Debug, Clone, Copy, Default)]
+struct PathTotals {
+    /// Summed engine resources (FIFOs are added at the leaf).
+    used: ResourceVec,
+    /// Largest per-layer body `iterations · stage`.
+    slowest: u64,
+    /// Summed per-layer pipeline fill cycles.
+    fill: u64,
+    /// Summed DRAM weight bytes.
+    weights: u64,
+}
+
+impl PathTotals {
+    /// The totals with `entry` appended in profile slot `slot`.
+    fn with(self, entry: &MenuEntry, slot: usize) -> Self {
+        PathTotals {
+            used: self.used + entry.config.estimate.resources,
+            slowest: self.slowest.max(entry.profile.body[slot]),
+            fill: self.fill + entry.profile.fill[slot],
+            weights: self.weights + entry.config.weight_bytes,
+        }
+    }
+
+    /// `(latency, resources)` of a complete path over the range `bounds`
+    /// describes: the inter-layer pipeline (slowest body + total fill)
+    /// floored by the DRAM bound, and the engines plus the range's FIFOs.
+    fn leaf(&self, bounds: &RangeBounds, bpc: f64) -> (u64, ResourceVec) {
+        let dram = ((bounds.fmap_bytes + self.weights) as f64 / bpc).ceil() as u64;
+        (
+            (self.slowest + self.fill).max(dram),
+            self.used + bounds.fifo,
+        )
+    }
 }
 
 /// A search incumbent: latency, per-layer configs, and group timing.
 type Incumbent = (u64, Vec<LayerConfig>, GroupTiming);
 
-/// The immutable state of one depth-first search.
+/// The state of one depth-first search.
 struct Ctx<'m> {
     menus: &'m [Vec<Vec<MenuEntry>>],
-    suffix_min: &'m [ResourceVec],
+    bounds: &'m RangeBounds,
     capacity: ResourceVec,
     device: &'m FpgaDevice,
+    bpc: f64,
     start: usize,
     n: usize,
     best: Option<Incumbent>,
-    floor: u64,
-    subtree: &'m [u64],
     /// Cross-worker incumbent, present only in split search. Workers
     /// prune with it *strictly* (`bound > shared`) and accept leaves
     /// against their local best only, which keeps every worker's local
     /// winner — and therefore the reduced result — bit-identical to the
     /// serial depth-first search even when latencies tie.
     shared_best: Option<&'m AtomicU64>,
-    counters: SearchCounters,
+    tally: Tally,
 }
 
-fn visit(
-    ctx: &mut Ctx<'_>,
-    off: usize,
-    chosen: &mut Vec<LayerConfig>,
-    used: ResourceVec,
-    path_bound: u64,
-) {
-    ctx.counters.expanded.incr();
-    let best_latency = ctx.best.as_ref().map(|b| b.0).unwrap_or(u64::MAX);
-    if best_latency <= ctx.floor {
+/// Visits the node at offset `off` whose path is `chosen` with running
+/// `totals`. Nothing here allocates except an incumbent update.
+fn visit<'m>(ctx: &mut Ctx<'m>, off: usize, chosen: &mut Vec<&'m MenuEntry>, totals: PathTotals) {
+    ctx.tally.expanded += 1;
+    let best_latency = ctx.best.as_ref().map_or(u64::MAX, |b| b.0);
+    if best_latency <= ctx.bounds.floor {
         // Provably optimal already; everything below is skipped.
-        ctx.counters.pruned_floor.add(ctx.subtree[off]);
+        ctx.tally.pruned_floor += ctx.bounds.subtree[off];
         return;
     }
     if off == ctx.n {
-        ctx.counters.leaves_evaluated.incr();
-        if let Ok(timing) = group_timing(chosen, ctx.device) {
-            if timing.resources.fits_within(&ctx.capacity) && timing.latency < best_latency {
-                ctx.counters.incumbent_updates.incr();
-                if let Some(shared) = ctx.shared_best {
-                    shared.fetch_min(timing.latency, Ordering::Relaxed);
-                }
-                ctx.best = Some((timing.latency, chosen.clone(), timing));
-            }
+        ctx.tally.leaves_evaluated += 1;
+        // The latency is at least the pipeline term, so a pipeline that
+        // cannot beat the incumbent settles the leaf before the DRAM
+        // bound's division.
+        if totals.slowest + totals.fill >= best_latency {
+            return;
         }
+        let (latency, resources) = totals.leaf(ctx.bounds, ctx.bpc);
+        if latency >= best_latency || !resources.fits_within(&ctx.capacity) {
+            return;
+        }
+        // A new incumbent: only now is the plan materialized, through
+        // the pipeline model itself.
+        let configs: Vec<LayerConfig> = chosen.iter().map(|e| e.config.clone()).collect();
+        let timing =
+            group_timing(&configs, ctx.device).expect("a search path chains by construction");
+        debug_assert_eq!(
+            (timing.latency, timing.resources),
+            (latency, resources),
+            "incremental leaf evaluation diverged from group_timing"
+        );
+        ctx.tally.incumbent_updates += 1;
+        if let Some(shared) = ctx.shared_best {
+            shared.fetch_min(latency, Ordering::Relaxed);
+        }
+        ctx.best = Some((latency, configs, timing));
         return;
     }
     let idx = ctx.start + off;
+    let slot = LatencyProfile::slot(off, ctx.n);
     // One pruned child slot = the child node plus its descendants.
-    let child_weight = 1 + ctx.subtree[off + 1];
-    for algo_menu in &ctx.menus[idx] {
+    let child_weight = 1 + ctx.bounds.subtree[off + 1];
+    let menus = ctx.menus;
+    for algo_menu in &menus[idx] {
         for (pos, entry) in algo_menu.iter().enumerate() {
-            let local_best = ctx.best.as_ref().map(|b| b.0).unwrap_or(u64::MAX);
+            let local_best = ctx.best.as_ref().map_or(u64::MAX, |b| b.0);
             // Parallelism descends within the menu, so the bound only
             // grows: break, don't continue (paper line 16-17). The shared
             // incumbent tightens the limit only strictly (`> shared`) so
@@ -423,19 +483,17 @@ fn visit(
                 Some(s) => local_best.min(s.load(Ordering::Relaxed).saturating_add(1)),
             };
             if entry.bound >= prune_limit {
-                ctx.counters
-                    .pruned_bound
-                    .add((algo_menu.len() - pos) as u64 * child_weight);
+                ctx.tally.pruned_bound += (algo_menu.len() - pos) as u64 * child_weight;
                 break;
             }
-            let new_used = used + entry.config.estimate.resources;
-            let optimistic = new_used + ctx.suffix_min[off + 1];
+            let next = totals.with(entry, slot);
+            let optimistic = next.used + ctx.bounds.suffix_min[off + 1];
             if !optimistic.fits_within(&ctx.capacity) {
-                ctx.counters.pruned_resource.add(child_weight);
+                ctx.tally.pruned_resource += child_weight;
                 continue;
             }
-            chosen.push(entry.config.clone());
-            visit(ctx, off + 1, chosen, new_used, path_bound.max(entry.bound));
+            chosen.push(entry);
+            visit(ctx, off + 1, chosen, next);
             chosen.pop();
         }
     }
@@ -522,10 +580,15 @@ impl<'a> GroupPlanner<'a> {
                     }
                     let weight_cycles = (config.weight_bytes as f64 / bpc).ceil() as u64;
                     let bound = config.estimate.compute_cycles.max(weight_cycles);
-                    entries.push(MenuEntry { config, bound });
+                    let profile = LatencyProfile::of(&config, bpc);
+                    entries.push(MenuEntry {
+                        config,
+                        bound,
+                        profile,
+                    });
                 }
                 if dominance {
-                    let (kept, dropped) = dominance_prune(entries, bpc);
+                    let (kept, dropped) = dominance_prune(entries);
                     entries = kept;
                     menu_dominated += dropped;
                 }
@@ -691,25 +754,13 @@ impl<'a> GroupPlanner<'a> {
         plan
     }
 
-    /// DRAM-traffic latency floor for a group: feature maps + the
-    /// *smallest* possible weight traffic of its layers (precomputed
-    /// prefix sums — one subtraction per call).
-    fn dram_floor(&self, range: &Range<usize>) -> u64 {
-        let dtype = DataType::Fixed16;
-        let fmap = self
-            .net
-            .fused_transfer_bytes(range.clone(), dtype)
-            .unwrap_or(0);
-        let weights = self.min_weight_prefix[range.end] - self.min_weight_prefix[range.start];
-        ((fmap + weights) as f64 / self.device.bytes_per_cycle()).ceil() as u64
-    }
-
     fn range_admissible(&self, range: &Range<usize>) -> bool {
         !range.is_empty() && range.end <= self.net.len() && range.len() <= self.max_group_layers
     }
 
     fn range_bounds(&self, range: &Range<usize>) -> RangeBounds {
         let n = range.len();
+        let dtype = DataType::Fixed16;
         let mut suffix_min = vec![ResourceVec::ZERO; n + 1];
         for off in (0..n).rev() {
             suffix_min[off] = suffix_min[off + 1] + self.min_resources[range.start + off];
@@ -722,21 +773,56 @@ impl<'a> GroupPlanner<'a> {
                 .sum();
             subtree[off] = m.saturating_mul(1 + subtree[off + 1]);
         }
+        // Every entry of a layer shares its shapes; read them off the
+        // first one.
+        let shapes = |idx: usize| &self.menus[idx][0][0].config;
+        let fmap_bytes = shapes(range.start).input.bytes(dtype) as u64
+            + shapes(range.end - 1).output.bytes(dtype) as u64;
+        let fifo = (range.start..range.end - 1)
+            .map(|idx| fifo_resources(shapes(idx).output))
+            .sum();
+        // DRAM floor: feature maps + the *smallest* possible weight
+        // traffic of the range's layers (prefix sums, O(1) per range).
+        let min_weights = self.min_weight_prefix[range.end] - self.min_weight_prefix[range.start];
         RangeBounds {
-            floor: self.dram_floor(range),
+            floor: ((fmap_bytes + min_weights) as f64 / self.device.bytes_per_cycle()).ceil()
+                as u64,
             suffix_min,
             subtree,
+            fifo,
+            fmap_bytes,
         }
     }
 
-    fn search_counters(&self) -> SearchCounters {
-        SearchCounters {
-            expanded: self.telemetry.counter("bnb.nodes_expanded"),
-            pruned_bound: self.telemetry.counter("bnb.pruned_bound"),
-            pruned_resource: self.telemetry.counter("bnb.pruned_resource"),
-            pruned_floor: self.telemetry.counter("bnb.pruned_floor"),
-            leaves_evaluated: self.telemetry.counter("bnb.leaves_evaluated"),
-            incumbent_updates: self.telemetry.counter("bnb.incumbent_updates"),
+    /// Adds a finished search's tally to the `bnb.*` counters.
+    fn publish(&self, tally: &Tally) {
+        let t = &self.telemetry;
+        t.add("bnb.nodes_expanded", tally.expanded);
+        t.add("bnb.pruned_bound", tally.pruned_bound);
+        t.add("bnb.pruned_resource", tally.pruned_resource);
+        t.add("bnb.pruned_floor", tally.pruned_floor);
+        t.add("bnb.leaves_evaluated", tally.leaves_evaluated);
+        t.add("bnb.incumbent_updates", tally.incumbent_updates);
+    }
+
+    /// A fresh depth-first search over `range`.
+    fn ctx<'m>(
+        &'m self,
+        range: &Range<usize>,
+        bounds: &'m RangeBounds,
+        shared_best: Option<&'m AtomicU64>,
+    ) -> Ctx<'m> {
+        Ctx {
+            menus: &self.menus,
+            bounds,
+            capacity: *self.device.resources(),
+            device: self.device,
+            bpc: self.device.bytes_per_cycle(),
+            start: range.start,
+            n: range.len(),
+            best: None,
+            shared_best,
+            tally: Tally::default(),
         }
     }
 
@@ -744,24 +830,11 @@ impl<'a> GroupPlanner<'a> {
         if !self.range_admissible(&range) {
             return None;
         }
-        let n = range.len();
         let bounds = self.range_bounds(&range);
-        let mut ctx = Ctx {
-            menus: &self.menus,
-            suffix_min: &bounds.suffix_min,
-            capacity: *self.device.resources(),
-            device: self.device,
-            start: range.start,
-            n,
-            best: None,
-            floor: bounds.floor,
-            subtree: &bounds.subtree,
-            shared_best: None,
-            counters: self.search_counters(),
-        };
-        let mut chosen = Vec::with_capacity(n);
-        visit(&mut ctx, 0, &mut chosen, ResourceVec::ZERO, 0);
-
+        let mut ctx = self.ctx(&range, &bounds, None);
+        let mut chosen = Vec::with_capacity(range.len());
+        visit(&mut ctx, 0, &mut chosen, PathTotals::default());
+        self.publish(&ctx.tally);
         ctx.best.map(|(_, configs, timing)| GroupPlan {
             start: range.start,
             end: range.end,
@@ -795,9 +868,11 @@ impl<'a> GroupPlanner<'a> {
             return self.search(range);
         }
         let bounds = self.range_bounds(&range);
-        let capacity = *self.device.resources();
         // The root node itself.
-        self.search_counters().expanded.incr();
+        self.publish(&Tally {
+            expanded: 1,
+            ..Tally::default()
+        });
         let child_weight = 1 + bounds.subtree.get(1).copied().unwrap_or(0);
 
         let shared = AtomicU64::new(u64::MAX);
@@ -811,33 +886,21 @@ impl<'a> GroupPlanner<'a> {
                     let mut found: Vec<(usize, Incumbent)> = Vec::new();
                     loop {
                         let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(entry) = tasks.get(t) else { break };
-                        let counters = self.search_counters();
+                        let Some(&entry) = tasks.get(t) else { break };
+                        let mut ctx = self.ctx(&range, &bounds, Some(&shared));
                         let limit = shared.load(Ordering::Relaxed).saturating_add(1);
+                        let totals = PathTotals::default().with(entry, LatencyProfile::slot(0, n));
+                        let optimistic = totals.used + bounds.suffix_min[1];
                         if entry.bound >= limit {
-                            counters.pruned_bound.add(child_weight);
-                            continue;
+                            ctx.tally.pruned_bound += child_weight;
+                        } else if !optimistic.fits_within(&ctx.capacity) {
+                            ctx.tally.pruned_resource += child_weight;
+                        } else {
+                            let mut chosen = Vec::with_capacity(n);
+                            chosen.push(entry);
+                            visit(&mut ctx, 1, &mut chosen, totals);
                         }
-                        let used = entry.config.estimate.resources;
-                        if !(used + bounds.suffix_min[1]).fits_within(&capacity) {
-                            counters.pruned_resource.add(child_weight);
-                            continue;
-                        }
-                        let mut ctx = Ctx {
-                            menus: &self.menus,
-                            suffix_min: &bounds.suffix_min,
-                            capacity,
-                            device: self.device,
-                            start: range.start,
-                            n,
-                            best: None,
-                            floor: bounds.floor,
-                            subtree: &bounds.subtree,
-                            shared_best: Some(&shared),
-                            counters,
-                        };
-                        let mut chosen = vec![entry.config.clone()];
-                        visit(&mut ctx, 1, &mut chosen, used, entry.bound);
+                        self.publish(&ctx.tally);
                         if let Some(best) = ctx.best {
                             found.push((t, best));
                         }
@@ -865,7 +928,107 @@ impl<'a> GroupPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use winofuse_model::zoo;
+
+    /// `group_timing`'s per-layer `(iterations · stage, fill)` for `cfg`
+    /// in profile slot `slot`. Stand-in neighbours (copies of `cfg` whose
+    /// shapes chain onto it) precede it unless it heads the group and
+    /// follow it unless it tails the group, so every slot is reachable
+    /// for every layer, the network's first and last included.
+    fn timed_in_slot(cfg: &LayerConfig, slot: usize, dev: &FpgaDevice) -> (u64, u64) {
+        let (head, tail) = (slot >= 2, slot % 2 == 1);
+        let mut group = Vec::new();
+        if !head {
+            group.push(LayerConfig {
+                output: cfg.input,
+                ..cfg.clone()
+            });
+        }
+        let off = group.len();
+        group.push(cfg.clone());
+        if !tail {
+            group.push(LayerConfig {
+                input: cfg.output,
+                ..cfg.clone()
+            });
+        }
+        assert_eq!(LatencyProfile::slot(off, group.len()), slot);
+        let t = group_timing(&group, dev).unwrap().layers[off];
+        (t.iterations * t.stage_cycles_per_iter, t.fill_cycles)
+    }
+
+    #[test]
+    fn stored_profiles_match_group_timing_in_every_slot() {
+        let dev = FpgaDevice::zc706();
+        for net in [zoo::vgg_e(), zoo::alexnet()] {
+            let body = net.conv_body().unwrap();
+            for policy in [
+                AlgoPolicy::heterogeneous(),
+                AlgoPolicy::heterogeneous_sparse(250),
+            ] {
+                // Unpruned: dominance pruning reads the dropped entries'
+                // profiles too.
+                let planner = GroupPlanner::new_unpruned(&body, &dev, policy).unwrap();
+                for entry in planner.menus.iter().flatten().flatten() {
+                    for slot in 0..4 {
+                        assert_eq!(
+                            (entry.profile.body[slot], entry.profile.fill[slot]),
+                            timed_in_slot(&entry.config, slot, &dev),
+                            "`{}` {:?}, slot {slot}",
+                            entry.config.layer.name,
+                            entry.config.engine
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn incremental_leaf_matches_group_timing(
+            setup in 0usize..8,
+            start in 0usize..21,
+            len in 1usize..11,
+            picks in prop::collection::vec(0usize..1 << 16, 10..11),
+        ) {
+            let net = if setup & 1 == 0 { zoo::vgg_e() } else { zoo::alexnet() };
+            let net = net.conv_body().unwrap();
+            let policy = if setup & 2 == 0 {
+                AlgoPolicy::heterogeneous()
+            } else {
+                AlgoPolicy::heterogeneous_sparse(250)
+            };
+            // The zc706 moves a whole 42 bytes per cycle; an odd bandwidth
+            // makes the DRAM division genuinely fractional.
+            let dev = if setup & 4 == 0 {
+                FpgaDevice::zc706()
+            } else {
+                FpgaDevice::zc706().with_bandwidth(1_234_567_891)
+            };
+            prop_assume!(start < net.len());
+            let range = start..(start + len).min(net.len());
+            let planner = GroupPlanner::new_unpruned(&net, &dev, policy).unwrap();
+            let bounds = planner.range_bounds(&range);
+            let mut totals = PathTotals::default();
+            let mut configs = Vec::new();
+            for (off, idx) in range.clone().enumerate() {
+                let menu: Vec<&MenuEntry> = planner.menus[idx].iter().flatten().collect();
+                let entry = menu[picks[off] % menu.len()];
+                totals = totals.with(entry, LatencyProfile::slot(off, range.len()));
+                configs.push(entry.config.clone());
+            }
+            let timing = group_timing(&configs, &dev).unwrap();
+            prop_assert_eq!(
+                totals.leaf(&bounds, dev.bytes_per_cycle()),
+                (timing.latency, timing.resources),
+                "range {:?}", range
+            );
+        }
+    }
 
     #[test]
     fn single_layer_group_prefers_max_parallelism() {

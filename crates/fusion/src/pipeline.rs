@@ -153,6 +153,70 @@ fn div_ceil_f(bytes: u64, bytes_per_cycle: f64) -> u64 {
     (bytes as f64 / bytes_per_cycle).ceil() as u64
 }
 
+/// Timing of one layer inside a group. Only the group's `head` loads its
+/// input feature map from DRAM and only its `tail` stores the output;
+/// every layer streams its own weights.
+pub fn layer_timing(
+    cfg: &LayerConfig,
+    head: bool,
+    tail: bool,
+    bytes_per_cycle: f64,
+) -> LayerTiming {
+    let dtype = DataType::Fixed16;
+    let est = &cfg.estimate;
+    let iterations = (cfg.output.height as u64)
+        .div_ceil(est.output_rows_per_iter as u64)
+        .max(1);
+    let compute_cycles_per_iter = est.compute_cycles.div_ceil(iterations);
+
+    let fmap_load_bytes = if head {
+        est.input_rows_per_iter as u64 * cfg.input.row_bytes(dtype) as u64
+    } else {
+        0
+    };
+    let weight_per_iter = cfg.weight_bytes.div_ceil(iterations);
+    let load_cycles_per_iter = div_ceil_f(fmap_load_bytes + weight_per_iter, bytes_per_cycle);
+
+    let store_cycles_per_iter = if tail {
+        div_ceil_f(
+            est.output_rows_per_iter as u64 * cfg.output.row_bytes(dtype) as u64,
+            bytes_per_cycle,
+        )
+    } else {
+        0
+    };
+
+    let stage = load_cycles_per_iter
+        .max(compute_cycles_per_iter)
+        .max(store_cycles_per_iter);
+    let fill_iters = (est.line_buffer_rows as u64).div_ceil(est.input_rows_per_iter as u64);
+    let fill_cycles = stage * fill_iters;
+    LayerTiming {
+        iterations,
+        load_cycles_per_iter,
+        compute_cycles_per_iter,
+        store_cycles_per_iter,
+        stage_cycles_per_iter: stage,
+        fill_cycles,
+        latency: iterations * stage + fill_cycles,
+    }
+}
+
+/// Resources of the inter-layer FIFO channel behind a layer that feeds
+/// another layer of its group: one row of the intermediate feature map
+/// `output` (§6: "the FIFO channels are used").
+pub fn fifo_resources(output: FmShape) -> ResourceVec {
+    let fifo_bytes = output.row_bytes(DataType::Fixed16) as u64;
+    ResourceVec::new(
+        fifo_bytes
+            .div_ceil(winofuse_fpga::device::BRAM18K_BYTES)
+            .max(1),
+        0,
+        100,
+        80,
+    )
+}
+
 /// Computes the timing of a fusion group from its resolved layer configs.
 ///
 /// # Errors
@@ -183,61 +247,12 @@ pub fn group_timing(
     let mut weight_bytes_total = 0u64;
 
     for (i, cfg) in configs.iter().enumerate() {
-        let est = &cfg.estimate;
-        let iterations = (cfg.output.height as u64)
-            .div_ceil(est.output_rows_per_iter as u64)
-            .max(1);
-        let compute_cycles_per_iter = est.compute_cycles.div_ceil(iterations);
-
-        let fmap_load_bytes = if i == 0 {
-            est.input_rows_per_iter as u64 * cfg.input.row_bytes(dtype) as u64
-        } else {
-            0
-        };
-        let weight_per_iter = cfg.weight_bytes.div_ceil(iterations);
-        let load_cycles_per_iter = div_ceil_f(fmap_load_bytes + weight_per_iter, bpc);
-
-        let store_cycles_per_iter = if i == last {
-            div_ceil_f(
-                est.output_rows_per_iter as u64 * cfg.output.row_bytes(dtype) as u64,
-                bpc,
-            )
-        } else {
-            0
-        };
-
-        let stage = load_cycles_per_iter
-            .max(compute_cycles_per_iter)
-            .max(store_cycles_per_iter);
-        let fill_iters = (est.line_buffer_rows as u64).div_ceil(est.input_rows_per_iter as u64);
-        let fill_cycles = stage * fill_iters;
-        let latency = iterations * stage + fill_cycles;
-
-        layers.push(LayerTiming {
-            iterations,
-            load_cycles_per_iter,
-            compute_cycles_per_iter,
-            store_cycles_per_iter,
-            stage_cycles_per_iter: stage,
-            fill_cycles,
-            latency,
-        });
-        resources += est.resources;
+        layers.push(layer_timing(cfg, i == 0, i == last, bpc));
+        resources += cfg.estimate.resources;
         weight_bytes_total += cfg.weight_bytes;
     }
-
-    // Inter-layer FIFO channels: one row of each intermediate feature map
-    // (§6: "the FIFO channels are used").
     for cfg in &configs[..last] {
-        let fifo_bytes = cfg.output.row_bytes(dtype) as u64;
-        resources += ResourceVec::new(
-            fifo_bytes
-                .div_ceil(winofuse_fpga::device::BRAM18K_BYTES)
-                .max(1),
-            0,
-            100,
-            80,
-        );
+        resources += fifo_resources(cfg.output);
     }
 
     let dram_fmap_bytes =

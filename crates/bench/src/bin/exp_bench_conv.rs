@@ -18,12 +18,13 @@
 //!   --threads N  parallel worker count         [default 4]
 //! ```
 
+use winofuse::runtime::PoolProfiler;
 use winofuse_bench::{banner, BenchCase, BenchReport, LatencySamples};
-use winofuse_conv::cook_toom::f43;
+use winofuse_conv::cook_toom::{f43, WinogradTransform};
 use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::tensor::{random_tensor, Tensor};
-use winofuse_conv::winograd::{self, BatchedFilters};
-use winofuse_conv::{direct, ConvGeometry};
+use winofuse_conv::winograd::{self, BankRef, BatchedFilters, BatchedOptions};
+use winofuse_conv::{direct, ConvError, ConvGeometry};
 
 /// Transform-domain density of the sparse regime, matching the CLI's
 /// `--exec-algo sparse` default.
@@ -139,6 +140,19 @@ fn grouped<F: FnMut(&Tensor<f32>, &Tensor<f32>) -> Tensor<f32>>(
     out
 }
 
+/// The batched Winograd kernel on `bank`, default options, untraced.
+fn batched<'a>(
+    x: &Tensor<f32>,
+    bank: impl Into<BankRef<'a>>,
+    geom: ConvGeometry,
+    transform: &WinogradTransform,
+    threads: usize,
+) -> Result<Tensor<f32>, ConvError> {
+    let prof = PoolProfiler::disabled();
+    let opts = BatchedOptions::default();
+    winograd::conv2d_batched_ext(x, bank, geom, transform, threads, None, &prof, opts)
+}
+
 fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
     let geom = case.geometry();
     let x = random_tensor(1, case.in_c, case.h, case.w, 11);
@@ -166,10 +180,13 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
             grouped(&x, &kernels, case, |xs, ks| {
                 if case.winograd {
                     let banks = BatchedFilters::new(ks, &transform).expect("filter transform");
-                    winograd::conv2d_batched(xs, &banks, geom, &transform, threads, None)
-                        .expect("batched winograd")
+                    batched(xs, &banks, geom, &transform, threads).expect("batched winograd")
                 } else {
-                    direct::conv2d_fast(xs, ks, geom, threads, None).expect("fast direct")
+                    // The filter pack stays inside the timed region.
+                    let packed = direct::PackedKernels::new(ks);
+                    let prof = PoolProfiler::disabled();
+                    direct::conv2d_fast_packed_ext(xs, &packed, geom, threads, None, &prof, None)
+                        .expect("fast direct")
                 }
             })
         })
@@ -201,8 +218,7 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
                 grouped(&x, &kernels, case, |xs, ks| {
                     let bank = SparseFilters::new(ks, &transform, SPARSE_DENSITY_PM)
                         .expect("sparse pruning");
-                    winograd::conv2d_batched_sparse(xs, &bank, geom, &transform, threads, None)
-                        .expect("sparse winograd")
+                    batched(xs, &bank, geom, &transform, threads).expect("sparse winograd")
                 })
             })
         };
@@ -218,8 +234,7 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
         // bit-identical to the dense batched Winograd output.
         let full = grouped(&x, &kernels, case, |xs, ks| {
             let bank = SparseFilters::new(ks, &transform, 1000).expect("sparse pruning");
-            winograd::conv2d_batched_sparse(xs, &bank, geom, &transform, 1, None)
-                .expect("sparse winograd")
+            batched(xs, &bank, geom, &transform, 1).expect("sparse winograd")
         });
         assert_eq!(
             full, serial_out,

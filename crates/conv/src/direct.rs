@@ -150,10 +150,11 @@ pub fn conv2d_fix16(
 const PATCH_ROW_CHUNK: usize = 8;
 /// Output channels per accumulation job in the fixed-point fast path.
 const OUT_C_BLOCK: usize = 16;
-/// Output rows owned by one fused job in [`conv2d_fast`]: each job
-/// lowers its own rows (im2col), runs one full-output-channel prepacked
-/// GEMM, and writes its row band across every output plane — a single
-/// pool invocation per call instead of per-batch im2col/GEMM barriers.
+/// Output rows owned by one fused job in [`conv2d_fast_packed_ext`]: each
+/// job lowers its own rows (im2col), runs one full-output-channel
+/// prepacked GEMM, and writes its row band across every output plane — a
+/// single pool invocation per call instead of per-batch im2col/GEMM
+/// barriers.
 /// A tuning constant; results never depend on it.
 const DIRECT_ROW_BLOCK: usize = 4;
 
@@ -195,54 +196,6 @@ fn fill_patches<T: Scalar + Send + Sync>(
     Ok(())
 }
 
-/// Fast direct convolution: im2col lowering followed by the blocked GEMM
-/// of [`crate::gemm`], parallel over patch rows and output-channel blocks
-/// on the shared worker pool. Handles any stride and padding (the cases
-/// Winograd rejects). `threads == 0` auto-detects; results are
-/// bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`ConvError::ShapeMismatch`] when tensor shapes disagree with
-/// `geom` — the same conditions as [`conv2d`].
-pub fn conv2d_fast(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_fast_traced(
-        input,
-        kernels,
-        geom,
-        threads,
-        stats,
-        &PoolProfiler::disabled(),
-    )
-}
-
-/// [`conv2d_fast`] with worker-lane tracing: fused row-block jobs are
-/// emitted as Chrome-trace slices on per-worker lanes via `prof` (scoped
-/// to `direct.rowblock`), and when `stats` is supplied, per-phase times
-/// and the pack-vs-microkernel split are recorded alongside the exact
-/// flop/byte accounting (the im2col lowering lands in
-/// [`ConvPhase::Scatter`] — zero flops, pure data movement).
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_fast`].
-pub fn conv2d_fast_traced(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_fast_ext(input, kernels, geom, threads, stats, prof, None)
-}
-
 /// Thread-local working set for one fused direct-convolution job: GEMM
 /// scratch plus the job's own patch matrix and GEMM result band, sized
 /// once for the largest row block so the job loop never allocates.
@@ -254,12 +207,10 @@ struct RowBlockScratch {
 
 /// A direct-path filter bank lowered once into GEMM `A` panels.
 ///
-/// [`conv2d_fast_ext`] packs its filter matrix on every call — fine for
-/// whole-image convolution, but the fused runner convolves the same
-/// filters dozens of times per frame (once per strip). Build this at
-/// plan-lowering time instead and call [`conv2d_fast_packed_ext`]; no
-/// strip ever re-packs coefficients (the same hoist
-/// `BatchedFilters` applies to the Winograd planes).
+/// Build this at plan-lowering time and call [`conv2d_fast_packed_ext`]:
+/// the executor runs the same filters on every request and the fused
+/// runner once per strip, and neither ever re-packs coefficients (the
+/// same hoist `BatchedFilters` applies to the Winograd planes).
 pub struct PackedKernels {
     packed: PackedA,
     out_c: usize,
@@ -291,47 +242,31 @@ impl PackedKernels {
     }
 }
 
-/// [`conv2d_fast_traced`] with an explicit microkernel pin — the handle
-/// the oracle test matrix uses. Work is partitioned at output-row-block
-/// grain: each job owns [`DIRECT_ROW_BLOCK`] output rows of one image,
-/// lowers exactly those patch columns thread-locally, and runs one GEMM
-/// over all output channels against the filter matrix pre-packed once per
-/// call — one pool invocation total, no im2col/GEMM barrier, no per-job
-/// re-pack of the `A` operand.
+/// Fast direct convolution against a pre-lowered filter bank: im2col
+/// lowering followed by the blocked GEMM of [`crate::gemm`]. Handles any
+/// stride and padding (the cases Winograd rejects). `threads == 0`
+/// auto-detects; `kernel` pins the microkernel (the handle the oracle
+/// test matrix uses), `None` auto-selects.
 ///
-/// Results are bit-identical to the former per-batch barrier grain: every
-/// output element still accumulates its `C·K²` products in ascending
-/// `(channel, ku, kv)` order under the same `KC` blocking.
+/// Work is partitioned at output-row-block grain: each job owns
+/// [`DIRECT_ROW_BLOCK`] output rows of one image, lowers exactly those
+/// patch columns thread-locally, and runs one GEMM over all output
+/// channels against the shared packed panels — one pool invocation
+/// total, no im2col/GEMM barrier, no per-job re-pack of the `A` operand.
+/// Every output element accumulates its `C·K²` products in ascending
+/// `(channel, ku, kv)` order under the same `KC` blocking, so results are
+/// bit-identical at any thread count.
 ///
-/// # Errors
-///
-/// Same conditions as [`conv2d_fast`].
-pub fn conv2d_fast_ext(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    kernel: Option<KernelChoice>,
-) -> Result<Tensor<f32>, ConvError> {
-    check_shapes(input, kernels, geom)?;
-    // The filter matrix is packed into GEMM `A` panels exactly once per
-    // call; every job reuses the shared panels read-only. Callers that
-    // convolve the same filters repeatedly hoist this with
-    // [`PackedKernels`].
-    let packed = PackedKernels::new(kernels);
-    conv2d_fast_packed_ext(input, &packed, geom, threads, stats, prof, kernel)
-}
-
-/// [`conv2d_fast_ext`] against a pre-lowered filter bank: identical
-/// scheduling, partitioning, and bit-exact results, but the `A`-panel
-/// pack is the caller's (one-time) cost.
+/// Jobs are emitted as Chrome-trace slices on per-worker lanes via `prof`
+/// (scoped to `direct.rowblock`), and when `stats` is supplied, per-phase
+/// times and the pack-vs-microkernel split are recorded alongside the
+/// exact flop/byte accounting (the im2col lowering lands in
+/// [`ConvPhase::Scatter`] — zero flops, pure data movement).
 ///
 /// # Errors
 ///
 /// Returns [`ConvError::ShapeMismatch`] when the input or the packed
-/// bank disagrees with `geom` — the same conditions as [`conv2d_fast`].
+/// bank disagrees with `geom`.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_fast_packed_ext(
     input: &Tensor<f32>,
@@ -455,34 +390,19 @@ pub fn conv2d_fast_packed_ext(
     Ok(out)
 }
 
-/// Fast fixed-point direct convolution: the im2col lowering of
-/// [`conv2d_fast`] driven through the wide [`Accumulator`] datapath.
+/// Fast fixed-point direct convolution: im2col lowering driven through
+/// the wide [`Accumulator`] datapath. The inner MAC sweep runs through
+/// `micro`'s [`KernelChoice::mac_span_fix16`] — packed 16-bit lanes
+/// widened into 64-bit accumulators on AVX2, the scalar span otherwise.
 /// Products accumulate in the same `(channel, ku, kv)` order as
 /// [`conv2d_fix16`] and integer accumulation is exact, so the output is
-/// **bit-identical** to the naive reference at any thread count.
+/// **bit-identical** to the naive reference at any thread count and with
+/// any kernel.
 ///
 /// # Errors
 ///
 /// Returns [`ConvError::ShapeMismatch`] when tensor shapes disagree with
 /// `geom`.
-pub fn conv2d_fix16_fast(
-    input: &Tensor<Fix16>,
-    kernels: &Tensor<Fix16>,
-    geom: ConvGeometry,
-    threads: usize,
-) -> Result<Tensor<Fix16>, ConvError> {
-    conv2d_fix16_fast_with_kernel(input, kernels, geom, threads, KernelChoice::auto())
-}
-
-/// [`conv2d_fix16_fast`] with an explicit microkernel pin. The inner MAC
-/// sweep runs through [`KernelChoice::mac_span_fix16`] — packed 16-bit
-/// lanes widened into 64-bit accumulators on AVX2, the scalar span
-/// otherwise. Integer accumulation is exact and order-free, so every
-/// kernel is bit-identical to the naive reference.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_fix16_fast`].
 pub fn conv2d_fix16_fast_with_kernel(
     input: &Tensor<Fix16>,
     kernels: &Tensor<Fix16>,
@@ -551,6 +471,26 @@ pub fn conv2d_fix16_fast_with_kernel(
 mod tests {
     use super::*;
     use crate::tensor::random_tensor;
+
+    /// [`conv2d_fast_packed_ext`] on freshly packed kernels, untraced.
+    fn fast_direct(
+        x: &Tensor<f32>,
+        kernels: &Tensor<f32>,
+        geom: ConvGeometry,
+        threads: usize,
+        stats: Option<&ConvStats>,
+    ) -> Result<Tensor<f32>, ConvError> {
+        let packed = PackedKernels::new(kernels);
+        conv2d_fast_packed_ext(
+            x,
+            &packed,
+            geom,
+            threads,
+            stats,
+            &PoolProfiler::disabled(),
+            None,
+        )
+    }
 
     #[test]
     fn identity_kernel_passes_input_through() {
@@ -651,7 +591,7 @@ mod tests {
             let x = random_tensor(2, in_c, h, w, (h * 7 + k) as u64);
             let kn = random_tensor(out_c, in_c, k, k, (w + s) as u64);
             let naive = conv2d(&x, &kn, geom).unwrap();
-            let fast = conv2d_fast(&x, &kn, geom, 1, None).unwrap();
+            let fast = fast_direct(&x, &kn, geom, 1, None).unwrap();
             let diff = naive.max_abs_diff(&fast).unwrap();
             assert!(diff < 1e-4, "{h}x{w} k{k} s{s} p{pad}: diff {diff}");
         }
@@ -662,9 +602,9 @@ mod tests {
         let geom = ConvGeometry::rect(13, 11, 3, 2, 1).unwrap();
         let x = random_tensor(1, 5, 13, 11, 51);
         let k = random_tensor(18, 5, 3, 3, 52);
-        let base = conv2d_fast(&x, &k, geom, 1, None).unwrap();
+        let base = fast_direct(&x, &k, geom, 1, None).unwrap();
         for threads in [2usize, 4, 8] {
-            let y = conv2d_fast(&x, &k, geom, threads, None).unwrap();
+            let y = fast_direct(&x, &k, geom, threads, None).unwrap();
             assert_eq!(y, base, "{threads}-thread direct fast path differs");
         }
     }
@@ -675,7 +615,7 @@ mod tests {
         let x = random_tensor(1, 2, 8, 8, 3);
         let k = random_tensor(20, 2, 3, 3, 4);
         let stats = ConvStats::new();
-        conv2d_fast(&x, &k, geom, 2, Some(&stats)).unwrap();
+        fast_direct(&x, &k, geom, 2, Some(&stats)).unwrap();
         let (gemm_calls, _, bytes) = stats.snapshot();
         // 8 output rows over row blocks of 4 = 2 fused jobs, one GEMM each.
         assert_eq!(gemm_calls, 2);
@@ -694,7 +634,9 @@ mod tests {
             let kn: Tensor<Fix16> = random_tensor(4, 3, k, k, (h * w) as u64).cast();
             let naive = conv2d_fix16(&x, &kn, geom).unwrap();
             for threads in [1usize, 2, 4, 8] {
-                let fast = conv2d_fix16_fast(&x, &kn, geom, threads).unwrap();
+                let fast =
+                    conv2d_fix16_fast_with_kernel(&x, &kn, geom, threads, KernelChoice::auto())
+                        .unwrap();
                 assert_eq!(fast, naive, "{h}x{w} k{k} s{s} p{pad} @{threads}t");
             }
         }

@@ -1,13 +1,13 @@
 //! Cache-blocked, register-tiled f32 GEMM — the engine behind the fast
 //! convolution paths.
 //!
-//! Both batched Winograd ([`crate::winograd::conv2d_batched`]) and im2col
-//! direct convolution ([`crate::direct::conv2d_fast`]) reduce to dense
-//! `C = A·B` products. This module implements the classic three-level
-//! blocking (Goto/BLIS): `NC`-wide column panels of `B` and `KC`-deep
-//! blocks are packed into contiguous buffers sized for the L3/L2 caches,
-//! `MC`-tall row blocks of `A` are packed for the L1, and an `MR×NR`
-//! register-tiled microkernel runs over the packed panels with a
+//! Both batched Winograd ([`crate::winograd::conv2d_batched_ext`]) and
+//! im2col direct convolution ([`crate::direct::conv2d_fast_packed_ext`])
+//! reduce to dense `C = A·B` products. This module implements the classic
+//! three-level blocking (Goto/BLIS): `NC`-wide column panels of `B` and
+//! `KC`-deep blocks are packed into contiguous buffers sized for the L3/L2
+//! caches, `MC`-tall row blocks of `A` are packed for the L1, and an
+//! `MR×NR` register-tiled microkernel runs over the packed panels with a
 //! fixed-size accumulator array the compiler can keep in vector registers.
 //!
 //! Determinism: for every output element the `k`-dimension is accumulated

@@ -312,11 +312,10 @@ pub struct BatchedFilters {
     alpha: usize,
     out_c: usize,
     in_c: usize,
-    /// `planes[u·α + v][k·in_c + c] = (G·g_{k,c}·Gᵀ)[u][v]`.
-    planes: Vec<Vec<f32>>,
-    /// Each plane pre-packed into GEMM `A` panels under the default
-    /// blocking — built once here (plan-lowering time), so no strip or
-    /// transform-point job ever re-packs filter coefficients.
+    /// Plane `u·α + v` holds `(G·g_{k,c}·Gᵀ)[u][v]` at `(k, c)`, packed
+    /// into GEMM `A` panels under the default blocking — built once here
+    /// (plan-lowering time), so no strip or transform-point job ever
+    /// re-packs filter coefficients.
     packed: Vec<PackedA>,
 }
 
@@ -332,6 +331,8 @@ impl BatchedFilters {
         let (out_c, in_c) = (kernels.n(), kernels.c());
         let alpha = transform.alpha();
         let aa = alpha * alpha;
+        // `planes[u·α + v][k·in_c + c] = (G·g_{k,c}·Gᵀ)[u][v]`, dropped once
+        // packed: only the panels outlive construction.
         let mut planes = vec![vec![0.0f32; out_c * in_c]; aa];
         for k in 0..out_c {
             for c in 0..in_c {
@@ -341,6 +342,7 @@ impl BatchedFilters {
                 }
             }
         }
+        drop(banks);
         let blocking = GemmBlocking::default();
         let packed = planes
             .iter()
@@ -352,7 +354,6 @@ impl BatchedFilters {
             alpha,
             out_c,
             in_c,
-            planes,
             packed,
         })
     }
@@ -376,12 +377,6 @@ impl BatchedFilters {
     pub fn alpha(&self) -> usize {
         self.alpha
     }
-
-    /// Total transformed coefficients held by the bank (`α²·N·C`) — the
-    /// element count an accelerator streaming this bank would transfer.
-    pub fn coefficients(&self) -> usize {
-        self.planes.len() * self.out_c * self.in_c
-    }
 }
 
 /// `out[n×p] = a[n×k] · b[k×p]` on flat row-major buffers — the
@@ -399,85 +394,41 @@ fn matmul_flat(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, p: usi
     }
 }
 
-/// Batched Winograd convolution: scatter (input transforms), α² GEMMs
-/// against the pre-packed filter planes, gather (output transforms with
-/// edge clipping). Work is partitioned per [`WinoSchedule::Auto`];
-/// `threads == 0` means auto-detect, `1` runs inline.
-///
-/// Results are bit-identical for any thread count **and any schedule**:
-/// jobs partition the tile/channel space in fixed-size blocks whose
-/// contents and accumulation order never depend on the worker count, and
-/// every schedule accumulates each output element's `in_c` products in
-/// the same ascending order under the same `KC` blocking.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_pretransformed`]; the filter bank must have
-/// been built with the same transform.
-pub fn conv2d_batched(
-    input: &Tensor<f32>,
-    filters: &BatchedFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_batched_ext(
-        input,
-        filters,
-        geom,
-        transform,
-        threads,
-        stats,
-        &PoolProfiler::disabled(),
-        BatchedOptions::default(),
-    )
-}
-
-/// [`conv2d_batched`] with worker-lane tracing: jobs are emitted as
-/// Chrome-trace slices on per-worker lanes via `prof` (scoped to
-/// `wino.scatter` / `wino.gemm` / `wino.gather` under the transform-point
-/// schedule, `wino.tileblock` under the fused tile-block schedule), and
-/// when `stats` is supplied, per-phase times and the GEMM
-/// pack-vs-microkernel split are recorded alongside the exact flop/byte
-/// accounting.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched`].
-pub fn conv2d_batched_traced(
-    input: &Tensor<f32>,
-    filters: &BatchedFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_batched_ext(
-        input,
-        filters,
-        geom,
-        transform,
-        threads,
-        stats,
-        prof,
-        BatchedOptions::default(),
-    )
-}
-
 /// The filter bank a batched run draws its per-transform-point GEMM `A`
 /// operand from: the dense pre-packed planes, or the pruned CSR planes of
 /// a sparse-Winograd layer. Both produce one GEMM-shaped product per
 /// transform point over the same scatter/gather pipeline, so the two
 /// paths share every schedule.
 #[derive(Clone, Copy)]
-enum BankRef<'a> {
+pub enum BankRef<'a> {
+    /// Dense transformed filters.
     Dense(&'a BatchedFilters),
+    /// Transform-domain pruned filters.
     Sparse(&'a SparseFilters),
 }
 
+impl<'a> From<&'a BatchedFilters> for BankRef<'a> {
+    fn from(f: &'a BatchedFilters) -> Self {
+        BankRef::Dense(f)
+    }
+}
+
+impl<'a> From<&'a SparseFilters> for BankRef<'a> {
+    fn from(f: &'a SparseFilters) -> Self {
+        BankRef::Sparse(f)
+    }
+}
+
 impl BankRef<'_> {
+    /// `(m, r, out_c, in_c)`: the transform the bank was built for and
+    /// its channel counts.
+    fn shape(&self) -> (usize, usize, usize, usize) {
+        match self {
+            BankRef::Dense(f) => (f.m, f.r, f.out_c, f.in_c),
+            BankRef::Sparse(f) => (f.m(), f.r(), f.out_c(), f.in_c()),
+        }
+    }
+
     /// Runs the transform point `uv`'s GEMM `C[out_c × n] = A_uv · B`
     /// into `c`, dense or sparse. Accumulation association is identical
     /// across the two arms (same `KC` blocking), so a density-1000
@@ -489,11 +440,11 @@ impl BankRef<'_> {
         n: usize,
         b: BOperand<'_>,
         c: &mut [f32],
-        timed: bool,
         stats: Option<&ConvStats>,
     ) {
         match self {
             BankRef::Dense(f) => {
+                let timed = stats.is_some();
                 let outcome =
                     crate::gemm::gemm_f32_prepacked(scratch, f.packed_plane(uv), n, b, c, timed);
                 if let Some(s) = stats {
@@ -527,7 +478,6 @@ struct WinoCtx<'a> {
     bank: BankRef<'a>,
     threads: usize,
     kernel: KernelChoice,
-    timed: bool,
     m: usize,
     alpha: usize,
     aa: usize,
@@ -577,82 +527,36 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
     s.add_phase(ConvPhase::Gather, gather_flops, gather_bytes);
 }
 
-/// [`conv2d_batched`] with explicit [`BatchedOptions`] — the full entry
-/// point: schedule pinning for the determinism tests, kernel pinning for
-/// the microkernel oracle matrix, tracing for the profiler.
+/// Batched Winograd convolution: scatter (input transforms), α² GEMMs
+/// against the bank's transform-point planes — dense pre-packed panels or
+/// pruned CSR planes — then gather (output transforms with edge
+/// clipping). `threads == 0` means auto-detect, `1` runs inline;
+/// `opts` pins the schedule and microkernel (both auto by default).
 ///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched`].
-#[allow(clippy::too_many_arguments)] // the batched entry plus observability
-pub fn conv2d_batched_ext(
-    input: &Tensor<f32>,
-    filters: &BatchedFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    opts: BatchedOptions,
-) -> Result<Tensor<f32>, ConvError> {
-    if geom.stride() != 1 {
-        return Err(ConvError::StrideUnsupported {
-            stride: geom.stride(),
-        });
-    }
-    if filters.m != transform.m() || filters.r != transform.r() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("filter bank for F({},{})", transform.m(), transform.r()),
-            found: format!("bank for F({},{})", filters.m, filters.r),
-        });
-    }
-    if geom.kernel() != transform.r() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("kernel size {} for this transform", transform.r()),
-            found: format!("{}", geom.kernel()),
-        });
-    }
-    if input.h() != geom.height() || input.w() != geom.width() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("input {}x{}", geom.height(), geom.width()),
-            found: format!("{}x{}", input.h(), input.w()),
-        });
-    }
-    if filters.in_c != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} input channels", filters.in_c),
-            found: format!("{}", input.c()),
-        });
-    }
-
-    run_batched(
-        BankRef::Dense(filters),
-        filters.out_c,
-        input,
-        geom,
-        transform,
-        threads,
-        stats,
-        prof,
-        opts,
-    )
-}
-
-/// [`conv2d_batched_ext`] for a *sparse* (transform-domain pruned) filter
-/// bank: identical scatter and gather, with each transform point's GEMM
-/// running the CSR-panel kernel over the pruned plane. At density 1000
-/// the output is bit-identical to [`conv2d_batched_ext`] on the dense
-/// bank of the same kernels; at lower densities it approximates the
-/// dense convolution with the pruning error of the retained
+/// Results are bit-identical for any thread count **and any schedule**:
+/// jobs partition the tile/channel space in fixed-size blocks whose
+/// contents and accumulation order never depend on the worker count, and
+/// every schedule accumulates each output element's `in_c` products in
+/// the same ascending order under the same `KC` blocking. A density-1000
+/// sparse bank is bit-identical to the dense bank of the same kernels; at
+/// lower densities the output carries the pruning error of the dropped
 /// coefficients.
 ///
+/// Jobs are emitted as Chrome-trace slices on per-worker lanes via `prof`
+/// (scoped to `wino.scatter` / `wino.gemm` / `wino.gather` under the
+/// transform-point schedule, `wino.tileblock` under the tile-block
+/// schedule), and when `stats` is supplied, per-phase times and the GEMM
+/// pack-vs-microkernel split are recorded alongside the exact flop/byte
+/// accounting.
+///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_batched`].
-#[allow(clippy::too_many_arguments)] // mirrors the dense batched entry
-pub fn conv2d_batched_sparse_ext(
+/// Same conditions as [`conv2d_pretransformed`]; the filter bank must have
+/// been built with the same transform.
+#[allow(clippy::too_many_arguments)] // the batched entry plus observability
+pub fn conv2d_batched_ext<'a>(
     input: &Tensor<f32>,
-    filters: &SparseFilters,
+    bank: impl Into<BankRef<'a>>,
     geom: ConvGeometry,
     transform: &WinogradTransform,
     threads: usize,
@@ -660,15 +564,17 @@ pub fn conv2d_batched_sparse_ext(
     prof: &PoolProfiler,
     opts: BatchedOptions,
 ) -> Result<Tensor<f32>, ConvError> {
+    let bank = bank.into();
+    let (bank_m, bank_r, out_c, bank_in_c) = bank.shape();
     if geom.stride() != 1 {
         return Err(ConvError::StrideUnsupported {
             stride: geom.stride(),
         });
     }
-    if filters.m() != transform.m() || filters.r() != transform.r() {
+    if bank_m != transform.m() || bank_r != transform.r() {
         return Err(ConvError::ShapeMismatch {
             expected: format!("filter bank for F({},{})", transform.m(), transform.r()),
-            found: format!("bank for F({},{})", filters.m(), filters.r()),
+            found: format!("bank for F({bank_m},{bank_r})"),
         });
     }
     if geom.kernel() != transform.r() {
@@ -683,64 +589,13 @@ pub fn conv2d_batched_sparse_ext(
             found: format!("{}x{}", input.h(), input.w()),
         });
     }
-    if filters.in_c() != input.c() {
+    if bank_in_c != input.c() {
         return Err(ConvError::ShapeMismatch {
-            expected: format!("{} input channels", filters.in_c()),
+            expected: format!("{bank_in_c} input channels"),
             found: format!("{}", input.c()),
         });
     }
-    run_batched(
-        BankRef::Sparse(filters),
-        filters.out_c(),
-        input,
-        geom,
-        transform,
-        threads,
-        stats,
-        prof,
-        opts,
-    )
-}
 
-/// [`conv2d_batched_sparse_ext`] with default options and no tracing.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_batched_sparse_ext`].
-pub fn conv2d_batched_sparse(
-    input: &Tensor<f32>,
-    filters: &SparseFilters,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-) -> Result<Tensor<f32>, ConvError> {
-    conv2d_batched_sparse_ext(
-        input,
-        filters,
-        geom,
-        transform,
-        threads,
-        stats,
-        &PoolProfiler::disabled(),
-        BatchedOptions::default(),
-    )
-}
-
-/// Shared post-validation core of the dense and sparse batched paths:
-/// resolves the schedule on shape alone and dispatches.
-#[allow(clippy::too_many_arguments)]
-fn run_batched(
-    bank: BankRef<'_>,
-    out_c: usize,
-    input: &Tensor<f32>,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-    stats: Option<&ConvStats>,
-    prof: &PoolProfiler,
-    opts: BatchedOptions,
-) -> Result<Tensor<f32>, ConvError> {
     let m = transform.m();
     let alpha = transform.alpha();
     let (batch, in_c, _, _) = input.shape();
@@ -753,7 +608,6 @@ fn run_batched(
         bank,
         threads: winofuse_runtime::resolve_threads(threads),
         kernel: opts.kernel.unwrap_or_else(KernelChoice::auto),
-        timed: stats.is_some(),
         m,
         alpha,
         aa: alpha * alpha,
@@ -868,8 +722,7 @@ fn run_transform_point(
                 // B operand: V_uv is [in_c × p_total] with element (c, p)
                 // at V[p·α²·in_c + uv·in_c + c].
                 let b_op = BOperand::strided(&v_ref[uv * in_c..], 1, aa * in_c);
-                cx.bank
-                    .gemm_plane(scratch, uv, p_total, b_op, slice, cx.timed, stats);
+                cx.bank.gemm_plane(scratch, uv, p_total, b_op, slice, stats);
             },
         )?;
         if let (Some(s), Some(t0)) = (stats, t_phase) {
@@ -977,7 +830,7 @@ fn run_tile_block(
     let (batch, in_c, out_c) = (cx.batch, cx.in_c, cx.out_c);
     let (oh, ow, pad) = (cx.oh, cx.ow, cx.pad);
     let (tiles_w, tiles_per_img) = (cx.tiles_w, cx.tiles_per_img);
-    let (input, threads, timed) = (cx.input, cx.threads, cx.timed);
+    let (input, threads) = (cx.input, cx.threads);
     let tb = WINO_TILE_BLOCK;
     let blocks_per_img = tiles_per_img.div_ceil(tb);
     let n_jobs = batch * blocks_per_img;
@@ -1069,7 +922,6 @@ fn run_tile_block(
                     nt,
                     b_op,
                     &mut mbuf[uv * out_c * nt..(uv + 1) * out_c * nt],
-                    timed,
                     stats,
                 );
             }
@@ -1112,30 +964,6 @@ fn run_tile_block(
         },
     )?;
     Ok(out)
-}
-
-/// Batched `F(4×4, 3×3)` Winograd convolution (transforms the filters on
-/// the fly; reuse a [`BatchedFilters`] via [`conv2d_batched`] when running
-/// the same layer repeatedly).
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_f43`].
-pub fn conv2d_f43_fast(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
-    geom: ConvGeometry,
-    threads: usize,
-) -> Result<Tensor<f32>, ConvError> {
-    if kernels.c() != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} kernel channels", input.c()),
-            found: format!("{}", kernels.c()),
-        });
-    }
-    let transform = f43();
-    let filters = BatchedFilters::new(kernels, &transform)?;
-    conv2d_batched(input, &filters, geom, &transform, threads, None)
 }
 
 /// Winograd convolution on the 16-bit fixed-point datapath, modeling the
@@ -1264,6 +1092,28 @@ mod tests {
     use crate::cook_toom::f23;
     use crate::direct;
     use crate::tensor::random_tensor;
+
+    /// [`conv2d_batched_ext`] with default options and no tracing.
+    fn batched(
+        x: &Tensor<f32>,
+        filters: &BatchedFilters,
+        geom: ConvGeometry,
+        t: &WinogradTransform,
+        threads: usize,
+        stats: Option<&ConvStats>,
+    ) -> Result<Tensor<f32>, ConvError> {
+        let prof = PoolProfiler::disabled();
+        conv2d_batched_ext(
+            x,
+            filters,
+            geom,
+            t,
+            threads,
+            stats,
+            &prof,
+            BatchedOptions::default(),
+        )
+    }
 
     fn assert_matches_direct(transform: &WinogradTransform, h: usize, w: usize, pad: usize) {
         let r = transform.r();
@@ -1422,7 +1272,8 @@ mod tests {
             let x = random_tensor(2, in_c, h, w, (h * 131 + w) as u64);
             let k = random_tensor(out_c, in_c, 3, 3, (h + w + pad) as u64);
             let naive = conv2d_f43(&x, &k, geom).unwrap();
-            let fast = conv2d_f43_fast(&x, &k, geom, 1).unwrap();
+            let filters = BatchedFilters::new(&k, &f43()).unwrap();
+            let fast = batched(&x, &filters, geom, &f43(), 1, None).unwrap();
             let diff = naive.max_abs_diff(&fast).unwrap();
             assert!(
                 diff < 1e-4,
@@ -1438,9 +1289,9 @@ mod tests {
         let k = random_tensor(10, 6, 3, 3, 92);
         let t = f43();
         let filters = BatchedFilters::new(&k, &t).unwrap();
-        let base = conv2d_batched(&x, &filters, geom, &t, 1, None).unwrap();
+        let base = batched(&x, &filters, geom, &t, 1, None).unwrap();
         for threads in [2usize, 4, 8] {
-            let y = conv2d_batched(&x, &filters, geom, &t, threads, None).unwrap();
+            let y = batched(&x, &filters, geom, &t, threads, None).unwrap();
             assert_eq!(y, base, "{threads}-thread batched winograd differs");
         }
     }
@@ -1453,7 +1304,7 @@ mod tests {
         let t = f43();
         let filters = BatchedFilters::new(&k, &t).unwrap();
         let stats = ConvStats::new();
-        conv2d_batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
+        batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
         let (gemm_calls, tiles, bytes) = stats.snapshot();
         // 12x12 output over 4x4 tiles = 3x3 tiles; 36 transform points with
         // out_c=3 fit one GEMM job each.
@@ -1515,7 +1366,7 @@ mod tests {
         let t = f43();
         let filters = BatchedFilters::new(&k, &t).unwrap();
         let stats = ConvStats::new();
-        conv2d_batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
+        batched(&x, &filters, geom, &t, 1, Some(&stats)).unwrap();
         let (gemm_calls, tiles, _) = stats.snapshot();
         assert_eq!(tiles, 72);
         assert_eq!(gemm_calls, 144);
@@ -1555,10 +1406,10 @@ mod tests {
         let x = random_tensor(1, 2, 8, 8, 1);
         let k = random_tensor(2, 2, 3, 3, 2);
         let filters = BatchedFilters::new(&k, &f43()).unwrap();
-        assert!(conv2d_batched(&x, &filters, geom, &f23(), 1, None).is_err());
+        assert!(batched(&x, &filters, geom, &f23(), 1, None).is_err());
         let strided = ConvGeometry::new(8, 8, 3, 2, 0).unwrap();
         assert_eq!(
-            conv2d_batched(&x, &filters, strided, &f43(), 1, None),
+            batched(&x, &filters, strided, &f43(), 1, None),
             Err(ConvError::StrideUnsupported { stride: 2 })
         );
     }
@@ -1571,7 +1422,7 @@ mod tests {
         let x = random_tensor(1, 3, 9, 9, 41);
         let k = random_tensor(4, 3, 3, 3, 42);
         let filters = BatchedFilters::new(&k, &t).unwrap();
-        let fast = conv2d_batched(&x, &filters, geom, &t, 2, None).unwrap();
+        let fast = batched(&x, &filters, geom, &t, 2, None).unwrap();
         let reference = direct::conv2d(&x, &k, geom).unwrap();
         assert!(reference.approx_eq(&fast, 1e-3));
     }

@@ -6,10 +6,10 @@
 //! transforms — which is exactly the cost structure a long-running
 //! deployment cannot afford. The cache closes that gap: a
 //! [`PlanEntry`] bundles everything downstream of the model
-//! ([`OptimizedDesign`] → execution plan → fused runner → prepacked
-//! filter banks) and a [`PlanCache`] memoizes entries under a
-//! [`PlanKey`] of `(network fingerprint, weights fingerprint, device,
-//! precision, threads, budget)`. After the first request for a
+//! ([`OptimizedDesign`], one set of prepacked filter banks, and the
+//! fused runner lowered onto them) and a [`PlanCache`] memoizes entries
+//! under a [`PlanKey`] of `(network fingerprint, weights fingerprint,
+//! device, precision, threads, budget)`. After the first request for a
 //! configuration, every subsequent request is a hash lookup: zero
 //! search nodes, zero filter transforms.
 //!
@@ -62,10 +62,12 @@ pub struct PlanEntry {
     pub weights: Arc<NetworkWeights>,
     /// The solved strategy with analytic timing.
     pub design: OptimizedDesign,
-    /// Shared fast-path preparation (sliced kernels + Winograd banks);
+    /// Shared fast-path preparation (packed kernels + Winograd banks);
     /// [`PlanEntry::executor`] clones the `Arc`, never the banks.
     pub prepared: Arc<PreparedNetwork>,
-    /// The plan-faithful fused runner with per-group DRAM reconciliation.
+    /// The plan-faithful fused runner with per-group DRAM reconciliation,
+    /// lowered from `prepared`: its conv stages hold the same
+    /// `Arc<PreparedConv>`s, except sparse-planned layers.
     pub runner: FusedNetworkRunner,
 }
 
@@ -179,9 +181,10 @@ impl Framework {
     }
 
     /// Builds a complete [`PlanEntry`] for a model: optimizes the
-    /// strategy, lowers it to the fused runner, and prepares the shared
-    /// filter banks for the batched fast path. This is the expensive
-    /// miss-path body a [`PlanCache`] amortizes.
+    /// strategy, prepares the filter banks once, and lowers the strategy
+    /// onto them as the fused runner, so the batched executor and the
+    /// runner share every bank. This is the expensive miss-path body a
+    /// [`PlanCache`] amortizes.
     ///
     /// # Errors
     ///
@@ -197,8 +200,9 @@ impl Framework {
     ) -> Result<PlanEntry, CoreError> {
         let key = self.plan_key(&net, &weights, budget_bytes, precision);
         let design = self.optimize(&net, budget_bytes)?;
-        let runner = self.fused_runner(&net, &design, &weights)?;
         let prepared = Arc::new(PreparedNetwork::new(&net, &weights, ExecAlgo::Auto)?);
+        let runner =
+            self.configure_runner(design.execution_plan().lower(&net, &weights, &prepared)?);
         Ok(PlanEntry {
             key,
             net,
@@ -301,6 +305,50 @@ mod tests {
             })
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    }
+
+    #[test]
+    fn runner_shares_every_dense_conv_preparation() {
+        use winofuse_fpga::engine::Algorithm;
+        use winofuse_model::layer::LayerKind;
+        let fw = Framework::new(FpgaDevice::zc706()).with_threads(1);
+        for (net, budget) in [
+            (zoo::alexnet().conv_body().unwrap(), BUDGET),
+            (zoo::vgg_e_fused_prefix(), 2 * 1024 * 1024),
+        ] {
+            let convs = net
+                .layers()
+                .iter()
+                .filter(|l| matches!(l.kind, LayerKind::Conv(_)))
+                .count();
+            let weights = NetworkWeights::random(&net, 3).unwrap();
+            let entry = fw
+                .plan_entry(Arc::new(net), Arc::new(weights), budget, DataType::Fixed16)
+                .unwrap();
+            let plan = entry.design.execution_plan();
+            let mut checked = 0;
+            for (group, planned) in entry.runner.groups().iter().zip(plan.groups()) {
+                for (cfg, i) in planned.configs.iter().zip(planned.start..planned.end) {
+                    let Some(conv) = group.conv(i) else { continue };
+                    if matches!(cfg.engine.algorithm, Algorithm::SparseWinograd { .. }) {
+                        continue;
+                    }
+                    let prepared = entry.prepared.conv(i).expect("conv layers are prepared");
+                    assert!(
+                        Arc::ptr_eq(conv, prepared),
+                        "`{}` layer {i}: the runner built its own banks",
+                        entry.net.name()
+                    );
+                    checked += 1;
+                }
+            }
+            assert_eq!(
+                checked,
+                convs,
+                "`{}`: every conv stage checked",
+                entry.net.name()
+            );
+        }
     }
 
     #[test]

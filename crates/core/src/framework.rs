@@ -391,7 +391,8 @@ impl Framework {
     /// group runner per fusion group, driving the fast convolution
     /// kernels with the strategy's algorithm choices and reconciling
     /// measured DRAM traffic against each group's analytic budget. The
-    /// framework's thread count and telemetry context carry over.
+    /// runner prepares its own filter banks; the framework's thread
+    /// count and telemetry context carry over.
     ///
     /// # Errors
     ///
@@ -403,16 +404,23 @@ impl Framework {
         design: &OptimizedDesign,
         weights: &winofuse_model::runtime::NetworkWeights,
     ) -> Result<winofuse_fusion::runner::FusedNetworkRunner, CoreError> {
-        let mut runner = design
-            .execution_plan()
-            .runner(net, weights)?
+        Ok(self.configure_runner(design.execution_plan().runner(net, weights)?))
+    }
+
+    /// Applies the framework's threads, telemetry and fault handling to a
+    /// lowered fused runner.
+    pub(crate) fn configure_runner(
+        &self,
+        runner: winofuse_fusion::runner::FusedNetworkRunner,
+    ) -> winofuse_fusion::runner::FusedNetworkRunner {
+        let mut runner = runner
             .with_threads(self.threads)
             .with_telemetry(self.telemetry.clone())
             .with_faults(self.faults.clone());
         if let Some(mode) = self.fault_mode {
             runner = runner.with_fault_mode(mode);
         }
-        Ok(runner)
+        runner
     }
 
     /// A per-layer bottleneck diagnosis: for every layer of every fusion

@@ -12,7 +12,7 @@
 use winofuse_fusion::pipeline::LayerConfig;
 use winofuse_fusion::runner::{FusedNetworkRunner, GroupSpec};
 use winofuse_model::network::Network;
-use winofuse_model::runtime::NetworkWeights;
+use winofuse_model::runtime::{ExecAlgo, NetworkWeights, PreparedNetwork};
 
 use crate::dp::PartitionResult;
 use crate::framework::OptimizedDesign;
@@ -69,19 +69,42 @@ impl<'a> ExecutionPlan<'a> {
         self.groups.iter().map(|g| g.analytic_dram_bytes).sum()
     }
 
-    /// Instantiates the fused runner for this plan: one
-    /// [`FusedGroupRunner`](winofuse_fusion::runner::FusedGroupRunner)
-    /// per group, each reconciling its measured DRAM traffic against the
-    /// group's analytic budget.
+    /// Instantiates the fused runner for this plan on a fresh
+    /// [`ExecAlgo::Auto`] preparation of `net` (see
+    /// [`ExecutionPlan::lower`]).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Substrate`] when a group cannot be executed (missing
-    /// weights, unfusable layer kind, broken chain).
+    /// Same conditions as [`ExecutionPlan::lower`], plus
+    /// [`CoreError::Substrate`] when the weights cannot be prepared.
     pub fn runner(
         &self,
         net: &Network,
         weights: &NetworkWeights,
+    ) -> Result<FusedNetworkRunner, CoreError> {
+        self.lower(
+            net,
+            weights,
+            &PreparedNetwork::new(net, weights, ExecAlgo::Auto)?,
+        )
+    }
+
+    /// Lowers the plan onto `prepared`: one
+    /// [`FusedGroupRunner`](winofuse_fusion::runner::FusedGroupRunner)
+    /// per group, computing with `prepared`'s filter banks and
+    /// reconciling its measured DRAM traffic against the group's
+    /// analytic budget.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Substrate`] when a group cannot be executed (missing
+    /// weights, unfusable layer kind, broken chain, a preparation of
+    /// another network).
+    pub fn lower(
+        &self,
+        net: &Network,
+        weights: &NetworkWeights,
+        prepared: &PreparedNetwork,
     ) -> Result<FusedNetworkRunner, CoreError> {
         let specs: Vec<GroupSpec<'_>> = self
             .groups
@@ -92,7 +115,7 @@ impl<'a> ExecutionPlan<'a> {
                 analytic_dram_bytes: Some(g.analytic_dram_bytes),
             })
             .collect();
-        FusedNetworkRunner::new(net, weights, &specs).map_err(CoreError::from)
+        FusedNetworkRunner::new(net, weights, prepared, &specs).map_err(CoreError::from)
     }
 }
 

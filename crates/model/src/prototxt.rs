@@ -203,8 +203,8 @@ impl Message {
         }
     }
 
-    fn usize_or(&self, key: &str, default: usize) -> usize {
-        self.num(key).map(|v| v as usize).unwrap_or(default)
+    fn usize_or(&self, key: &str, default: usize) -> Result<usize, ModelError> {
+        self.num(key).map_or(Ok(default), |v| int_field(key, v))
     }
 
     fn str_field(&self, key: &str) -> Option<&str> {
@@ -213,6 +213,20 @@ impl Message {
             Some(Value::Enum(s)) => Some(s),
             _ => None,
         }
+    }
+}
+
+/// Reads the value `v` of integer field `key`: a count or size must be a
+/// whole number in `0..=u32::MAX`, so every product of them downstream
+/// fits in `usize` instead of wrapping or saturating.
+fn int_field(key: &str, v: f64) -> Result<usize, ModelError> {
+    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= f64::from(u32::MAX) {
+        Ok(v as usize)
+    } else {
+        Err(ModelError::ParseProtoTxt {
+            line: 0,
+            reason: format!("`{key}: {v:?}` is not an integer in 0..={}", u32::MAX),
+        })
     }
 }
 
@@ -351,7 +365,7 @@ fn interpret_layer(msg: &Message) -> Result<Option<Layer>, ModelError> {
                 Some(Value::Msg(m)) => m.clone(),
                 _ => Message::default(),
             };
-            let num_output = p.usize_or("num_output", 0);
+            let num_output = p.usize_or("num_output", 0)?;
             if num_output == 0 {
                 return Err(ModelError::ParseProtoTxt {
                     line: 0,
@@ -360,10 +374,10 @@ fn interpret_layer(msg: &Message) -> Result<Option<Layer>, ModelError> {
             }
             LayerKind::Conv(ConvParams {
                 num_output,
-                kernel: p.usize_or("kernel_size", 3),
-                stride: p.usize_or("stride", 1),
-                pad: p.usize_or("pad", 0),
-                groups: p.usize_or("group", 1),
+                kernel: p.usize_or("kernel_size", 3)?,
+                stride: p.usize_or("stride", 1)?,
+                pad: p.usize_or("pad", 0)?,
+                groups: p.usize_or("group", 1)?,
                 relu: false,
             })
         }
@@ -383,9 +397,9 @@ fn interpret_layer(msg: &Message) -> Result<Option<Layer>, ModelError> {
                 }
             };
             LayerKind::Pool(PoolParams {
-                kernel: p.usize_or("kernel_size", 2),
-                stride: p.usize_or("stride", 2),
-                pad: p.usize_or("pad", 0),
+                kernel: p.usize_or("kernel_size", 2)?,
+                stride: p.usize_or("stride", 2)?,
+                pad: p.usize_or("pad", 0)?,
                 kind,
             })
         }
@@ -395,7 +409,7 @@ fn interpret_layer(msg: &Message) -> Result<Option<Layer>, ModelError> {
                 _ => Message::default(),
             };
             LayerKind::Lrn(LrnSpec {
-                local_size: p.usize_or("local_size", 5),
+                local_size: p.usize_or("local_size", 5)?,
                 alpha: p.num("alpha").unwrap_or(1e-4) as f32,
                 beta: p.num("beta").unwrap_or(0.75) as f32,
                 k: p.num("k").unwrap_or(2.0) as f32,
@@ -407,7 +421,7 @@ fn interpret_layer(msg: &Message) -> Result<Option<Layer>, ModelError> {
                 Some(Value::Msg(m)) => m.clone(),
                 _ => Message::default(),
             };
-            let num_output = p.usize_or("num_output", 0);
+            let num_output = p.usize_or("num_output", 0)?;
             if num_output == 0 {
                 return Err(ModelError::ParseProtoTxt {
                     line: 0,
@@ -471,18 +485,18 @@ pub fn parse(src: &str) -> Result<Network, ModelError> {
     // legacy four `input_dim:` fields (batch, channels, height, width).
     let input = if let Some(Value::Msg(m)) = doc.get("input_shape") {
         FmShape::new(
-            m.usize_or("channels", 0),
-            m.usize_or("height", 0),
-            m.usize_or("width", 0),
+            m.usize_or("channels", 0)?,
+            m.usize_or("height", 0)?,
+            m.usize_or("width", 0)?,
         )
     } else {
-        let dims: Vec<usize> = doc
+        let dims = doc
             .get_all("input_dim")
             .filter_map(|v| match v {
-                Value::Num(n) => Some(*n as usize),
+                Value::Num(n) => Some(int_field("input_dim", *n)),
                 _ => None,
             })
-            .collect();
+            .collect::<Result<Vec<usize>, _>>()?;
         match dims.len() {
             4 => FmShape::new(dims[1], dims[2], dims[3]),
             3 => FmShape::new(dims[0], dims[1], dims[2]),
@@ -673,6 +687,47 @@ layer { name: "drop" type: "Dropout" }
             Err(ModelError::ParseProtoTxt { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    /// A one-conv network whose `num_output` field reads `value`.
+    fn conv_with_num_output(value: &str) -> Result<Network, ModelError> {
+        parse(&format!(
+            "name: \"n\"\ninput_shape {{ channels: 1 height: 4 width: 4 }}\n\
+             layer {{ name: \"c\" type: \"Convolution\" \
+             convolution_param {{ num_output: {value} }} }}"
+        ))
+    }
+
+    fn assert_rejects_key(parsed: Result<Network, ModelError>, key: &str) {
+        match parsed {
+            Err(ModelError::ParseProtoTxt { reason, .. }) => {
+                assert!(reason.contains(key), "reason `{reason}` must name `{key}`");
+            }
+            other => panic!("expected a parse error naming `{key}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fractional_integer_field_is_rejected() {
+        assert_rejects_key(conv_with_num_output("16.7"), "num_output");
+        assert!(conv_with_num_output("16").is_ok());
+    }
+
+    #[test]
+    fn negative_integer_field_is_rejected() {
+        let src = "input_dim: 1\ninput_dim: -3\ninput_dim: 4\ninput_dim: 4";
+        assert_rejects_key(parse(src), "input_dim");
+    }
+
+    #[test]
+    fn non_finite_integer_field_is_rejected() {
+        assert_rejects_key(conv_with_num_output("1e400"), "num_output");
+    }
+
+    #[test]
+    fn integer_field_above_u32_max_is_rejected() {
+        assert_rejects_key(conv_with_num_output("1e30"), "num_output");
+        assert_rejects_key(conv_with_num_output("4294967296"), "num_output");
     }
 
     #[test]

@@ -5,16 +5,29 @@
 //! convolutional layer with any of the algorithms the paper's framework
 //! chooses between — so a heterogeneous strategy can be checked for
 //! functional equivalence end to end.
+//!
+//! Two interpreters live here: the naive reference ([`forward`],
+//! [`forward_with`], [`forward_fix16`]) and the fast [`NetworkExecutor`].
+//! The fast path prepares each convolution once as a [`PreparedConv`] —
+//! per group, the packed direct operand plus the dense or pruned
+//! Winograd bank the layer's algorithm calls for — and
+//! [`PreparedConv::run`] is its one dispatch. A [`PreparedNetwork`] holds
+//! one `Arc<PreparedConv>` per conv layer, shared by every executor
+//! cloned from it and by the fused runner lowered from it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::Instant;
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
+use winofuse_conv::direct::PackedKernels;
 use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
+use winofuse_conv::microkernel::KernelChoice;
 use winofuse_conv::ops::{self, LrnParams};
-use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_conv::sparse::SparseFilters;
-use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
-use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
+use winofuse_conv::tensor::{random_tensor, Scalar, Tensor};
+use winofuse_conv::winograd::{BankRef, BatchedFilters, BatchedOptions};
+use winofuse_conv::{direct, im2col, winograd, ConvError, ConvGeometry};
 use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
@@ -299,11 +312,11 @@ pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
 /// Reference fixed-point execution of a convolutional body: every layer
 /// computed on [`Fix16`] values, the network's kernels quantized once via
 /// [`Tensor::cast`]. Convolutions run the exact wide-integer
-/// `conv2d_fix16_fast` path (bit-identical at any thread count), pooling
-/// and ReLU are the generic reference operators, and LRN computes in
-/// `f32` from the dequantized values before re-rounding — a deterministic
-/// scalar sequence, so any streaming executor that mirrors it can be
-/// checked for *exact* equality rather than a float tolerance.
+/// `conv2d_fix16_fast_with_kernel` path (bit-identical at any thread
+/// count), pooling and ReLU are the generic reference operators, and LRN
+/// computes in `f32` from the dequantized values before re-rounding — a
+/// deterministic scalar sequence, so any streaming executor that mirrors
+/// it can be checked for *exact* equality rather than a float tolerance.
 ///
 /// Returns the output of every layer, like [`forward`].
 ///
@@ -347,7 +360,13 @@ pub fn forward_fix16(
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
                 let mut y = if c.groups <= 1 {
                     let k: Tensor<Fix16> = kernels.cast();
-                    direct::conv2d_fix16_fast(&cur, &k, geom, threads)?
+                    direct::conv2d_fix16_fast_with_kernel(
+                        &cur,
+                        &k,
+                        geom,
+                        threads,
+                        KernelChoice::auto(),
+                    )?
                 } else {
                     let cg = c.channels_per_group(shapes[i].channels);
                     let ng = c.num_output / c.groups;
@@ -360,7 +379,13 @@ pub fn forward_fix16(
                             kernels.slice_channels_n(g * ng, (g + 1) * ng).cast();
                         out.write_channels(
                             g * ng,
-                            &direct::conv2d_fix16_fast(&x, &k, geom, threads)?,
+                            &direct::conv2d_fix16_fast_with_kernel(
+                                &x,
+                                &k,
+                                geom,
+                                threads,
+                                KernelChoice::auto(),
+                            )?,
                         );
                     }
                     out
@@ -454,49 +479,217 @@ impl LayerProfile {
     }
 }
 
-/// One convolution layer, prepared for the fast path: per-group filter
-/// banks transformed/sliced once at construction so repeated runs pay
-/// only the online cost. The raw per-group kernel slices are kept even
-/// for Winograd layers — they are the fallback operand when a Winograd
-/// kernel faults and the layer re-runs on the direct path.
-struct PreparedConv {
-    /// Per-group kernel slices (the direct path's operand).
-    kernels: Vec<Tensor<f32>>,
-    /// Pre-transformed per-group Winograd banks; `None` = direct layer.
-    banks: Option<Vec<BatchedFilters>>,
-    /// Pruned per-group CSR banks under [`ExecAlgo::Sparse`]; at most
-    /// one of `banks`/`sparse_banks` is populated.
-    sparse_banks: Option<Vec<SparseFilters>>,
+/// Runs convolution layer `c` on `x` one channel group at a time and
+/// applies its folded ReLU in place: `conv(g, x_g)` convolves group `g`'s
+/// input-channel slice (all of `x` for an ungrouped layer), and the group
+/// outputs stack along the channel axis. The executor and both datapaths
+/// of the fused runner share this group and ReLU handling.
+///
+/// # Errors
+///
+/// Propagates the first error `conv` returns.
+pub fn conv_grouped<T, E>(
+    c: &ConvParams,
+    x: &Tensor<T>,
+    geom: ConvGeometry,
+    mut conv: impl FnMut(usize, &Tensor<T>) -> Result<Tensor<T>, E>,
+) -> Result<Tensor<T>, E>
+where
+    T: Scalar + PartialOrd,
+{
+    let mut y = if c.groups <= 1 {
+        conv(0, x)?
+    } else {
+        let cg = c.channels_per_group(x.c());
+        let ng = c.num_output / c.groups;
+        let (oh, ow) = (geom.output_height(), geom.output_width());
+        let mut out = Tensor::zeros(x.n(), c.num_output, oh, ow);
+        for g in 0..c.groups {
+            out.write_channels(g * ng, &conv(g, &x.slice_channels(g * cg, (g + 1) * cg))?);
+        }
+        out
+    };
+    if c.relu {
+        for v in y.as_mut_slice() {
+            if *v < T::zero() {
+                *v = T::zero();
+            }
+        }
+    }
+    Ok(y)
+}
+
+/// One convolution layer prepared for repeated execution — the single
+/// conv-layer preparation that [`NetworkExecutor`] and the fused runner's
+/// `f32` strips share. Per channel group it holds the packed direct
+/// operand (the direct layer's kernel, and the lenient fallback of a
+/// Winograd layer) plus the dense or pruned `F(4×4, 3×3)` bank the
+/// layer's algorithm calls for, all built once by [`PreparedConv::new`].
+pub struct PreparedConv {
+    params: ConvParams,
+    transform: WinogradTransform,
+    groups: Vec<GroupBanks>,
+}
+
+/// One channel group's operands; at most one of `dense`/`sparse` is set.
+struct GroupBanks {
+    direct: PackedKernels,
+    dense: Option<BatchedFilters>,
+    sparse: Option<SparseFilters>,
+}
+
+impl PreparedConv {
+    /// Slices `kernels` (`N × C/groups × K × K`) per group and prepares
+    /// them for `algo`: on a 3×3 stride-1 layer, [`ExecAlgo::Auto`] and
+    /// [`ExecAlgo::Winograd`] transform a dense bank and
+    /// [`ExecAlgo::Sparse`] a pruned one; other layers run direct.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConvError`] of a kernel tensor the Winograd transform
+    /// or the pruning pass rejects.
+    pub fn new(
+        params: &ConvParams,
+        kernels: &Tensor<f32>,
+        algo: ExecAlgo,
+    ) -> Result<Self, ConvError> {
+        let transform = f43();
+        let capable = params.kernel == transform.r() && params.stride == 1;
+        let prepare = |k: &Tensor<f32>| -> Result<GroupBanks, ConvError> {
+            Ok(GroupBanks {
+                direct: PackedKernels::new(k),
+                dense: match algo {
+                    ExecAlgo::Auto | ExecAlgo::Winograd if capable => {
+                        Some(BatchedFilters::new(k, &transform)?)
+                    }
+                    _ => None,
+                },
+                sparse: match algo {
+                    ExecAlgo::Sparse { density_pm } if capable => {
+                        Some(SparseFilters::new(k, &transform, density_pm)?)
+                    }
+                    _ => None,
+                },
+            })
+        };
+        let groups = if params.groups <= 1 {
+            vec![prepare(kernels)?]
+        } else {
+            let ng = params.num_output / params.groups;
+            (0..params.groups)
+                .map(|g| prepare(&kernels.slice_channels_n(g * ng, (g + 1) * ng)))
+                .collect::<Result<_, _>>()?
+        };
+        Ok(PreparedConv {
+            params: *params,
+            transform,
+            groups,
+        })
+    }
+
+    /// The layer's convolution parameters.
+    pub fn params(&self) -> &ConvParams {
+        &self.params
+    }
+
+    /// The algorithm the layer computes with: `sparse`, `winograd` or
+    /// `direct`.
+    pub fn algo(&self) -> &'static str {
+        let g = &self.groups[0];
+        if g.sparse.is_some() {
+            "sparse"
+        } else if g.dense.is_some() {
+            "winograd"
+        } else {
+            "direct"
+        }
+    }
+
+    /// Output rows per Winograd tile when the layer computes on a bank —
+    /// a strip of it must start on a multiple of this to keep the
+    /// whole-image tile grid — or `None` for a direct layer.
+    pub fn winograd_m(&self) -> Option<usize> {
+        (self.algo() != "direct").then(|| self.transform.m())
+    }
+
+    /// Convolves `x` (`geom` describes it, padding included) with every
+    /// group on its bank — or on the packed direct operand when the layer
+    /// has none or `force_direct` pins the fallback rung — then applies
+    /// the folded ReLU. `stats` and `prof` attribute the kernels' work.
+    ///
+    /// # Errors
+    ///
+    /// Returns the kernels' [`ConvError`] for shapes that disagree with
+    /// `geom` or a faulted worker pool.
+    pub fn run(
+        &self,
+        x: &Tensor<f32>,
+        geom: ConvGeometry,
+        threads: usize,
+        stats: Option<&ConvStats>,
+        prof: &PoolProfiler,
+        force_direct: bool,
+    ) -> Result<Tensor<f32>, ConvError> {
+        conv_grouped(&self.params, x, geom, |g, xg| {
+            let banks = &self.groups[g];
+            let bank = match (&banks.sparse, &banks.dense) {
+                _ if force_direct => None,
+                (Some(f), _) => Some(BankRef::Sparse(f)),
+                (_, Some(f)) => Some(BankRef::Dense(f)),
+                _ => None,
+            };
+            match bank {
+                Some(bank) => winograd::conv2d_batched_ext(
+                    xg,
+                    bank,
+                    geom,
+                    &self.transform,
+                    threads,
+                    stats,
+                    prof,
+                    BatchedOptions::default(),
+                ),
+                None => direct::conv2d_fast_packed_ext(
+                    xg,
+                    &banks.direct,
+                    geom,
+                    threads,
+                    stats,
+                    prof,
+                    None,
+                ),
+            }
+        })
+    }
 }
 
 enum PreparedLayer {
-    Conv(PreparedConv),
+    Conv(Arc<PreparedConv>),
     Fc { weights: Vec<f32>, bias: Vec<f32> },
     Stateless,
 }
 
-/// Everything the fast path pays *once per model*: shape inference,
-/// per-group kernel slicing, and the Winograd filter-bank transforms.
+/// Everything the fast path pays *once per model*: shape inference and
+/// one [`PreparedConv`] per convolution layer.
 ///
 /// A [`NetworkExecutor`] borrows the network but holds its preparation
 /// behind an `Arc`, so the expensive part is shareable: the plan cache
 /// keeps one `PreparedNetwork` per (network, weights, backend)
-/// configuration and every request-serving executor clones the `Arc`
+/// configuration, every request-serving executor clones the `Arc`
 /// instead of re-transforming filters
-/// (see [`NetworkExecutor::from_prepared`]).
+/// (see [`NetworkExecutor::from_prepared`]), and the fused runner lowered
+/// from it shares each layer's `Arc<PreparedConv>`.
 pub struct PreparedNetwork {
-    transform: WinogradTransform,
     layers: Vec<PreparedLayer>,
-    /// Validated per-layer input shapes (`shapes[i]` feeds layer `i`) —
-    /// grouped-conv slicing derives from these, never raw tensor dims.
+    /// Validated per-layer input shapes (`shapes[i]` feeds layer `i`).
     shapes: Vec<crate::shape::FmShape>,
     algo: ExecAlgo,
     network_fingerprint: u64,
 }
 
 impl PreparedNetwork {
-    /// Prepares a network for repeated execution: slices grouped kernels
-    /// and transforms Winograd filter banks according to `algo`.
+    /// Prepares a network for repeated execution: one [`PreparedConv`]
+    /// per convolution layer for `algo`.
     ///
     /// # Errors
     ///
@@ -509,7 +702,6 @@ impl PreparedNetwork {
         weights: &NetworkWeights,
         algo: ExecAlgo,
     ) -> Result<Self, ModelError> {
-        let transform = f43();
         let shapes = net.shapes()?;
         let mut layers = Vec::with_capacity(net.len());
         for (i, layer) in net.layers().iter().enumerate() {
@@ -521,54 +713,14 @@ impl PreparedNetwork {
                             layer.name
                         )));
                     };
-                    let wino_capable = c.kernel == transform.r() && c.stride == 1;
-                    let use_wino = match algo {
-                        ExecAlgo::Auto => wino_capable,
-                        ExecAlgo::Direct | ExecAlgo::Sparse { .. } => false,
-                        ExecAlgo::Winograd => {
-                            if !wino_capable {
-                                return Err(ModelError::Execution(format!(
-                                    "layer {i} `{}` ({}x{} stride {}) cannot run the F(4,3) \
-                                     Winograd path",
-                                    layer.name, c.kernel, c.kernel, c.stride
-                                )));
-                            }
-                            true
-                        }
-                    };
-                    // Sparse prunes eligible layers and leaves the rest
-                    // on the direct path — a density preference, not a
-                    // mandate (ineligible shapes have no transform
-                    // domain to prune in).
-                    let use_sparse = match algo {
-                        ExecAlgo::Sparse { .. } => wino_capable,
-                        _ => false,
-                    };
-                    let groups = group_slices(kernels, c);
-                    let banks = if use_wino {
-                        Some(
-                            groups
-                                .iter()
-                                .map(|k| BatchedFilters::new(k, &transform))
-                                .collect::<Result<Vec<_>, _>>()?,
-                        )
-                    } else {
-                        None
-                    };
-                    let sparse_banks = match (algo, use_sparse) {
-                        (ExecAlgo::Sparse { density_pm }, true) => Some(
-                            groups
-                                .iter()
-                                .map(|k| SparseFilters::new(k, &transform, density_pm))
-                                .collect::<Result<Vec<_>, _>>()?,
-                        ),
-                        _ => None,
-                    };
-                    PreparedLayer::Conv(PreparedConv {
-                        kernels: groups,
-                        banks,
-                        sparse_banks,
-                    })
+                    let conv = PreparedConv::new(c, kernels, algo)?;
+                    if algo == ExecAlgo::Winograd && conv.winograd_m().is_none() {
+                        return Err(ModelError::Execution(format!(
+                            "layer {i} `{}` ({}x{} stride {}) cannot run the F(4,3) Winograd path",
+                            layer.name, c.kernel, c.kernel, c.stride
+                        )));
+                    }
+                    PreparedLayer::Conv(Arc::new(conv))
                 }
                 LayerKind::Fc(_) => {
                     let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
@@ -587,7 +739,6 @@ impl PreparedNetwork {
             layers.push(p);
         }
         Ok(PreparedNetwork {
-            transform,
             layers,
             shapes,
             algo,
@@ -607,14 +758,23 @@ impl PreparedNetwork {
         self.network_fingerprint
     }
 
-    /// Number of pre-transformed Winograd filter banks held — the
+    /// The prepared convolution of layer `index`, or `None` when that
+    /// layer is not a convolution.
+    pub fn conv(&self, index: usize) -> Option<&Arc<PreparedConv>> {
+        match self.layers.get(index) {
+            Some(PreparedLayer::Conv(conv)) => Some(conv),
+            _ => None,
+        }
+    }
+
+    /// Number of pre-transformed dense Winograd filter banks held — the
     /// transform work that was paid at construction and is amortized by
     /// every run sharing this preparation.
     pub fn winograd_banks(&self) -> usize {
         self.layers
             .iter()
             .map(|l| match l {
-                PreparedLayer::Conv(c) => c.banks.as_ref().map_or(0, Vec::len),
+                PreparedLayer::Conv(c) => c.groups.iter().filter(|g| g.dense.is_some()).count(),
                 _ => 0,
             })
             .sum()
@@ -742,15 +902,14 @@ impl<'n> NetworkExecutor<'n> {
         self
     }
 
-    /// Runs the network and returns the final layer's output.
+    /// Runs the network and returns the final layer's output, holding
+    /// only the live activation between layers.
     ///
     /// # Errors
     ///
     /// Same conditions as [`NetworkExecutor::run_all`].
     pub fn run(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, ModelError> {
-        let mut outs = self.run_all(input)?;
-        outs.pop()
-            .ok_or_else(|| ModelError::Execution("network has no layers to execute".to_string()))
+        self.run_layers(input, |_, _, _, _| {})
     }
 
     /// Runs the network and returns every layer's output
@@ -762,19 +921,8 @@ impl<'n> NetworkExecutor<'n> {
     /// Returns [`ModelError::Execution`] when the input tensor does not
     /// match the network's input shape or a kernel rejects its arguments.
     pub fn run_all(&self, input: &Tensor<f32>) -> Result<Vec<Tensor<f32>>, ModelError> {
-        self.check_input(input)?;
-        let stats = ConvStats::new();
-        let base = PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone());
         let mut outputs = Vec::with_capacity(self.net.len());
-        let mut cur = input.clone();
-        for (i, layer) in self.net.layers().iter().enumerate() {
-            let span = self.telemetry.span("exec", &layer.name);
-            let next = self.exec_layer(i, layer, &cur, &stats, &base.scoped(&layer.name))?;
-            drop(span);
-            outputs.push(next.clone());
-            cur = next;
-        }
-        self.publish_conv_counters(&stats);
+        self.run_layers(input, |_, y, _, _| outputs.push(y.clone()))?;
         Ok(outputs)
     }
 
@@ -797,39 +945,59 @@ impl<'n> NetworkExecutor<'n> {
         &self,
         input: &Tensor<f32>,
     ) -> Result<(Tensor<f32>, Vec<LayerProfile>), ModelError> {
-        self.check_input(input)?;
-        let base = PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone());
-        let total = ConvStats::new();
         let mut profiles = Vec::with_capacity(self.net.len());
-        let mut cur = input.clone();
-        for (i, layer) in self.net.layers().iter().enumerate() {
-            let span = self.telemetry.span("exec", &layer.name);
-            let stats = ConvStats::new();
-            let t0 = std::time::Instant::now();
-            let next = self.exec_layer(i, layer, &cur, &stats, &base.scoped(&layer.name))?;
-            let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            drop(span);
-            let algo = match &self.prepared.layers[i] {
-                PreparedLayer::Conv(conv) if conv.sparse_banks.is_some() => "sparse",
-                PreparedLayer::Conv(conv) if conv.banks.is_some() => "winograd",
-                PreparedLayer::Conv(_) => "direct",
-                _ => "-",
-            };
-            let (gemm_calls, tiles, bytes_packed) = stats.snapshot();
-            total.add_gemm(gemm_calls, bytes_packed);
-            total.add_tiles(tiles);
+        let out = self.run_layers(input, |i, _, stats, wall_ns| {
+            let layer = &self.net.layers()[i];
             profiles.push(LayerProfile {
                 name: layer.name.clone(),
                 kind: layer.kind.tag(),
-                algo,
+                algo: match &self.prepared.layers[i] {
+                    PreparedLayer::Conv(conv) => conv.algo(),
+                    _ => "-",
+                },
                 wall_ns,
                 model_ops: layer.ops(self.prepared.shapes[i]),
                 conv: stats.profile(),
             });
-            cur = next;
+        })?;
+        Ok((out, profiles))
+    }
+
+    /// The one layer loop behind [`NetworkExecutor::run`], `run_all` and
+    /// `run_profiled`: each layer runs under its `exec` span with its own
+    /// [`ConvStats`], then `on_layer(index, output, stats, wall_ns)` sees
+    /// it before the previous activation is dropped. The run's totals
+    /// publish as the `conv.*` counters.
+    fn run_layers(
+        &self,
+        input: &Tensor<f32>,
+        mut on_layer: impl FnMut(usize, &Tensor<f32>, &ConvStats, u64),
+    ) -> Result<Tensor<f32>, ModelError> {
+        self.check_input(input)?;
+        let base = PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone());
+        let total = ConvStats::new();
+        let mut cur: Option<Tensor<f32>> = None;
+        for (i, layer) in self.net.layers().iter().enumerate() {
+            let span = self.telemetry.span("exec", &layer.name);
+            let stats = ConvStats::new();
+            let t0 = Instant::now();
+            let x = cur.as_ref().unwrap_or(input);
+            let next = self.exec_layer(i, layer, x, &stats, &base.scoped(&layer.name))?;
+            let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            drop(span);
+            let (gemm_calls, tiles, bytes_packed) = stats.snapshot();
+            total.add_gemm(gemm_calls, bytes_packed);
+            total.add_tiles(tiles);
+            on_layer(i, &next, &stats, wall_ns);
+            cur = Some(next);
         }
-        self.publish_conv_counters(&total);
-        Ok((cur, profiles))
+        let (gemm_calls, tiles, bytes_packed) = total.snapshot();
+        self.telemetry.counter("conv.gemm_calls").add(gemm_calls);
+        self.telemetry.counter("conv.tiles").add(tiles);
+        self.telemetry
+            .counter("conv.bytes_packed")
+            .add(bytes_packed);
+        cur.ok_or_else(|| ModelError::Execution("network has no layers to execute".to_string()))
     }
 
     fn check_input(&self, input: &Tensor<f32>) -> Result<(), ModelError> {
@@ -849,15 +1017,6 @@ impl<'n> NetworkExecutor<'n> {
         Ok(())
     }
 
-    fn publish_conv_counters(&self, stats: &ConvStats) {
-        let (gemm_calls, tiles, bytes_packed) = stats.snapshot();
-        self.telemetry.counter("conv.gemm_calls").add(gemm_calls);
-        self.telemetry.counter("conv.tiles").add(tiles);
-        self.telemetry
-            .counter("conv.bytes_packed")
-            .add(bytes_packed);
-    }
-
     fn exec_layer(
         &self,
         i: usize,
@@ -866,42 +1025,27 @@ impl<'n> NetworkExecutor<'n> {
         stats: &ConvStats,
         prof: &PoolProfiler,
     ) -> Result<Tensor<f32>, ModelError> {
-        match &layer.kind {
-            LayerKind::Conv(c) => {
-                let PreparedLayer::Conv(conv) = &self.prepared.layers[i] else {
-                    unreachable!("invariant: conv layer prepared as non-conv");
-                };
-                self.run_conv_guarded(
-                    layer,
-                    cur,
-                    c,
-                    conv,
-                    stats,
-                    self.prepared.shapes[i].channels,
-                    prof,
-                )
+        if let PreparedLayer::Conv(conv) = &self.prepared.layers[i] {
+            return self.run_conv_guarded(layer, cur, conv, stats, prof);
+        }
+        // Non-conv layers have no alternate algorithm rung: a caught panic
+        // (or injected fault) becomes a typed `KernelFault` in either
+        // fault mode.
+        let guarded = catch_unwind(AssertUnwindSafe(|| {
+            if self.faults.trip(&format!("exec.{}", layer.name)).is_some() {
+                return Err(ModelError::KernelFault {
+                    layer: layer.name.clone(),
+                    reason: "injected fault".to_string(),
+                });
             }
-            _ => {
-                // Non-conv layers have no alternate algorithm rung: a
-                // caught panic (or injected fault) becomes a typed
-                // `KernelFault` in either fault mode.
-                let guarded = catch_unwind(AssertUnwindSafe(|| {
-                    if self.faults.trip(&format!("exec.{}", layer.name)).is_some() {
-                        return Err(ModelError::KernelFault {
-                            layer: layer.name.clone(),
-                            reason: "injected fault".to_string(),
-                        });
-                    }
-                    self.exec_simple(i, layer, cur)
-                }));
-                match guarded {
-                    Ok(result) => result,
-                    Err(payload) => Err(ModelError::KernelFault {
-                        layer: layer.name.clone(),
-                        reason: describe_panic(payload.as_ref()),
-                    }),
-                }
-            }
+            self.exec_simple(i, layer, cur)
+        }));
+        match guarded {
+            Ok(result) => result,
+            Err(payload) => Err(ModelError::KernelFault {
+                layer: layer.name.clone(),
+                reason: describe_panic(payload.as_ref()),
+            }),
         }
     }
 
@@ -952,17 +1096,19 @@ impl<'n> NetworkExecutor<'n> {
     /// `exec.fallbacks` / `exec.fallbacks.<reason>`; in strict mode (or
     /// when the direct rung itself faults) it surfaces as
     /// [`ModelError::KernelFault`].
-    #[allow(clippy::too_many_arguments)]
     fn run_conv_guarded(
         &self,
         layer: &Layer,
         cur: &Tensor<f32>,
-        c: &ConvParams,
         conv: &PreparedConv,
         stats: &ConvStats,
-        in_channels: usize,
         prof: &PoolProfiler,
     ) -> Result<Tensor<f32>, ModelError> {
+        let c = conv.params();
+        let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
+        let run = |force_direct: bool| -> Result<Tensor<f32>, ModelError> {
+            Ok(conv.run(cur, geom, self.threads, Some(stats), prof, force_direct)?)
+        };
         let primary = catch_unwind(AssertUnwindSafe(|| {
             if let Some(kind) = self.faults.trip(&format!("exec.{}", layer.name)) {
                 if matches!(kind, FaultKind::Saturate) {
@@ -972,8 +1118,7 @@ impl<'n> NetworkExecutor<'n> {
                     });
                 }
             }
-            let banked = conv.banks.is_some() || conv.sparse_banks.is_some();
-            self.run_conv(cur, c, conv, stats, in_channels, prof, banked)
+            run(false)
         }));
         let (reason, class) = match primary {
             Ok(Ok(y)) => return Ok(y),
@@ -990,13 +1135,8 @@ impl<'n> NetworkExecutor<'n> {
             Ok(Err(other)) => return Err(other),
             Err(payload) => (describe_panic(payload.as_ref()), "panic"),
         };
-        if self.fault_mode == FaultMode::Lenient
-            && (conv.banks.is_some() || conv.sparse_banks.is_some())
-        {
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                self.run_conv(cur, c, conv, stats, in_channels, prof, false)
-            }));
-            match retry {
+        if self.fault_mode == FaultMode::Lenient && conv.winograd_m().is_some() {
+            match catch_unwind(AssertUnwindSafe(|| run(true))) {
                 Ok(Ok(y)) => {
                     self.telemetry.counter("exec.fallbacks").incr();
                     self.telemetry
@@ -1021,80 +1161,6 @@ impl<'n> NetworkExecutor<'n> {
             reason,
         })
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_conv(
-        &self,
-        cur: &Tensor<f32>,
-        c: &ConvParams,
-        conv: &PreparedConv,
-        stats: &ConvStats,
-        in_channels: usize,
-        prof: &PoolProfiler,
-        use_banks: bool,
-    ) -> Result<Tensor<f32>, ModelError> {
-        let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
-        let run_group = |x: &Tensor<f32>, g: usize| -> Result<Tensor<f32>, ModelError> {
-            Ok(match (&conv.sparse_banks, &conv.banks, use_banks) {
-                (Some(banks), _, true) => winograd::conv2d_batched_sparse_ext(
-                    x,
-                    &banks[g],
-                    geom,
-                    &self.prepared.transform,
-                    self.threads,
-                    Some(stats),
-                    prof,
-                    BatchedOptions::default(),
-                )?,
-                (_, Some(banks), true) => winograd::conv2d_batched_traced(
-                    x,
-                    &banks[g],
-                    geom,
-                    &self.prepared.transform,
-                    self.threads,
-                    Some(stats),
-                    prof,
-                )?,
-                _ => direct::conv2d_fast_traced(
-                    x,
-                    &conv.kernels[g],
-                    geom,
-                    self.threads,
-                    Some(stats),
-                    prof,
-                )?,
-            })
-        };
-        let mut y = if c.groups <= 1 {
-            run_group(cur, 0)?
-        } else {
-            let cg = c.channels_per_group(in_channels);
-            let ng = c.num_output / c.groups;
-            let (oh, ow) = (geom.output_height(), geom.output_width());
-            let mut out = Tensor::zeros(cur.n(), c.num_output, oh, ow);
-            for g in 0..c.groups {
-                let x = cur.slice_channels(g * cg, (g + 1) * cg);
-                out.write_channels(g * ng, &run_group(&x, g)?);
-            }
-            out
-        };
-        if c.relu {
-            y = ops::relu(&y);
-        }
-        Ok(y)
-    }
-}
-
-/// Splits a conv layer's kernel tensor into its per-group slices (a
-/// single-element vec for ungrouped layers).
-fn group_slices(kernels: &Tensor<f32>, c: &ConvParams) -> Vec<Tensor<f32>> {
-    if c.groups <= 1 {
-        return vec![kernels.clone()];
-    }
-    let ng = c.num_output / c.groups;
-    (0..c.groups)
-        .map(|g| kernels.slice_channels_n(g * ng, (g + 1) * ng))
-        .collect()
 }
 
 // Re-exported so downstream crates can build inputs without importing

@@ -309,27 +309,3 @@ fn sliced_isolated_panic_spares_sibling_slices() {
         }
     }
 }
-
-#[test]
-fn telemetry_parity_with_traced_pool() {
-    // The isolated path must emit the same per-run counters the traced
-    // path does, so switching kernels over cannot perturb profiling.
-    let traced = Telemetry::enabled();
-    let isolated = Telemetry::enabled();
-    winofuse_runtime::run_jobs_traced(3, 17, &PoolProfiler::new(traced.clone(), "par"), |_| {
-        std::hint::black_box(0u64);
-    });
-    run_jobs_isolated(3, 17, &PoolProfiler::new(isolated.clone(), "par"), |_| {
-        std::hint::black_box(0u64);
-    })
-    .unwrap();
-    let a = traced.summary();
-    let b = isolated.summary();
-    assert_eq!(a.counter("pool.jobs"), b.counter("pool.jobs"));
-    assert_eq!(a.counter("pool.runs"), b.counter("pool.runs"));
-    assert_eq!(
-        a.histograms["pool.job_wait_us"].count,
-        b.histograms["pool.job_wait_us"].count
-    );
-    assert_eq!(b.counter("pool.job_panics"), 0);
-}

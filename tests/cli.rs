@@ -164,6 +164,20 @@ fn bad_inputs_fail_cleanly() {
 }
 
 #[test]
+fn oversized_integer_field_is_a_model_error() {
+    // An out-of-range integer field must surface as a typed model error
+    // (exit 3), never reach tensor allocation inside `run` (a panic, exit
+    // 101).
+    let p = std::env::temp_dir().join(format!("winofuse_cli_huge_{}.prototxt", std::process::id()));
+    std::fs::write(&p, DEMO.replace("num_output: 8", "num_output: 1e30")).unwrap();
+    let out = bin().arg("run").arg(&p).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.contains("num_output"), "{err}");
+    let _ = std::fs::remove_file(p);
+}
+
+#[test]
 fn simulate_emits_trace_and_telemetry_json() {
     use winofuse::telemetry::json::parse;
     use winofuse::telemetry::JsonValue;

@@ -30,9 +30,12 @@ fn tol(channels: usize, k: usize) -> f32 {
 fn batched_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) -> Tensor<f32> {
     let t = f43();
     let filters = BatchedFilters::new(kr, &t).unwrap();
-    let base = winograd::conv2d_batched(x, &filters, geom, &t, 1, None).unwrap();
+    let prof = PoolProfiler::disabled();
+    let opts = BatchedOptions::default();
+    let base = winograd::conv2d_batched_ext(x, &filters, geom, &t, 1, None, &prof, opts).unwrap();
     for threads in &THREADS[1..] {
-        let y = winograd::conv2d_batched(x, &filters, geom, &t, *threads, None).unwrap();
+        let y = winograd::conv2d_batched_ext(x, &filters, geom, &t, *threads, None, &prof, opts)
+            .unwrap();
         assert_eq!(base, y, "batched Winograd differs at {threads} threads");
     }
     base
@@ -40,9 +43,12 @@ fn batched_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) ->
 
 /// Same contract for the blocked direct path.
 fn direct_fast_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) -> Tensor<f32> {
-    let base = direct::conv2d_fast(x, kr, geom, 1, None).unwrap();
+    let packed = direct::PackedKernels::new(kr);
+    let prof = PoolProfiler::disabled();
+    let base = direct::conv2d_fast_packed_ext(x, &packed, geom, 1, None, &prof, None).unwrap();
     for threads in &THREADS[1..] {
-        let y = direct::conv2d_fast(x, kr, geom, *threads, None).unwrap();
+        let y =
+            direct::conv2d_fast_packed_ext(x, &packed, geom, *threads, None, &prof, None).unwrap();
         assert_eq!(base, y, "fast direct differs at {threads} threads");
     }
     base
@@ -126,7 +132,9 @@ proptest! {
         let kr: Tensor<Fix16> = random_tensor(out_c, in_c, k, k, seed + 5).cast();
         let naive = direct::conv2d_fix16(&x, &kr, geom).unwrap();
         for threads in THREADS {
-            let fast = direct::conv2d_fix16_fast(&x, &kr, geom, threads).unwrap();
+            let fast = direct::conv2d_fix16_fast_with_kernel(
+                &x, &kr, geom, threads, KernelChoice::auto(),
+            ).unwrap();
             prop_assert_eq!(&naive, &fast, "fix16 differs at {} threads", threads);
         }
     }
@@ -203,13 +211,14 @@ proptest! {
         let x = random_tensor(2, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, k, k, seed + 13);
         let prof = PoolProfiler::disabled();
-        let oracle = direct::conv2d_fast_ext(
-            &x, &kr, geom, 1, None, &prof, Some(KernelChoice::Scalar),
+        let packed = direct::PackedKernels::new(&kr);
+        let oracle = direct::conv2d_fast_packed_ext(
+            &x, &packed, geom, 1, None, &prof, Some(KernelChoice::Scalar),
         ).unwrap();
         for kernel in KernelChoice::all_supported() {
             for threads in [1usize, 4] {
-                let y = direct::conv2d_fast_ext(
-                    &x, &kr, geom, threads, None, &prof, Some(kernel),
+                let y = direct::conv2d_fast_packed_ext(
+                    &x, &packed, geom, threads, None, &prof, Some(kernel),
                 ).unwrap();
                 prop_assert_eq!(
                     &y, &oracle,

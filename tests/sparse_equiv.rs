@@ -18,22 +18,21 @@ use proptest::prelude::*;
 use winofuse::conv::cook_toom::f43;
 use winofuse::conv::sparse::SparseFilters;
 use winofuse::conv::tensor::{random_tensor, Tensor};
-use winofuse::conv::winograd::{self, BatchedFilters, TransformedFilters};
+use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, TransformedFilters};
 use winofuse::conv::ConvGeometry;
+use winofuse::runtime::PoolProfiler;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the sparse batched path at every thread count and checks the
 /// results are bit-identical before returning the single-threaded one.
-fn sparse_all_threads(
-    x: &Tensor<f32>,
-    filters: &SparseFilters,
-    geom: ConvGeometry,
-) -> Tensor<f32> {
+fn sparse_all_threads(x: &Tensor<f32>, filters: &SparseFilters, geom: ConvGeometry) -> Tensor<f32> {
     let t = f43();
-    let base = winograd::conv2d_batched_sparse(x, filters, geom, &t, 1, None).unwrap();
+    let (prof, opts) = (PoolProfiler::disabled(), BatchedOptions::default());
+    let base = winograd::conv2d_batched_ext(x, filters, geom, &t, 1, None, &prof, opts).unwrap();
     for threads in &THREADS[1..] {
-        let y = winograd::conv2d_batched_sparse(x, filters, geom, &t, *threads, None).unwrap();
+        let y = winograd::conv2d_batched_ext(x, filters, geom, &t, *threads, None, &prof, opts)
+            .unwrap();
         assert_eq!(base, y, "sparse Winograd differs at {threads} threads");
     }
     base
@@ -94,7 +93,10 @@ proptest! {
         let x = random_tensor(batch, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
         let dense_bank = BatchedFilters::new(&kr, &t).unwrap();
-        let dense = winograd::conv2d_batched(&x, &dense_bank, geom, &t, 1, None).unwrap();
+        let dense = winograd::conv2d_batched_ext(
+            &x, &dense_bank, geom, &t, 1, None, &PoolProfiler::disabled(),
+            BatchedOptions::default(),
+        ).unwrap();
         let sparse_bank = SparseFilters::new(&kr, &t, 1000).unwrap();
         let sparse = sparse_all_threads(&x, &sparse_bank, geom);
         prop_assert_eq!(dense, sparse, "density 1000 must be bit-identical to dense");
@@ -117,7 +119,10 @@ proptest! {
         let x = random_tensor(1, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
         let dense_bank = BatchedFilters::new(&kr, &t).unwrap();
-        let dense = winograd::conv2d_batched(&x, &dense_bank, geom, &t, 1, None).unwrap();
+        let dense = winograd::conv2d_batched_ext(
+            &x, &dense_bank, geom, &t, 1, None, &PoolProfiler::disabled(),
+            BatchedOptions::default(),
+        ).unwrap();
         let sparse_bank = SparseFilters::new(&kr, &t, density_pm).unwrap();
         let sparse = sparse_all_threads(&x, &sparse_bank, geom);
         let bound = pruning_error_bound(&kr, &sparse_bank) + fp_slack(in_c);

@@ -161,9 +161,7 @@ pub fn render_transform_helpers(alpha: usize, m: usize) -> String {
 pub fn winograd_tile_of(cfg: &LayerConfig) -> Option<(usize, usize)> {
     match (&cfg.layer.kind, cfg.engine.algorithm) {
         (LayerKind::Conv(c), Algorithm::Winograd { m })
-        | (LayerKind::Conv(c), Algorithm::SparseWinograd { m, .. }) => {
-            Some((m + c.kernel - 1, m))
-        }
+        | (LayerKind::Conv(c), Algorithm::SparseWinograd { m, .. }) => Some((m + c.kernel - 1, m)),
         _ => None,
     }
 }

@@ -249,8 +249,9 @@ pub fn conv2d_f43(
     conv2d_with(input, kernels, geom, &f43())
 }
 
-/// Input tiles scattered per job in the barrier (transform-point) path
-/// (sizes the phase-1 write regions; results never depend on it).
+/// Input tiles scattered per job in the barrier (transform-point) path,
+/// and tiles per output-transform call in its gather (sizes the phase-1
+/// write regions; results never depend on it).
 const TILE_CHUNK: usize = 32;
 /// Output channels per gather job in the barrier path.
 const GATHER_K_BLOCK: usize = 16;
@@ -379,21 +380,6 @@ impl BatchedFilters {
     }
 }
 
-/// `out[n×p] = a[n×k] · b[k×p]` on flat row-major buffers — the
-/// transform-sized (≤ α×α) matmul used inside scatter/gather workers, free
-/// of per-call allocation.
-fn matmul_flat(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, p: usize) {
-    for i in 0..n {
-        for j in 0..p {
-            let mut acc = 0.0f32;
-            for l in 0..k {
-                acc += a[i * k + l] * b[l * p + j];
-            }
-            out[i * p + j] = acc;
-        }
-    }
-}
-
 /// The filter bank a batched run draws its per-transform-point GEMM `A`
 /// operand from: the dense pre-packed planes, or the pruned CSR planes of
 /// a sparse-Winograd layer. Both produce one GEMM-shaped product per
@@ -471,6 +457,69 @@ impl BankRef<'_> {
     }
 }
 
+/// A transform matrix (`Bᵀ` or `Aᵀ`) as rows of its nonzero coefficients,
+/// `(column, value)` in ascending column order. `F(4,3)` has 14 zeros
+/// among the 36 entries of `Bᵀ` and 6 among the 24 of `Aᵀ`.
+type Taps = Vec<Vec<(usize, f32)>>;
+
+fn nonzero_taps(mat: &Mat<f32>) -> Taps {
+    (0..mat.rows())
+        .map(|i| {
+            (0..mat.cols())
+                .map(|l| (l, mat.get(i, l)))
+                .filter(|&(_, c)| c != 0.0)
+                .collect()
+        })
+        .collect()
+}
+
+/// `dst[t] = Σ c·row(l)[t]` over the `(l, c)` taps, for every lane `t`:
+/// one element of a transform product for a run of tiles at once, with
+/// the tile index innermost and contiguous so the loop vectorizes across
+/// tiles.
+///
+/// Each lane keeps the scalar product's arithmetic: terms in ascending
+/// `l`, a separate multiply then add, starting from `+0.0`. Only the zero
+/// coefficients are left out. A left-out term is a `±0` addend, and an
+/// accumulator that starts at `+0.0` never becomes `-0.0` (round to
+/// nearest gives `+0.0` for `+0 + -0` and for exact cancellation), so
+/// adding `±0` would not change it. Every lane is therefore bit-identical
+/// to the full product on finite data.
+#[inline(always)]
+fn lane_dot<'r>(dst: &mut [f32], taps: &[(usize, f32)], row: impl Fn(usize) -> &'r [f32]) {
+    dst.fill(0.0);
+    for &(l, c) in taps {
+        for (o, &x) in dst.iter_mut().zip(row(l)) {
+            *o += c * x;
+        }
+    }
+}
+
+/// Lane-major working buffers of the two transforms for runs of up to
+/// `lanes` tiles: element `e` of the `t`-th tile of a run of `n` sits at
+/// `[e·n + t]`.
+struct LaneScratch {
+    /// Input tiles `d`, `α²` rows.
+    d: Vec<f32>,
+    /// `Bᵀ·d`, `α²` rows.
+    bd: Vec<f32>,
+    /// `Aᵀ·M`, `m·α` rows.
+    am: Vec<f32>,
+    /// `Y = Aᵀ·M·A`, `m²` rows.
+    y: Vec<f32>,
+}
+
+impl LaneScratch {
+    fn new(m: usize, alpha: usize, lanes: usize) -> Self {
+        LaneScratch {
+            d: vec![0.0; alpha * alpha * lanes],
+            bd: vec![0.0; alpha * alpha * lanes],
+            am: vec![0.0; m * alpha * lanes],
+            y: vec![0.0; m * m * lanes],
+        }
+    }
+}
+
 /// Shape-derived state shared by both schedules, resolved once after
 /// validation.
 struct WinoCtx<'a> {
@@ -481,10 +530,8 @@ struct WinoCtx<'a> {
     m: usize,
     alpha: usize,
     aa: usize,
-    b_t: Vec<f32>,
-    b: Vec<f32>,
-    a_t: Vec<f32>,
-    a: Vec<f32>,
+    b_t: Taps,
+    a_t: Taps,
     batch: usize,
     in_c: usize,
     out_c: usize,
@@ -494,6 +541,139 @@ struct WinoCtx<'a> {
     tiles_w: usize,
     tiles_per_img: usize,
     p_total: usize,
+}
+
+impl<'a> WinoCtx<'a> {
+    /// Resolves the state of one call whose shapes have been validated.
+    fn new(
+        input: &'a Tensor<f32>,
+        bank: BankRef<'a>,
+        geom: ConvGeometry,
+        transform: &WinogradTransform,
+        threads: usize,
+        kernel: KernelChoice,
+    ) -> Self {
+        let m = transform.m();
+        let alpha = transform.alpha();
+        let (batch, in_c, _, _) = input.shape();
+        let (oh, ow) = (geom.output_height(), geom.output_width());
+        let tiles_w = ow.div_ceil(m);
+        let tiles_per_img = oh.div_ceil(m) * tiles_w;
+        WinoCtx {
+            input,
+            bank,
+            threads: winofuse_runtime::resolve_threads(threads),
+            kernel,
+            m,
+            alpha,
+            aa: alpha * alpha,
+            b_t: nonzero_taps(&transform.b_t_f32()),
+            a_t: nonzero_taps(&transform.a_t_f32()),
+            batch,
+            in_c,
+            out_c: bank.shape().2,
+            oh,
+            ow,
+            pad: geom.pad() as isize,
+            tiles_w,
+            tiles_per_img,
+            p_total: batch * tiles_per_img,
+        }
+    }
+
+    /// Input transform `V = Bᵀ·d·B` of channel `c` for the `lanes`
+    /// consecutive tiles from tile `p0`, numbered across the batch (a run
+    /// may cross into the next image). Row `uv` of the run's `V` goes to
+    /// `out[uv·stride..][..lanes]`, tile index innermost. Tiles are read
+    /// from the channel plane directly; only a tile that crosses the
+    /// padded edge takes the zero-filling path.
+    fn input_transform(
+        &self,
+        c: usize,
+        p0: usize,
+        lanes: usize,
+        s: &mut LaneScratch,
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        let (m, alpha) = (self.m, self.alpha);
+        let (h, w) = (self.input.h(), self.input.w());
+        let LaneScratch { d, bd, .. } = s;
+        let d = &mut d[..self.aa * lanes];
+        for t in 0..lanes {
+            let (bn, tile) = ((p0 + t) / self.tiles_per_img, (p0 + t) % self.tiles_per_img);
+            let plane = &self.input.as_slice()[(bn * self.in_c + c) * h * w..][..h * w];
+            let h0 = ((tile / self.tiles_w) * m) as isize - self.pad;
+            let w0 = ((tile % self.tiles_w) * m) as isize - self.pad;
+            let inside = h0 >= 0 && w0 >= 0 && h0 as usize + alpha <= h && w0 as usize + alpha <= w;
+            for u in 0..alpha {
+                let hi = h0 + u as isize;
+                if inside {
+                    let row = &plane[hi as usize * w + w0 as usize..][..alpha];
+                    for (v, &x) in row.iter().enumerate() {
+                        d[(u * alpha + v) * lanes + t] = x;
+                    }
+                } else {
+                    for v in 0..alpha {
+                        let wi = w0 + v as isize;
+                        let inb = (0..h as isize).contains(&hi) && (0..w as isize).contains(&wi);
+                        d[(u * alpha + v) * lanes + t] = if inb {
+                            plane[hi as usize * w + wi as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
+        let d = &*d;
+        let bd = &mut bd[..self.aa * lanes];
+        for (i, taps) in self.b_t.iter().enumerate() {
+            for j in 0..alpha {
+                let dst = &mut bd[(i * alpha + j) * lanes..][..lanes];
+                lane_dot(dst, taps, |l| &d[(l * alpha + j) * lanes..][..lanes]);
+            }
+        }
+        let bd = &*bd;
+        for i in 0..alpha {
+            for (j, taps) in self.b_t.iter().enumerate() {
+                let dst = &mut out[(i * alpha + j) * stride..][..lanes];
+                lane_dot(dst, taps, |l| &bd[(i * alpha + l) * lanes..][..lanes]);
+            }
+        }
+    }
+
+    /// Output transform `Y = Aᵀ·M·A` for the `lanes` consecutive tiles
+    /// whose GEMM results start `rows`: row `uv` of `M` is
+    /// `rows[uv·stride..][..lanes]`, which both schedules' GEMM outputs
+    /// already hold contiguous in the tile index. Returns `Y` lane-major:
+    /// element `(u, v)` of the run's tile `t` at `[(u·m + v)·lanes + t]`.
+    fn output_transform<'s>(
+        &self,
+        rows: &[f32],
+        stride: usize,
+        lanes: usize,
+        s: &'s mut LaneScratch,
+    ) -> &'s [f32] {
+        let (m, alpha) = (self.m, self.alpha);
+        let LaneScratch { am, y, .. } = s;
+        let am = &mut am[..m * alpha * lanes];
+        for (i, taps) in self.a_t.iter().enumerate() {
+            for j in 0..alpha {
+                let dst = &mut am[(i * alpha + j) * lanes..][..lanes];
+                lane_dot(dst, taps, |l| &rows[(l * alpha + j) * stride..][..lanes]);
+            }
+        }
+        let am = &*am;
+        let y = &mut y[..m * m * lanes];
+        for i in 0..m {
+            for (j, taps) in self.a_t.iter().enumerate() {
+                let dst = &mut y[(i * m + j) * lanes..][..lanes];
+                lane_dot(dst, taps, |l| &am[(i * alpha + l) * lanes..][..lanes]);
+            }
+        }
+        y
+    }
 }
 
 /// Schedule-invariant phase accounting: flops and bytes depend only on
@@ -515,8 +695,7 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
         BankRef::Sparse(f) => f.nnz_total(),
     };
     let gemm_flops = 2 * a_elems * cx.p_total as u64;
-    let gemm_bytes =
-        4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
+    let gemm_bytes = 4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
     s.add_phase(ConvPhase::Gemm, gemm_flops, gemm_bytes);
     // Gather, per (output channel, tile): Aᵀ·M (m×α·α×α) then ·A (m×α·α×m);
     // transform-domain elements read + output elements written.
@@ -565,7 +744,7 @@ pub fn conv2d_batched_ext<'a>(
     opts: BatchedOptions,
 ) -> Result<Tensor<f32>, ConvError> {
     let bank = bank.into();
-    let (bank_m, bank_r, out_c, bank_in_c) = bank.shape();
+    let (bank_m, bank_r, _, bank_in_c) = bank.shape();
     if geom.stride() != 1 {
         return Err(ConvError::StrideUnsupported {
             stride: geom.stride(),
@@ -596,41 +775,14 @@ pub fn conv2d_batched_ext<'a>(
         });
     }
 
-    let m = transform.m();
-    let alpha = transform.alpha();
-    let (batch, in_c, _, _) = input.shape();
-    let (oh, ow) = (geom.output_height(), geom.output_width());
-    let tiles_h = oh.div_ceil(m);
-    let tiles_w = ow.div_ceil(m);
-    let tiles_per_img = tiles_h * tiles_w;
-    let cx = WinoCtx {
-        input,
-        bank,
-        threads: winofuse_runtime::resolve_threads(threads),
-        kernel: opts.kernel.unwrap_or_else(KernelChoice::auto),
-        m,
-        alpha,
-        aa: alpha * alpha,
-        b_t: transform.b_t_f32().as_slice().to_vec(),
-        b: transform.b_t_f32().transpose().as_slice().to_vec(),
-        a_t: transform.a_t_f32().as_slice().to_vec(),
-        a: transform.a_t_f32().transpose().as_slice().to_vec(),
-        batch,
-        in_c,
-        out_c,
-        oh,
-        ow,
-        pad: geom.pad() as isize,
-        tiles_w,
-        tiles_per_img,
-        p_total: batch * tiles_per_img,
-    };
+    let kernel = opts.kernel.unwrap_or_else(KernelChoice::auto);
+    let cx = WinoCtx::new(input, bank, geom, transform, threads, kernel);
 
     // Resolve `Auto` on shape alone (never on thread count — the schedule
     // must be deterministic for a given layer so profiles reproduce).
     let schedule = match opts.schedule {
         WinoSchedule::Auto => {
-            if batch * tiles_per_img.div_ceil(WINO_TILE_BLOCK) >= TILE_BLOCK_MIN_JOBS {
+            if cx.batch * cx.tiles_per_img.div_ceil(WINO_TILE_BLOCK) >= TILE_BLOCK_MIN_JOBS {
                 WinoSchedule::TileBlock
             } else {
                 WinoSchedule::TransformPoint
@@ -658,9 +810,9 @@ fn run_transform_point(
 ) -> Result<Tensor<f32>, ConvError> {
     let (m, alpha, aa) = (cx.m, cx.alpha, cx.aa);
     let (batch, in_c, out_c) = (cx.batch, cx.in_c, cx.out_c);
-    let (oh, ow, pad) = (cx.oh, cx.ow, cx.pad);
+    let (oh, ow) = (cx.oh, cx.ow);
     let (tiles_w, tiles_per_img, p_total) = (cx.tiles_w, cx.tiles_per_img, cx.p_total);
-    let (input, threads) = (cx.input, cx.threads);
+    let threads = cx.threads;
 
     // Phase 1 — scatter: V[p][u·α+v][c] = (Bᵀ·d·B)[u][v] for tile p,
     // channel c. The [p][uv][c] layout makes each tile chunk a contiguous
@@ -673,26 +825,19 @@ fn run_transform_point(
             threads,
             slices,
             &prof.scoped("wino.scatter"),
-            || (vec![0.0f32; aa], vec![0.0f32; aa], vec![0.0f32; aa]),
-            |(d, t1, t2), job, slice| {
-                let p0 = job * TILE_CHUNK;
-                for (local, chunk) in slice.chunks_exact_mut(aa * in_c).enumerate() {
-                    let p = p0 + local;
-                    let bn = p / tiles_per_img;
-                    let t = p % tiles_per_img;
-                    let h0 = ((t / tiles_w) * m) as isize - pad;
-                    let w0 = ((t % tiles_w) * m) as isize - pad;
-                    for c in 0..in_c {
-                        for u in 0..alpha {
-                            for v in 0..alpha {
-                                d[u * alpha + v] =
-                                    input.get_padded(bn, c, h0 + u as isize, w0 + v as isize);
-                            }
-                        }
-                        matmul_flat(&cx.b_t, d, t1, alpha, alpha, alpha);
-                        matmul_flat(t1, &cx.b, t2, alpha, alpha, alpha);
-                        for uv in 0..aa {
-                            chunk[uv * in_c + c] = t2[uv];
+            || {
+                (
+                    LaneScratch::new(m, alpha, TILE_CHUNK),
+                    vec![0.0f32; aa * TILE_CHUNK],
+                )
+            },
+            |(lanes, v_run), job, slice| {
+                let nt = slice.len() / (aa * in_c);
+                for c in 0..in_c {
+                    cx.input_transform(c, job * TILE_CHUNK, nt, lanes, v_run, nt);
+                    for (uv, row) in v_run[..aa * nt].chunks_exact(nt).enumerate() {
+                        for (t, &x) in row.iter().enumerate() {
+                            slice[(t * aa + uv) * in_c + c] = x;
                         }
                     }
                 }
@@ -750,37 +895,24 @@ fn run_transform_point(
             threads,
             slices,
             &prof.scoped("wino.gather"),
-            || {
-                (
-                    vec![0.0f32; aa],
-                    vec![0.0f32; m * alpha],
-                    vec![0.0f32; m * m],
-                )
-            },
-            |(m_tile, t1, y), job, slice| {
+            || LaneScratch::new(m, alpha, TILE_CHUNK),
+            |lanes, job, slice| {
                 let bn = job / k_blocks.len();
                 let (k0, kb) = k_blocks[job % k_blocks.len()];
                 for k in k0..k0 + kb {
                     let plane = &mut slice[(k - k0) * oh * ow..(k - k0 + 1) * oh * ow];
-                    for t in 0..tiles_per_img {
-                        let p = bn * tiles_per_img + t;
-                        for (uv, slot) in m_tile.iter_mut().enumerate() {
-                            *slot = m_ref[(uv * out_c + k) * p_total + p];
-                        }
-                        matmul_flat(&cx.a_t, m_tile, t1, m, alpha, alpha);
-                        matmul_flat(t1, &cx.a, y, m, alpha, m);
-                        let (th, tw) = (t / tiles_w, t % tiles_w);
-                        for u in 0..m {
-                            let oi = th * m + u;
-                            if oi >= oh {
-                                break;
-                            }
-                            for v in 0..m {
-                                let oj = tw * m + v;
-                                if oj >= ow {
-                                    break;
+                    // Runs of TILE_CHUNK tiles; M_uv rows are [k][p] in m_buf.
+                    for t0 in (0..tiles_per_img).step_by(TILE_CHUNK) {
+                        let nt = TILE_CHUNK.min(tiles_per_img - t0);
+                        let rows = &m_ref[k * p_total + bn * tiles_per_img + t0..];
+                        let y = cx.output_transform(rows, out_c * p_total, nt, lanes);
+                        for t in 0..nt {
+                            let (th, tw) = ((t0 + t) / tiles_w, (t0 + t) % tiles_w);
+                            for u in 0..m.min(oh - th * m) {
+                                let dst = &mut plane[(th * m + u) * ow + tw * m..];
+                                for (v, o) in dst[..m.min(ow - tw * m)].iter_mut().enumerate() {
+                                    *o = y[(u * m + v) * nt + t];
                                 }
-                                plane[oi * ow + oj] = y[u * m + v];
                             }
                         }
                     }
@@ -799,17 +931,12 @@ fn run_transform_point(
 /// scatter → GEMM → gather loop never allocates.
 struct TileBlockScratch {
     gemm: GemmScratch,
-    d: Vec<f32>,
-    t1: Vec<f32>,
-    t2: Vec<f32>,
+    lanes: LaneScratch,
     /// Transformed tiles, `[uv][c][t]` with stride = this block's tile
     /// count — the GEMM `B` operand is a contiguous row-major slice per uv.
     v: Vec<f32>,
     /// GEMM results, `[uv][k][t]` with the same stride.
     mbuf: Vec<f32>,
-    m_tile: Vec<f32>,
-    g1: Vec<f32>,
-    y: Vec<f32>,
 }
 
 /// The fused schedule: one pool invocation; each job owns a contiguous
@@ -828,9 +955,9 @@ fn run_tile_block(
 ) -> Result<Tensor<f32>, ConvError> {
     let (m, alpha, aa) = (cx.m, cx.alpha, cx.aa);
     let (batch, in_c, out_c) = (cx.batch, cx.in_c, cx.out_c);
-    let (oh, ow, pad) = (cx.oh, cx.ow, cx.pad);
+    let (oh, ow) = (cx.oh, cx.ow);
     let (tiles_w, tiles_per_img) = (cx.tiles_w, cx.tiles_per_img);
-    let (input, threads) = (cx.input, cx.threads);
+    let threads = cx.threads;
     let tb = WINO_TILE_BLOCK;
     let blocks_per_img = tiles_per_img.div_ceil(tb);
     let n_jobs = batch * blocks_per_img;
@@ -862,26 +989,16 @@ fn run_tile_block(
         &prof.scoped("wino.tileblock"),
         move || TileBlockScratch {
             gemm: GemmScratch::with_kernel(kernel),
-            d: vec![0.0; aa],
-            t1: vec![0.0; aa],
-            t2: vec![0.0; aa],
+            lanes: LaneScratch::new(m, alpha, tb),
             v: vec![0.0; aa * in_c * tb],
             mbuf: vec![0.0; aa * out_c * tb],
-            m_tile: vec![0.0; aa],
-            g1: vec![0.0; m * alpha],
-            y: vec![0.0; m * m],
         },
         |st, job, frags| {
             let TileBlockScratch {
                 gemm,
-                d,
-                t1,
-                t2,
+                lanes,
                 v,
                 mbuf,
-                m_tile,
-                g1,
-                y,
             } = st;
             let bn = job / blocks_per_img;
             let blk = job % blocks_per_img;
@@ -893,23 +1010,9 @@ fn run_tile_block(
             let t_job = stats.map(|_| Instant::now());
 
             // Scatter this block's tiles into the thread-local V.
-            for t_local in 0..nt {
-                let p = p_lo + t_local;
-                let h0 = ((p / tiles_w) * m) as isize - pad;
-                let w0 = ((p % tiles_w) * m) as isize - pad;
-                for c in 0..in_c {
-                    for u in 0..alpha {
-                        for vv in 0..alpha {
-                            d[u * alpha + vv] =
-                                input.get_padded(bn, c, h0 + u as isize, w0 + vv as isize);
-                        }
-                    }
-                    matmul_flat(&cx.b_t, d, t1, alpha, alpha, alpha);
-                    matmul_flat(t1, &cx.b, t2, alpha, alpha, alpha);
-                    for uv in 0..aa {
-                        v[(uv * in_c + c) * nt + t_local] = t2[uv];
-                    }
-                }
+            let p0 = bn * tiles_per_img + p_lo;
+            for c in 0..in_c {
+                cx.input_transform(c, p0, nt, lanes, &mut v[c * nt..], in_c * nt);
             }
             let t_scattered = stats.map(|_| Instant::now());
 
@@ -933,6 +1036,7 @@ fn run_tile_block(
             let th_last = (p_hi - 1) / tiles_w;
             let rows_covered: usize = (th_first..=th_last).map(|th| m.min(oh - th * m)).sum();
             for k in 0..out_c {
+                let y = cx.output_transform(&mbuf[k * nt..], out_c * nt, nt, lanes);
                 let mut row_base = 0usize;
                 for th in th_first..=th_last {
                     let rows_here = m.min(oh - th * m);
@@ -941,16 +1045,13 @@ fn run_tile_block(
                     let tw_hi = p_hi.min(p_row0 + tiles_w) - p_row0;
                     for tw in tw_lo..tw_hi {
                         let t_local = p_row0 + tw - p_lo;
-                        for (uv, slot) in m_tile.iter_mut().enumerate() {
-                            *slot = mbuf[(uv * out_c + k) * nt + t_local];
-                        }
-                        matmul_flat(&cx.a_t, m_tile, g1, m, alpha, alpha);
-                        matmul_flat(g1, &cx.a, y, m, alpha, m);
                         let cols = m.min(ow - tw * m);
                         let col0 = (tw - tw_lo) * m;
                         for u in 0..rows_here {
-                            frags[k * rows_covered + row_base + u][col0..col0 + cols]
-                                .copy_from_slice(&y[u * m..u * m + cols]);
+                            let frag = &mut frags[k * rows_covered + row_base + u];
+                            for (v, o) in frag[col0..col0 + cols].iter_mut().enumerate() {
+                                *o = y[(u * m + v) * nt + t_local];
+                            }
                         }
                     }
                     row_base += rows_here;
@@ -1092,6 +1193,115 @@ mod tests {
     use crate::cook_toom::f23;
     use crate::direct;
     use crate::tensor::random_tensor;
+
+    /// `out[n×p] = a[n×k] · b[k×p]` on flat row-major buffers, one scalar
+    /// at a time: the per-tile transform product the lane transforms
+    /// replace, kept as their oracle.
+    fn matmul_flat(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, p: usize) {
+        for i in 0..n {
+            for j in 0..p {
+                let mut acc = 0.0f32;
+                for l in 0..k {
+                    acc += a[i * k + l] * b[l * p + j];
+                }
+                out[i * p + j] = acc;
+            }
+        }
+    }
+
+    /// Zeroes every entry below 0.25 in magnitude, keeping its sign: about
+    /// a quarter of `[-1, 1)` data becomes `+0.0` or `-0.0`.
+    fn with_signed_zeros(data: &mut [f32]) {
+        for v in data.iter_mut().filter(|v| v.abs() < 0.25) {
+            *v = 0.0f32.copysign(*v);
+        }
+    }
+
+    #[test]
+    fn lane_transforms_match_per_tile_products_bitwise() {
+        for (m, r) in [(2usize, 3usize), (4, 3), (6, 3), (4, 5)] {
+            let t = WinogradTransform::generate(m, r).unwrap();
+            let (alpha, pad) = (t.alpha(), r / 2);
+            let aa = alpha * alpha;
+            // Ragged 5×4-or-more tile grid over two images: edge tiles cross
+            // each padded edge, the middle ones lie inside.
+            let (h, w) = (4 * m + 1, 3 * m + 3);
+            let geom = ConvGeometry::rect(h, w, r, 1, pad).unwrap();
+            let mut x = random_tensor(2, 2, h, w, (10 * m + r) as u64);
+            with_signed_zeros(x.as_mut_slice());
+            // Image 1, channel 1 is all -0.0.
+            x.as_mut_slice()[3 * h * w..].fill(-0.0);
+            let bank = BatchedFilters::new(&random_tensor(1, 2, r, r, 1), &t).unwrap();
+            let cx = WinoCtx::new(&x, (&bank).into(), geom, &t, 1, KernelChoice::auto());
+            let origin = |p: usize| {
+                let tile = p % cx.tiles_per_img;
+                let h0 = ((tile / cx.tiles_w) * m) as isize - cx.pad;
+                let w0 = ((tile % cx.tiles_w) * m) as isize - cx.pad;
+                (p / cx.tiles_per_img, h0, w0)
+            };
+            let (hi, wi, al) = (h as isize, w as isize, alpha as isize);
+            let crosses = |f: &dyn Fn(isize, isize) -> bool| {
+                (0..cx.p_total)
+                    .filter(|&p| f(origin(p).1, origin(p).2))
+                    .count()
+            };
+            assert!(crosses(&|h0, _| h0 < 0) > 0 && crosses(&|h0, _| h0 + al > hi) > 0);
+            assert!(crosses(&|_, w0| w0 < 0) > 0 && crosses(&|_, w0| w0 + al > wi) > 0);
+            assert!(crosses(&|h0, w0| h0 >= 0 && w0 >= 0 && h0 + al <= hi && w0 + al <= wi) > 0);
+
+            let (b_t, a_t) = (t.b_t_f32(), t.a_t_f32());
+            let (b, a) = (b_t.transpose(), a_t.transpose());
+            let (mut d, mut t1, mut t2) = (vec![0.0; aa], vec![0.0; aa], vec![0.0; aa]);
+            let (mut g1, mut y1) = (vec![0.0; m * alpha], vec![0.0; m * m]);
+            for lanes in [1usize, 7, 32] {
+                let mut s = LaneScratch::new(m, alpha, lanes);
+                // Row strides wider than the run, as in both schedules.
+                let stride = lanes + 3;
+                let mut v = vec![f32::NAN; aa * stride];
+                for p0 in (0..cx.p_total).step_by(lanes) {
+                    let p0 = p0.min(cx.p_total - lanes);
+                    for c in 0..2 {
+                        cx.input_transform(c, p0, lanes, &mut s, &mut v, stride);
+                        for l in 0..lanes {
+                            let (bn, h0, w0) = origin(p0 + l);
+                            for (e, slot) in d.iter_mut().enumerate() {
+                                let (u, vv) = ((e / alpha) as isize, (e % alpha) as isize);
+                                *slot = x.get_padded(bn, c, h0 + u, w0 + vv);
+                            }
+                            matmul_flat(b_t.as_slice(), &d, &mut t1, alpha, alpha, alpha);
+                            matmul_flat(&t1, b.as_slice(), &mut t2, alpha, alpha, alpha);
+                            for (uv, want) in t2.iter().enumerate() {
+                                assert_eq!(
+                                    v[uv * stride + l].to_bits(),
+                                    want.to_bits(),
+                                    "F({m},{r}) input, {lanes} lanes, tile {}, c {c}, point {uv}",
+                                    p0 + l
+                                );
+                            }
+                        }
+                    }
+                }
+
+                let mut rows = random_tensor(1, 1, aa, stride, (lanes * 100 + m) as u64);
+                with_signed_zeros(rows.as_mut_slice());
+                rows.as_mut_slice()[..stride].fill(-0.0);
+                let rows = rows.as_slice();
+                let y = cx.output_transform(rows, stride, lanes, &mut s);
+                for l in 0..lanes {
+                    let m_tile: Vec<f32> = (0..aa).map(|uv| rows[uv * stride + l]).collect();
+                    matmul_flat(a_t.as_slice(), &m_tile, &mut g1, m, alpha, alpha);
+                    matmul_flat(&g1, a.as_slice(), &mut y1, m, alpha, m);
+                    for (e, want) in y1.iter().enumerate() {
+                        assert_eq!(
+                            y[e * lanes + l].to_bits(),
+                            want.to_bits(),
+                            "F({m},{r}) output, {lanes} lanes, lane {l}, element {e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// [`conv2d_batched_ext`] with default options and no tracing.
     fn batched(

@@ -51,13 +51,13 @@ use crate::pipeline::LayerConfig;
 use crate::FusionError;
 
 /// Output rows per strip for direct-convolution stages. Any value works
-/// (per-element accumulation order is strip-independent); 16 gives each
+/// (per-element accumulation order is strip-independent); 32 gives each
 /// strip enough row-block jobs to feed the pool without inflating the
 /// streaming window.
 const DIRECT_STRIP_ROWS: usize = 32;
 /// Tile rows per strip for Winograd stages. Strips must start on
 /// multiples of the transform's `m` so the strip-local tile grid matches
-/// the whole-image grid (bit-exactness); 4 tile rows per strip feeds the
+/// the whole-image grid (bit-exactness); 16 tile rows per strip feeds the
 /// tile-block scheduler several blocks per strip instead of dispatching
 /// one barrier round per tile row.
 const WINO_STRIP_TILE_ROWS: usize = 16;

@@ -1047,7 +1047,8 @@ fn write_profile_json(
     s.push_str("  \"layers\": [\n");
     for (idx, (layer, p)) in net.layers().iter().zip(profiles).enumerate() {
         let c = &p.conv;
-        let attribution = roofline_attribution(&layer.kind, p, roofline, &o.device, sparse_density(o));
+        let attribution =
+            roofline_attribution(&layer.kind, p, roofline, &o.device, sparse_density(o));
         s.push_str("    {");
         s.push_str(&format!("\"name\": {}, ", json_str(&p.name)));
         s.push_str(&format!("\"kind\": {}, ", json_str(p.kind)));

@@ -10,9 +10,8 @@
 //! ```
 //!
 //! Direction-aware rules (see `winofuse_bench::diff`): `median_*_ms`
-//! (including the sparse regime's `median_sparse_*_ms`) may rise at
-//! most N%, `gflops_*` / `speedup_*` (including `gflops_sparse_*` and
-//! `speedup_sparse_vs_dense`) may fall at most N%, and deterministic
+//! (including the conv bench's `median_prepare_ms`) may rise at most N%,
+//! `gflops_*` / `speedup_*` may fall at most N%, and deterministic
 //! quantities (`latency_cycles`, `dram_bytes`, `groups`,
 //! `plans_computed`, `menu_dominated`, `dram_reconciled`) must match
 //! exactly. Missing cases or metrics fail too. Exit status: 0 clean

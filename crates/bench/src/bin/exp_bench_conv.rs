@@ -1,6 +1,6 @@
 //! **Convolution benchmark** — throughput of the fast execution backends
-//! (batched Winograd-as-GEMM, blocked im2col+GEMM, and sparse Winograd
-//! CSR GEMM) against the naive reference kernels, serial and threaded.
+//! (batched Winograd-as-GEMM and blocked im2col+GEMM) against the naive
+//! reference kernels, serial and threaded.
 //!
 //! Three layers spanning the paper's workload spectrum: VGG-E `conv3_1`
 //! (many tiles, mid channels), VGG-E `conv5_1` (few tiles, deep
@@ -9,7 +9,9 @@
 //! `--runs` repetitions as effective GFLOP/s (direct-convolution FLOP
 //! count, the usual Winograd convention), cross-checks the fast outputs
 //! against the naive ones, and writes `BENCH_conv.json` for CI to
-//! archive.
+//! archive. The fast kernels run on filter banks prepared once up front;
+//! that preparation (Winograd transform and pack, or the direct pack) is
+//! timed on its own as `median_prepare_ms`.
 //!
 //! ```text
 //! exp_bench_conv [--smoke] [--runs N] [--threads N]
@@ -20,15 +22,11 @@
 
 use winofuse::runtime::PoolProfiler;
 use winofuse_bench::{banner, BenchCase, BenchReport, LatencySamples};
-use winofuse_conv::cook_toom::{f43, WinogradTransform};
-use winofuse_conv::sparse::SparseFilters;
+use winofuse_conv::cook_toom::f43;
+use winofuse_conv::direct::PackedKernels;
 use winofuse_conv::tensor::{random_tensor, Tensor};
-use winofuse_conv::winograd::{self, BankRef, BatchedFilters, BatchedOptions};
-use winofuse_conv::{direct, ConvError, ConvGeometry};
-
-/// Transform-domain density of the sparse regime, matching the CLI's
-/// `--exec-algo sparse` default.
-const SPARSE_DENSITY_PM: u16 = 250;
+use winofuse_conv::winograd::{self, BatchedFilters, BatchedOptions};
+use winofuse_conv::{direct, ConvGeometry};
 
 struct Case {
     name: &'static str,
@@ -100,7 +98,7 @@ impl Case {
 
 /// Runs `f` once to warm caches, then `runs` timed repetitions; returns
 /// (median milliseconds via the shared histogram, last output).
-fn median_ms<F: FnMut() -> Tensor<f32>>(runs: usize, mut f: F) -> (f64, Tensor<f32>) {
+fn median_ms<T, F: FnMut() -> T>(runs: usize, mut f: F) -> (f64, T) {
     let samples = LatencySamples::new();
     let mut out = f();
     for _ in 0..runs {
@@ -111,22 +109,27 @@ fn median_ms<F: FnMut() -> Tensor<f32>>(runs: usize, mut f: F) -> (f64, Tensor<f
 
 struct Measurement {
     naive_ms: f64,
+    prepare_ms: f64,
     serial_ms: f64,
     parallel_ms: f64,
-    /// Sparse-Winograd regime (serial, parallel), 3×3 stride-1 cases only.
-    sparse_ms: Option<(f64, f64)>,
+}
+
+/// One channel group's prepared filters: the bank the fast kernel runs on.
+enum Bank {
+    Winograd(BatchedFilters),
+    Direct(PackedKernels),
 }
 
 /// Applies `conv` group by group, concatenating the per-group outputs —
-/// the same decomposition the network executor performs.
-fn grouped<F: FnMut(&Tensor<f32>, &Tensor<f32>) -> Tensor<f32>>(
+/// the same decomposition the network executor performs. `conv` gets the
+/// group index and the group's input channels.
+fn grouped<F: FnMut(usize, &Tensor<f32>) -> Tensor<f32>>(
     x: &Tensor<f32>,
-    kernels: &Tensor<f32>,
     case: &Case,
     mut conv: F,
 ) -> Tensor<f32> {
     if case.groups <= 1 {
-        return conv(x, kernels);
+        return conv(0, x);
     }
     let geom = case.geometry();
     let cg = case.in_c / case.groups;
@@ -134,23 +137,9 @@ fn grouped<F: FnMut(&Tensor<f32>, &Tensor<f32>) -> Tensor<f32>>(
     let mut out = Tensor::zeros(x.n(), case.out_c, geom.output_height(), geom.output_width());
     for g in 0..case.groups {
         let xs = x.slice_channels(g * cg, (g + 1) * cg);
-        let ks = kernels.slice_channels_n(g * ng, (g + 1) * ng);
-        out.write_channels(g * ng, &conv(&xs, &ks));
+        out.write_channels(g * ng, &conv(g, &xs));
     }
     out
-}
-
-/// The batched Winograd kernel on `bank`, default options, untraced.
-fn batched<'a>(
-    x: &Tensor<f32>,
-    bank: impl Into<BankRef<'a>>,
-    geom: ConvGeometry,
-    transform: &WinogradTransform,
-    threads: usize,
-) -> Result<Tensor<f32>, ConvError> {
-    let prof = PoolProfiler::disabled();
-    let opts = BatchedOptions::default();
-    winograd::conv2d_batched_ext(x, bank, geom, transform, threads, None, &prof, opts)
 }
 
 fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
@@ -164,9 +153,15 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
         13,
     );
     let transform = f43();
+    // Per-group kernels (`N/groups × C/groups × K × K`).
+    let ng = case.out_c / case.groups;
+    let group_kernels: Vec<Tensor<f32>> = (0..case.groups)
+        .map(|g| kernels.slice_channels_n(g * ng, (g + 1) * ng))
+        .collect();
 
     let (naive_ms, naive_out) = median_ms(runs, || {
-        grouped(&x, &kernels, case, |xs, ks| {
+        grouped(&x, case, |g, xs| {
+            let ks = &group_kernels[g];
             if case.winograd {
                 winograd::conv2d_f43(xs, ks, geom).expect("naive winograd")
             } else {
@@ -175,18 +170,40 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
         })
     });
 
+    // Bank preparation, timed apart from the kernels that reuse it.
+    let (prepare_ms, banks) = median_ms(runs, || {
+        group_kernels
+            .iter()
+            .map(|ks| {
+                if case.winograd {
+                    Bank::Winograd(BatchedFilters::new(ks, &transform).expect("filter transform"))
+                } else {
+                    Bank::Direct(PackedKernels::new(ks))
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+
     let fast = |threads: usize| {
         median_ms(runs, || {
-            grouped(&x, &kernels, case, |xs, ks| {
-                if case.winograd {
-                    let banks = BatchedFilters::new(ks, &transform).expect("filter transform");
-                    batched(xs, &banks, geom, &transform, threads).expect("batched winograd")
-                } else {
-                    // The filter pack stays inside the timed region.
-                    let packed = direct::PackedKernels::new(ks);
-                    let prof = PoolProfiler::disabled();
-                    direct::conv2d_fast_packed_ext(xs, &packed, geom, threads, None, &prof, None)
-                        .expect("fast direct")
+            grouped(&x, case, |g, xs| {
+                let prof = PoolProfiler::disabled();
+                match &banks[g] {
+                    Bank::Winograd(bank) => winograd::conv2d_batched_ext(
+                        xs,
+                        bank,
+                        geom,
+                        &transform,
+                        threads,
+                        None,
+                        &prof,
+                        BatchedOptions::default(),
+                    )
+                    .expect("batched winograd"),
+                    Bank::Direct(packed) => {
+                        direct::conv2d_fast_packed_ext(xs, packed, geom, threads, None, &prof, None)
+                            .expect("fast direct")
+                    }
                 }
             })
         })
@@ -209,46 +226,11 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
         case.name
     );
 
-    // Sparse Winograd regime: same layers, transform domain pruned to
-    // SPARSE_DENSITY_PM. Filter pruning runs inside the timed closure,
-    // mirroring the dense path's in-loop filter transform.
-    let sparse_ms = case.winograd.then(|| {
-        let sparse = |threads: usize| {
-            median_ms(runs, || {
-                grouped(&x, &kernels, case, |xs, ks| {
-                    let bank = SparseFilters::new(ks, &transform, SPARSE_DENSITY_PM)
-                        .expect("sparse pruning");
-                    batched(xs, &bank, geom, &transform, threads).expect("sparse winograd")
-                })
-            })
-        };
-        let (sparse_serial_ms, sparse_serial_out) = sparse(1);
-        let (sparse_parallel_ms, sparse_parallel_out) = sparse(threads);
-        // Thread invariance holds at pruned density too.
-        assert_eq!(
-            sparse_serial_out, sparse_parallel_out,
-            "{}: thread count changed the sparse result",
-            case.name
-        );
-        // At density 1000 nothing is pruned: the CSR path must be
-        // bit-identical to the dense batched Winograd output.
-        let full = grouped(&x, &kernels, case, |xs, ks| {
-            let bank = SparseFilters::new(ks, &transform, 1000).expect("sparse pruning");
-            batched(xs, &bank, geom, &transform, 1).expect("sparse winograd")
-        });
-        assert_eq!(
-            full, serial_out,
-            "{}: full-density sparse diverged from dense",
-            case.name
-        );
-        (sparse_serial_ms, sparse_parallel_ms)
-    });
-
     Measurement {
         naive_ms,
+        prepare_ms,
         serial_ms,
         parallel_ms,
-        sparse_ms,
     }
 }
 
@@ -269,18 +251,20 @@ fn main() {
         let (g_naive, g_serial, g_parallel) =
             (gf / m.naive_ms, gf / m.serial_ms, gf / m.parallel_ms);
         println!(
-            "{:<16} naive {:7.2} GF/s | serial {:7.2} GF/s ({:5.1}x) | {} threads {:7.2} GF/s ({:4.2}x over serial)",
+            "{:<16} naive {:7.2} GF/s | prepare {:7.2} ms | serial {:7.2} GF/s ({:5.1}x) | {} threads {:7.2} GF/s ({:4.2}x over serial)",
             case.name,
             g_naive,
+            m.prepare_ms,
             g_serial,
             m.naive_ms / m.serial_ms,
             threads,
             g_parallel,
             m.serial_ms / m.parallel_ms,
         );
-        let mut bench_case = BenchCase::default()
+        let bench_case = BenchCase::default()
             .text("algo", if case.winograd { "winograd" } else { "direct" })
             .float("median_naive_ms", m.naive_ms)
+            .float("median_prepare_ms", m.prepare_ms)
             .float("median_serial_ms", m.serial_ms)
             .float("median_parallel_ms", m.parallel_ms)
             .float("gflops_naive", g_naive)
@@ -288,20 +272,6 @@ fn main() {
             .float("gflops_parallel", g_parallel)
             .float("speedup_serial_vs_naive", m.naive_ms / m.serial_ms)
             .float("speedup_parallel_vs_serial", m.serial_ms / m.parallel_ms);
-        if let Some((sparse_serial_ms, sparse_parallel_ms)) = m.sparse_ms {
-            let (g_ss, g_sp) = (gf / sparse_serial_ms, gf / sparse_parallel_ms);
-            println!(
-                "{:<16} sparse {}‰: serial {:7.2} GF/s | {} threads {:7.2} GF/s | {:4.2}x vs dense serial",
-                "", SPARSE_DENSITY_PM, g_ss, threads, g_sp, m.serial_ms / sparse_serial_ms,
-            );
-            bench_case = bench_case
-                .float("sparse_density_pm", SPARSE_DENSITY_PM as f64)
-                .float("median_sparse_serial_ms", sparse_serial_ms)
-                .float("median_sparse_parallel_ms", sparse_parallel_ms)
-                .float("gflops_sparse_serial", g_ss)
-                .float("gflops_sparse_parallel", g_sp)
-                .float("speedup_sparse_vs_dense", m.serial_ms / sparse_serial_ms);
-        }
         report.case(case.name, bench_case);
     }
     let path = report.write().expect("write BENCH_conv.json");

@@ -397,27 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_metrics_are_direction_judged() {
-        // The sparse Winograd regime's metrics ride the generic prefix
-        // rules; pin them so a rename doesn't silently demote them to
+    fn prepare_metric_is_direction_judged() {
+        // The conv bench's bank-preparation time rides the generic prefix
+        // rules; pin it so a rename doesn't silently demote it to
         // informational.
-        assert_eq!(
-            direction_for("median_sparse_serial_ms"),
-            Direction::LowerIsBetter
-        );
-        assert_eq!(
-            direction_for("gflops_sparse_serial"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            direction_for("gflops_sparse_parallel"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            direction_for("speedup_sparse_vs_dense"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(direction_for("sparse_density_pm"), Direction::Informational);
+        assert_eq!(direction_for("median_prepare_ms"), Direction::LowerIsBetter);
     }
 
     #[test]

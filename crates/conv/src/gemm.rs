@@ -81,10 +81,9 @@ impl<'a> BOperand<'a> {
     }
 
     /// Element `(r, c)` of the operand (bounds-checked on the underlying
-    /// slice). Public for the sparse CSR kernel, which reads `B` by
-    /// column index instead of packing panels.
+    /// slice).
     #[inline]
-    pub fn at(&self, r: usize, c: usize) -> f32 {
+    pub(crate) fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.row_stride + c * self.col_stride]
     }
 }

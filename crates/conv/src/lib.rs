@@ -10,8 +10,8 @@
 //! * [`winograd`] — Winograd minimal-filtering convolution `F(m×m, r×r)`,
 //!   with transform matrices generated for arbitrary `(m, r)` by the
 //!   Cook–Toom construction in [`cook_toom`],
-//! * [`sparse`] — sparse Winograd: transform-domain pruned CSR filter
-//!   banks and the CSR-panel GEMM the batched path dispatches to.
+//! * [`sparse`] — sparse Winograd's transform-domain pruning pass, which
+//!   zeroes the dropped coefficients of a batched Winograd bank.
 //!
 //! Supporting pieces: a 4-D NCHW [`tensor::Tensor`], a saturating 16-bit
 //! fixed-point type [`fixed::Fix16`] matching the paper's data type, exact

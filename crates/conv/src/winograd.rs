@@ -10,7 +10,7 @@ use crate::cook_toom::{f43, WinogradTransform};
 use crate::gemm::{BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA};
 use crate::matrix::Mat;
 use crate::microkernel::KernelChoice;
-use crate::sparse::{sparse_gemm, SparseFilters, SparseKernelChoice};
+use crate::sparse::{prune_plane, sparse_keep_count, DENSITY_SCALE};
 use crate::tensor::Tensor;
 use crate::{ConvError, ConvGeometry};
 use std::time::Instant;
@@ -313,21 +313,45 @@ pub struct BatchedFilters {
     alpha: usize,
     out_c: usize,
     in_c: usize,
-    /// Plane `u·α + v` holds `(G·g_{k,c}·Gᵀ)[u][v]` at `(k, c)`, packed
-    /// into GEMM `A` panels under the default blocking — built once here
-    /// (plan-lowering time), so no strip or transform-point job ever
-    /// re-packs filter coefficients.
+    /// Plane `u·α + v` holds `(G·g_{k,c}·Gᵀ)[u][v]` at `(k, c)` (zero
+    /// where pruned), packed into GEMM `A` panels under the default
+    /// blocking — built once here (plan-lowering time), so no strip or
+    /// transform-point job ever re-packs filter coefficients.
     packed: Vec<PackedA>,
 }
 
 impl BatchedFilters {
     /// Transforms and repacks a kernel tensor (`N×C×r×r`), including the
-    /// one-time GEMM panel pack of every transform-point plane.
+    /// one-time GEMM panel pack of every transform-point plane. This is
+    /// [`BatchedFilters::pruned`] at density 1000, which zeroes nothing.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TransformedFilters::new`].
     pub fn new(kernels: &Tensor<f32>, transform: &WinogradTransform) -> Result<Self, ConvError> {
+        Self::pruned(kernels, transform, DENSITY_SCALE as u16)
+    }
+
+    /// Like [`BatchedFilters::new`], but each transform-point plane keeps
+    /// only its [`sparse_keep_count`]`(N·C, density_pm)` largest
+    /// coefficients ([`prune_plane`]); the rest are zeroed before the
+    /// pack. The GEMM then runs the pruned layer as an ordinary dense one.
+    ///
+    /// # Errors
+    ///
+    /// [`ConvError::ShapeMismatch`] when `density_pm` is outside
+    /// `1..=1000`, and the conditions of [`TransformedFilters::new`].
+    pub fn pruned(
+        kernels: &Tensor<f32>,
+        transform: &WinogradTransform,
+        density_pm: u16,
+    ) -> Result<Self, ConvError> {
+        if density_pm == 0 || density_pm as u64 > DENSITY_SCALE {
+            return Err(ConvError::ShapeMismatch {
+                expected: "sparse density in 1..=1000 per-mille".into(),
+                found: format!("{density_pm}"),
+            });
+        }
         let banks = TransformedFilters::new(kernels, transform)?;
         let (out_c, in_c) = (kernels.n(), kernels.c());
         let alpha = transform.alpha();
@@ -344,10 +368,14 @@ impl BatchedFilters {
             }
         }
         drop(banks);
+        let keep = sparse_keep_count((out_c * in_c) as u64, density_pm) as usize;
         let blocking = GemmBlocking::default();
         let packed = planes
-            .iter()
-            .map(|p| PackedA::pack(p, out_c, in_c, blocking))
+            .iter_mut()
+            .map(|p| {
+                prune_plane(p, keep);
+                PackedA::pack(p, out_c, in_c, blocking)
+            })
             .collect();
         Ok(BatchedFilters {
             m: transform.m(),
@@ -378,47 +406,9 @@ impl BatchedFilters {
     pub fn alpha(&self) -> usize {
         self.alpha
     }
-}
-
-/// The filter bank a batched run draws its per-transform-point GEMM `A`
-/// operand from: the dense pre-packed planes, or the pruned CSR planes of
-/// a sparse-Winograd layer. Both produce one GEMM-shaped product per
-/// transform point over the same scatter/gather pipeline, so the two
-/// paths share every schedule.
-#[derive(Clone, Copy)]
-pub enum BankRef<'a> {
-    /// Dense transformed filters.
-    Dense(&'a BatchedFilters),
-    /// Transform-domain pruned filters.
-    Sparse(&'a SparseFilters),
-}
-
-impl<'a> From<&'a BatchedFilters> for BankRef<'a> {
-    fn from(f: &'a BatchedFilters) -> Self {
-        BankRef::Dense(f)
-    }
-}
-
-impl<'a> From<&'a SparseFilters> for BankRef<'a> {
-    fn from(f: &'a SparseFilters) -> Self {
-        BankRef::Sparse(f)
-    }
-}
-
-impl BankRef<'_> {
-    /// `(m, r, out_c, in_c)`: the transform the bank was built for and
-    /// its channel counts.
-    fn shape(&self) -> (usize, usize, usize, usize) {
-        match self {
-            BankRef::Dense(f) => (f.m, f.r, f.out_c, f.in_c),
-            BankRef::Sparse(f) => (f.m(), f.r(), f.out_c(), f.in_c()),
-        }
-    }
 
     /// Runs the transform point `uv`'s GEMM `C[out_c × n] = A_uv · B`
-    /// into `c`, dense or sparse. Accumulation association is identical
-    /// across the two arms (same `KC` blocking), so a density-1000
-    /// sparse bank is bit-identical to its dense counterpart.
+    /// into `c`.
     fn gemm_plane(
         &self,
         scratch: &mut GemmScratch,
@@ -428,31 +418,11 @@ impl BankRef<'_> {
         c: &mut [f32],
         stats: Option<&ConvStats>,
     ) {
-        match self {
-            BankRef::Dense(f) => {
-                let timed = stats.is_some();
-                let outcome =
-                    crate::gemm::gemm_f32_prepacked(scratch, f.packed_plane(uv), n, b, c, timed);
-                if let Some(s) = stats {
-                    s.add_gemm(1, outcome.bytes_packed);
-                    s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
-                }
-            }
-            BankRef::Sparse(f) => {
-                sparse_gemm(
-                    SparseKernelChoice::Scalar,
-                    f.plane(uv),
-                    f.in_c(),
-                    n,
-                    b,
-                    c,
-                    GemmBlocking::default(),
-                );
-                if let Some(s) = stats {
-                    // No panel packing on the CSR path.
-                    s.add_gemm(1, 0);
-                }
-            }
+        let timed = stats.is_some();
+        let outcome = crate::gemm::gemm_f32_prepacked(scratch, &self.packed[uv], n, b, c, timed);
+        if let Some(s) = stats {
+            s.add_gemm(1, outcome.bytes_packed);
+            s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
         }
     }
 }
@@ -524,7 +494,7 @@ impl LaneScratch {
 /// validation.
 struct WinoCtx<'a> {
     input: &'a Tensor<f32>,
-    bank: BankRef<'a>,
+    bank: &'a BatchedFilters,
     threads: usize,
     kernel: KernelChoice,
     m: usize,
@@ -547,7 +517,7 @@ impl<'a> WinoCtx<'a> {
     /// Resolves the state of one call whose shapes have been validated.
     fn new(
         input: &'a Tensor<f32>,
-        bank: BankRef<'a>,
+        bank: &'a BatchedFilters,
         geom: ConvGeometry,
         transform: &WinogradTransform,
         threads: usize,
@@ -571,7 +541,7 @@ impl<'a> WinoCtx<'a> {
             a_t: nonzero_taps(&transform.a_t_f32()),
             batch,
             in_c,
-            out_c: bank.shape().2,
+            out_c: bank.out_c,
             oh,
             ow,
             pad: geom.pad() as isize,
@@ -687,13 +657,9 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
     let scatter_flops = (cx.p_total * cx.in_c) as u64 * 4 * (alpha * alpha * alpha) as u64;
     let scatter_bytes = 8 * (cx.p_total * aa * cx.in_c) as u64;
     s.add_phase(ConvPhase::Scatter, scatter_flops, scatter_bytes);
-    // GEMM: 2·N·C·P multiply-adds per transform point (dense), or
-    // 2·nnz·P for the pruned CSR planes; each operand read once and the
-    // transform-domain product written once.
-    let a_elems = match cx.bank {
-        BankRef::Dense(_) => (aa * cx.out_c * cx.in_c) as u64,
-        BankRef::Sparse(f) => f.nnz_total(),
-    };
+    // GEMM: 2·N·C·P multiply-adds per transform point, pruned or not;
+    // each operand read once and the transform-domain product written once.
+    let a_elems = (aa * cx.out_c * cx.in_c) as u64;
     let gemm_flops = 2 * a_elems * cx.p_total as u64;
     let gemm_bytes = 4 * (a_elems + (aa * (cx.in_c * cx.p_total + cx.out_c * cx.p_total)) as u64);
     s.add_phase(ConvPhase::Gemm, gemm_flops, gemm_bytes);
@@ -707,19 +673,18 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
 }
 
 /// Batched Winograd convolution: scatter (input transforms), α² GEMMs
-/// against the bank's transform-point planes — dense pre-packed panels or
-/// pruned CSR planes — then gather (output transforms with edge
-/// clipping). `threads == 0` means auto-detect, `1` runs inline;
-/// `opts` pins the schedule and microkernel (both auto by default).
+/// against the bank's pre-packed transform-point planes, then gather
+/// (output transforms with edge clipping). `threads == 0` means
+/// auto-detect, `1` runs inline; `opts` pins the schedule and microkernel
+/// (both auto by default). A pruned bank ([`BatchedFilters::pruned`])
+/// runs the same way; its output carries the pruning error of the zeroed
+/// coefficients.
 ///
 /// Results are bit-identical for any thread count **and any schedule**:
 /// jobs partition the tile/channel space in fixed-size blocks whose
 /// contents and accumulation order never depend on the worker count, and
 /// every schedule accumulates each output element's `in_c` products in
-/// the same ascending order under the same `KC` blocking. A density-1000
-/// sparse bank is bit-identical to the dense bank of the same kernels; at
-/// lower densities the output carries the pruning error of the dropped
-/// coefficients.
+/// the same ascending order under the same `KC` blocking.
 ///
 /// Jobs are emitted as Chrome-trace slices on per-worker lanes via `prof`
 /// (scoped to `wino.scatter` / `wino.gemm` / `wino.gather` under the
@@ -733,9 +698,9 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
 /// Same conditions as [`conv2d_pretransformed`]; the filter bank must have
 /// been built with the same transform.
 #[allow(clippy::too_many_arguments)] // the batched entry plus observability
-pub fn conv2d_batched_ext<'a>(
+pub fn conv2d_batched_ext(
     input: &Tensor<f32>,
-    bank: impl Into<BankRef<'a>>,
+    bank: &BatchedFilters,
     geom: ConvGeometry,
     transform: &WinogradTransform,
     threads: usize,
@@ -743,17 +708,15 @@ pub fn conv2d_batched_ext<'a>(
     prof: &PoolProfiler,
     opts: BatchedOptions,
 ) -> Result<Tensor<f32>, ConvError> {
-    let bank = bank.into();
-    let (bank_m, bank_r, _, bank_in_c) = bank.shape();
     if geom.stride() != 1 {
         return Err(ConvError::StrideUnsupported {
             stride: geom.stride(),
         });
     }
-    if bank_m != transform.m() || bank_r != transform.r() {
+    if bank.m != transform.m() || bank.r != transform.r() {
         return Err(ConvError::ShapeMismatch {
             expected: format!("filter bank for F({},{})", transform.m(), transform.r()),
-            found: format!("bank for F({bank_m},{bank_r})"),
+            found: format!("bank for F({},{})", bank.m, bank.r),
         });
     }
     if geom.kernel() != transform.r() {
@@ -768,9 +731,9 @@ pub fn conv2d_batched_ext<'a>(
             found: format!("{}x{}", input.h(), input.w()),
         });
     }
-    if bank_in_c != input.c() {
+    if bank.in_c != input.c() {
         return Err(ConvError::ShapeMismatch {
-            expected: format!("{bank_in_c} input channels"),
+            expected: format!("{} input channels", bank.in_c),
             found: format!("{}", input.c()),
         });
     }
@@ -964,7 +927,9 @@ fn run_tile_block(
 
     let mut out = Tensor::zeros(batch, out_c, oh, ow);
     // Carve the NCHW output into per-job fragment sets in memory order.
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch * out_c * oh * blocks_per_img);
+    // An output row's tiles cross at most ⌈tiles_w/tb⌉ + 1 blocks.
+    let row_spans = tiles_w.div_ceil(tb) + 1;
+    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch * out_c * oh * row_spans);
     for bn in 0..batch {
         for _k in 0..out_c {
             for r in 0..oh {
@@ -1016,7 +981,7 @@ fn run_tile_block(
             }
             let t_scattered = stats.map(|_| Instant::now());
 
-            // α² prepacked (or CSR) GEMMs over this block's tiles only.
+            // α² prepacked GEMMs over this block's tiles only.
             for uv in 0..aa {
                 let b_op = BOperand::row_major(&v[uv * in_c * nt..(uv + 1) * in_c * nt], nt);
                 cx.bank.gemm_plane(
@@ -1232,7 +1197,7 @@ mod tests {
             // Image 1, channel 1 is all -0.0.
             x.as_mut_slice()[3 * h * w..].fill(-0.0);
             let bank = BatchedFilters::new(&random_tensor(1, 2, r, r, 1), &t).unwrap();
-            let cx = WinoCtx::new(&x, (&bank).into(), geom, &t, 1, KernelChoice::auto());
+            let cx = WinoCtx::new(&x, &bank, geom, &t, 1, KernelChoice::auto());
             let origin = |p: usize| {
                 let tile = p % cx.tiles_per_img;
                 let h0 = ((tile / cx.tiles_w) * m) as isize - cx.pad;

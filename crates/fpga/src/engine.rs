@@ -25,6 +25,7 @@
 //!   paper publishes in Table 2 (AlexNet on the XC7Z045).
 
 use winofuse_conv::cook_toom::WinogradTransform;
+use winofuse_conv::sparse::sparse_keep_count;
 use winofuse_model::layer::{Layer, LayerKind};
 use winofuse_model::shape::{DataType, FmShape};
 
@@ -81,7 +82,7 @@ impl Algorithm {
             }
             Algorithm::SparseWinograd { m, density_pm } => {
                 let alpha = (m + r - 1) as u64;
-                Some(sparse_nnz(alpha * alpha, *density_pm))
+                Some(sparse_keep_count(alpha * alpha, *density_pm))
             }
         }
     }
@@ -120,25 +121,21 @@ impl std::fmt::Display for Algorithm {
 // here as the single shared formula. Layout per transform point `uv` of one
 // filter group: a `ng × cg` coefficient plane stored CSR — one u32 row
 // pointer per output channel plus a terminator, and per retained nonzero a
-// fix16 value (2 bytes) with its u16 input-channel column (2 bytes).
+// fix16 value (2 bytes) with its u16 input-channel column (2 bytes). The
+// retained count is `winofuse_conv::sparse::sparse_keep_count`, the count
+// the CPU's pruned bank keeps, so the model charges for exactly the
+// coefficients the bank computes with.
 
 /// Bytes on the wire per retained nonzero: fix16 value + u16 column index.
 pub const SPARSE_NNZ_BYTES: u64 = 4;
 /// Bytes per CSR row-pointer entry (u32).
 pub const SPARSE_ROWPTR_BYTES: u64 = 4;
 
-/// Number of coefficients retained when pruning `coeffs` values at
-/// `density_pm` per-mille density (rounds up, so density 1 on a tiny plane
-/// still keeps one coefficient).
-pub fn sparse_nnz(coeffs: u64, density_pm: u16) -> u64 {
-    (coeffs * density_pm as u64).div_ceil(1000)
-}
-
 /// DRAM bytes of the sparse-Winograd coefficient stream for one filter
 /// group: `α²` CSR planes of `ng × cg` coefficients each, pruned plane-wise
 /// to `density_pm`.
 pub fn sparse_stream_bytes(ng: u64, cg: u64, alpha: u64, density_pm: u16) -> u64 {
-    let nnz = sparse_nnz(ng * cg, density_pm);
+    let nnz = sparse_keep_count(ng * cg, density_pm);
     alpha * alpha * (nnz * SPARSE_NNZ_BYTES + (ng + 1) * SPARSE_ROWPTR_BYTES)
 }
 
@@ -373,7 +370,7 @@ pub fn estimate_layer(
                     // A sparse unit skips pruned coefficients, so only the
                     // retained fraction of the dense pair stream costs a
                     // cycle.
-                    let sparse_pairs = sparse_nnz(tile_channel_pairs, density_pm);
+                    let sparse_pairs = sparse_keep_count(tile_channel_pairs, density_pm);
                     let compute_cycles = sparse_pairs.div_ceil(p);
 
                     let lb_rows = transform.alpha() + m;
@@ -381,7 +378,7 @@ pub fn estimate_layer(
                     // Double-buffered CSR bank for the p output channels in
                     // flight: per channel, α² rows of `density · cg`
                     // (value, column) entries plus one row pointer each.
-                    let nnz_row = sparse_nnz(cg, density_pm);
+                    let nnz_row = sparse_keep_count(cg, density_pm);
                     let weight_bytes = 2
                         * p
                         * alpha
@@ -834,7 +831,7 @@ mod tests {
         // up), still spread over the same p=4 units.
         assert_eq!(
             sparse.compute_cycles,
-            sparse_nnz(dense.compute_cycles * 4, 250).div_ceil(4)
+            sparse_keep_count(dense.compute_cycles * 4, 250).div_ceil(4)
         );
         assert!(sparse.compute_cycles * 4 <= dense.compute_cycles + 4);
         // Same multiplier array, so the DSP bill does not shrink...
@@ -907,10 +904,10 @@ mod tests {
         // 4 output channels × 8 input channels at density 250‰ keeps
         // ceil(32·0.25) = 8 nonzeros per 6×6-transform plane: 36 planes ×
         // (8·4 + 5·4) bytes.
-        assert_eq!(sparse_nnz(32, 250), 8);
+        assert_eq!(sparse_keep_count(32, 250), 8);
         assert_eq!(sparse_stream_bytes(4, 8, 6, 250), 36 * (8 * 4 + 5 * 4));
         // Density 1000 degenerates to all coefficients plus CSR overhead.
-        assert_eq!(sparse_nnz(32, 1000), 32);
+        assert_eq!(sparse_keep_count(32, 1000), 32);
         assert_eq!(sparse_stream_bytes(4, 8, 6, 1000), 36 * (32 * 4 + 5 * 4));
     }
 

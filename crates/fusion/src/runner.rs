@@ -10,10 +10,11 @@
 //! Winograd-as-GEMM on 3×3 stride-1 layers and blocked im2col+GEMM
 //! elsewhere — while the BnB's per-layer algorithm choice sets the
 //! weight stream each stage meters (and, for sparse Winograd, the pruned
-//! bank it computes with). Pool, LRN and ReLU stages replicate the
-//! reference operators' exact scalar sequences so outputs match the
-//! layer-by-layer executor bit-for-bit in fixed point (and within float
-//! tolerance in `f32`).
+//! bank it computes with: a dense bank with the dropped coefficients
+//! zeroed, while the meter charges the CSR stream the accelerator would
+//! read). Pool, LRN and ReLU stages replicate the reference operators'
+//! exact scalar sequences so outputs match the layer-by-layer executor
+//! bit-for-bit in fixed point (and within float tolerance in `f32`).
 //!
 //! The runner also *meters* DRAM traffic while it streams: input rows in,
 //! output rows out, one weight stream per convolution (transformed α²
@@ -317,8 +318,9 @@ impl FusedGroupRunner {
     ///
     /// Returns [`FusionError::InvalidGroup`] for an empty/unchained
     /// group, layers the fusion architecture cannot host (FC, softmax),
-    /// or a `prepared` built for another network or with pruned banks,
-    /// and [`FusionError::Simulation`] for missing weights.
+    /// a `prepared` built for another network, or a layer the plan does
+    /// not prune whose preparation is pruned, and
+    /// [`FusionError::Simulation`] for missing weights.
     pub fn new(
         net: &Network,
         start: usize,
@@ -329,12 +331,9 @@ impl FusedGroupRunner {
         if configs.is_empty() {
             return Err(FusionError::InvalidGroup("group has no layers".into()));
         }
-        if prepared.network_fingerprint() != net.fingerprint()
-            || matches!(prepared.algo(), ExecAlgo::Sparse { .. })
-        {
+        if prepared.network_fingerprint() != net.fingerprint() {
             return Err(FusionError::InvalidGroup(format!(
-                "preparation ({:?}) does not match a dense lowering of `{}`",
-                prepared.algo(),
+                "preparation does not match network `{}`",
                 net.name()
             )));
         }
@@ -971,6 +970,11 @@ impl ConvStage {
                 kernels,
                 ExecAlgo::Sparse { density_pm },
             )?),
+            _ if shared.algo() == "sparse" => {
+                return Err(FusionError::InvalidGroup(format!(
+                    "a {algorithm} layer cannot share a pruned preparation"
+                )))
+            }
             _ => Arc::clone(shared),
         };
         let dtype_bytes = DataType::Fixed16.bytes() as u64;
@@ -1451,8 +1455,8 @@ mod tests {
             .unwrap()
             .run(&x)
             .unwrap();
-        // Density 1000 prunes nothing and the CSR kernel replicates the
-        // dense accumulation order, so the outputs agree bit for bit.
+        // Density 1000 prunes nothing, so the stage's bank is the dense
+        // one and the outputs agree bit for bit.
         assert_eq!(rs.output, rd.output);
         assert_eq!(rs.dram.delta(), 0);
     }

@@ -10,10 +10,12 @@
 //! [`forward_with`], [`forward_fix16`]) and the fast [`NetworkExecutor`].
 //! The fast path prepares each convolution once as a [`PreparedConv`] —
 //! per group, the packed direct operand plus the dense or pruned
-//! Winograd bank the layer's algorithm calls for — and
+//! Winograd bank the layer's algorithm calls for (a pruned bank is a
+//! dense one with the dropped coefficients zeroed) — and
 //! [`PreparedConv::run`] is its one dispatch. A [`PreparedNetwork`] holds
 //! one `Arc<PreparedConv>` per conv layer, shared by every executor
-//! cloned from it and by the fused runner lowered from it.
+//! cloned from it and by the fused runner lowered from it;
+//! [`PreparedNetwork::per_layer`] picks the algorithm layer by layer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -24,9 +26,8 @@ use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
 use winofuse_conv::microkernel::KernelChoice;
 use winofuse_conv::ops::{self, LrnParams};
-use winofuse_conv::sparse::SparseFilters;
 use winofuse_conv::tensor::{random_tensor, Scalar, Tensor};
-use winofuse_conv::winograd::{BankRef, BatchedFilters, BatchedOptions};
+use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
 use winofuse_conv::{direct, im2col, winograd, ConvError, ConvGeometry};
 use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
@@ -438,9 +439,10 @@ pub enum ExecAlgo {
     Direct,
     /// Sparse Winograd: transform-domain filters pruned to `density_pm`
     /// per mille of coefficients on every eligible (3×3, stride-1)
-    /// layer, blocked im2col+GEMM elsewhere. Outputs are an
-    /// *approximation* of the dense forward — the caller asserts the
-    /// model tolerates that density.
+    /// layer, blocked im2col+GEMM elsewhere. The pruned bank runs on the
+    /// dense batched Winograd kernel with the dropped coefficients
+    /// zeroed. Outputs are an *approximation* of the dense forward — the
+    /// caller asserts the model tolerates that density.
     Sparse {
         /// Coefficients kept per transform point, in per mille (1..=1000).
         density_pm: u16,
@@ -528,21 +530,24 @@ where
 pub struct PreparedConv {
     params: ConvParams,
     transform: WinogradTransform,
+    /// Whether the Winograd banks, if any, are pruned
+    /// ([`ExecAlgo::Sparse`]).
+    pruned: bool,
     groups: Vec<GroupBanks>,
 }
 
-/// One channel group's operands; at most one of `dense`/`sparse` is set.
+/// One channel group's operands.
 struct GroupBanks {
     direct: PackedKernels,
-    dense: Option<BatchedFilters>,
-    sparse: Option<SparseFilters>,
+    winograd: Option<BatchedFilters>,
 }
 
 impl PreparedConv {
     /// Slices `kernels` (`N × C/groups × K × K`) per group and prepares
     /// them for `algo`: on a 3×3 stride-1 layer, [`ExecAlgo::Auto`] and
     /// [`ExecAlgo::Winograd`] transform a dense bank and
-    /// [`ExecAlgo::Sparse`] a pruned one; other layers run direct.
+    /// [`ExecAlgo::Sparse`] a pruned one ([`BatchedFilters::pruned`]);
+    /// other layers run direct.
     ///
     /// # Errors
     ///
@@ -558,17 +563,15 @@ impl PreparedConv {
         let prepare = |k: &Tensor<f32>| -> Result<GroupBanks, ConvError> {
             Ok(GroupBanks {
                 direct: PackedKernels::new(k),
-                dense: match algo {
-                    ExecAlgo::Auto | ExecAlgo::Winograd if capable => {
+                winograd: match algo {
+                    _ if !capable => None,
+                    ExecAlgo::Auto | ExecAlgo::Winograd => {
                         Some(BatchedFilters::new(k, &transform)?)
                     }
-                    _ => None,
-                },
-                sparse: match algo {
-                    ExecAlgo::Sparse { density_pm } if capable => {
-                        Some(SparseFilters::new(k, &transform, density_pm)?)
+                    ExecAlgo::Sparse { density_pm } => {
+                        Some(BatchedFilters::pruned(k, &transform, density_pm)?)
                     }
-                    _ => None,
+                    ExecAlgo::Direct => None,
                 },
             })
         };
@@ -583,6 +586,7 @@ impl PreparedConv {
         Ok(PreparedConv {
             params: *params,
             transform,
+            pruned: matches!(algo, ExecAlgo::Sparse { .. }),
             groups,
         })
     }
@@ -595,13 +599,10 @@ impl PreparedConv {
     /// The algorithm the layer computes with: `sparse`, `winograd` or
     /// `direct`.
     pub fn algo(&self) -> &'static str {
-        let g = &self.groups[0];
-        if g.sparse.is_some() {
-            "sparse"
-        } else if g.dense.is_some() {
-            "winograd"
-        } else {
-            "direct"
+        match (&self.groups[0].winograd, self.pruned) {
+            (None, _) => "direct",
+            (Some(_), true) => "sparse",
+            (Some(_), false) => "winograd",
         }
     }
 
@@ -632,13 +633,7 @@ impl PreparedConv {
     ) -> Result<Tensor<f32>, ConvError> {
         conv_grouped(&self.params, x, geom, |g, xg| {
             let banks = &self.groups[g];
-            let bank = match (&banks.sparse, &banks.dense) {
-                _ if force_direct => None,
-                (Some(f), _) => Some(BankRef::Sparse(f)),
-                (_, Some(f)) => Some(BankRef::Dense(f)),
-                _ => None,
-            };
-            match bank {
+            match banks.winograd.as_ref().filter(|_| !force_direct) {
                 Some(bank) => winograd::conv2d_batched_ext(
                     xg,
                     bank,
@@ -683,7 +678,6 @@ pub struct PreparedNetwork {
     layers: Vec<PreparedLayer>,
     /// Validated per-layer input shapes (`shapes[i]` feeds layer `i`).
     shapes: Vec<crate::shape::FmShape>,
-    algo: ExecAlgo,
     network_fingerprint: u64,
 }
 
@@ -702,6 +696,21 @@ impl PreparedNetwork {
         weights: &NetworkWeights,
         algo: ExecAlgo,
     ) -> Result<Self, ModelError> {
+        Self::per_layer(net, weights, |_| algo)
+    }
+
+    /// Like [`PreparedNetwork::new`], but convolution layer `i` is
+    /// prepared for `algo_of(i)`, so one preparation can mix algorithms
+    /// the way an optimized plan does.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PreparedNetwork::new`].
+    pub fn per_layer(
+        net: &Network,
+        weights: &NetworkWeights,
+        algo_of: impl Fn(usize) -> ExecAlgo,
+    ) -> Result<Self, ModelError> {
         let shapes = net.shapes()?;
         let mut layers = Vec::with_capacity(net.len());
         for (i, layer) in net.layers().iter().enumerate() {
@@ -713,6 +722,7 @@ impl PreparedNetwork {
                             layer.name
                         )));
                     };
+                    let algo = algo_of(i);
                     let conv = PreparedConv::new(c, kernels, algo)?;
                     if algo == ExecAlgo::Winograd && conv.winograd_m().is_none() {
                         return Err(ModelError::Execution(format!(
@@ -741,14 +751,8 @@ impl PreparedNetwork {
         Ok(PreparedNetwork {
             layers,
             shapes,
-            algo,
             network_fingerprint: net.fingerprint(),
         })
-    }
-
-    /// The backend this preparation was built for.
-    pub fn algo(&self) -> ExecAlgo {
-        self.algo
     }
 
     /// Fingerprint of the network this preparation belongs to
@@ -767,14 +771,14 @@ impl PreparedNetwork {
         }
     }
 
-    /// Number of pre-transformed dense Winograd filter banks held — the
-    /// transform work that was paid at construction and is amortized by
-    /// every run sharing this preparation.
+    /// Number of pre-transformed Winograd filter banks held, dense or
+    /// pruned — the transform work that was paid at construction and is
+    /// amortized by every run sharing this preparation.
     pub fn winograd_banks(&self) -> usize {
         self.layers
             .iter()
             .map(|l| match l {
-                PreparedLayer::Conv(c) => c.groups.iter().filter(|g| g.dense.is_some()).count(),
+                PreparedLayer::Conv(c) => c.groups.iter().filter(|g| g.winograd.is_some()).count(),
                 _ => 0,
             })
             .sum()
@@ -1295,8 +1299,8 @@ mod tests {
         let w = NetworkWeights::random(&net, 41).unwrap();
         let x = random_tensor(1, 3, 32, 32, 42);
         let auto = NetworkExecutor::new(&net, &w).unwrap().run_all(&x).unwrap();
-        // Density 1000 prunes nothing, and the CSR kernel replicates the
-        // dense GEMM's accumulation order — bit-identical end to end.
+        // Density 1000 prunes nothing, so the bank is the dense one —
+        // bit-identical end to end.
         let sparse = NetworkExecutor::with_algo(&net, &w, ExecAlgo::Sparse { density_pm: 1000 })
             .unwrap()
             .run_all(&x)

@@ -28,7 +28,9 @@ use winofuse::core::bnb::AlgoPolicy;
 use winofuse::fpga::engine::{computational_roof_gops, Algorithm};
 use winofuse::fpga::roofline::Roofline;
 use winofuse::fusion::simulator::FusedGroupSim;
-use winofuse::model::runtime::{ExecAlgo, LayerProfile, NetworkExecutor, NetworkWeights};
+use winofuse::model::runtime::{
+    ExecAlgo, LayerProfile, NetworkExecutor, NetworkWeights, PreparedNetwork,
+};
 use winofuse::model::{prototxt, zoo, DataType, LayerKind, Network};
 use winofuse::prelude::{FpgaDevice, Framework};
 use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
@@ -594,7 +596,17 @@ fn cmd_run_fused(net: &Network, o: &Options) -> Result<(), TaskError> {
             g.delta()
         );
     }
-    let exec = NetworkExecutor::with_algo(net, &weights, ExecAlgo::Auto)?.with_threads(o.threads);
+    // The reference prunes exactly the layers the plan prunes, with the
+    // constructor the runner's sparse stages use.
+    let planned = design.partition.strategy.layers();
+    let prepared = PreparedNetwork::per_layer(net, &weights, |i| {
+        match planned.get(i).map(|l| l.algorithm) {
+            Some(Algorithm::SparseWinograd { density_pm, .. }) => ExecAlgo::Sparse { density_pm },
+            _ => ExecAlgo::Auto,
+        }
+    })?;
+    let exec =
+        NetworkExecutor::from_prepared(net, std::sync::Arc::new(prepared))?.with_threads(o.threads);
     let reference = exec.run(&input)?;
     let err = report.output.max_abs_diff(&reference)?;
     println!(

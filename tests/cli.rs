@@ -19,17 +19,38 @@ layer {
 }
 "#;
 
+/// Two 3×3 convs: on zc706 at 2 MB the sparse policy plans conv1 as
+/// dense Winograd and conv2 as sparse Winograd at 250‰.
+const TWO_CONV: &str = r#"
+name: "two-conv"
+input_shape { channels: 3 height: 32 width: 32 }
+layer {
+  name: "conv1"
+  type: "Convolution"
+  convolution_param { num_output: 32 kernel_size: 3 pad: 1 }
+}
+layer {
+  name: "conv2"
+  type: "Convolution"
+  convolution_param { num_output: 32 kernel_size: 3 pad: 1 }
+}
+"#;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_winofuse"))
 }
 
-fn demo_path(tag: &str) -> PathBuf {
+fn model_path(tag: &str, text: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!(
         "winofuse_cli_{tag}_{}.prototxt",
         std::process::id()
     ));
-    std::fs::write(&p, DEMO).expect("write demo prototxt");
+    std::fs::write(&p, text).expect("write prototxt");
     p
+}
+
+fn demo_path(tag: &str) -> PathBuf {
+    model_path(tag, DEMO)
 }
 
 #[test]
@@ -394,6 +415,44 @@ fn run_batch_replicates_frames_bit_identically() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("replicated frames are bit-identical"),
+        "{text}"
+    );
+    let _ = std::fs::remove_file(p);
+}
+
+#[test]
+fn fused_sparse_plan_matches_a_reference_pruned_like_the_plan() {
+    let p = model_path("fused_sparse", TWO_CONV);
+    let out = bin()
+        .arg("run")
+        .arg(&p)
+        .args(["--fused", "--policy", "sparse", "--budget-mb", "2"])
+        .args(["--threads", "2"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{text}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The plan mixes algorithms, so a whole-network backend cannot be
+    // the reference.
+    assert!(text.contains("layer 0: winograd(m=4)"), "{text}");
+    assert!(text.contains("layer 1: sparse-winograd"), "{text}");
+    let deltas: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.trim_end().ends_with("delta"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .filter_map(|l| l.split_whitespace().last())
+        .collect();
+    assert!(
+        !deltas.is_empty() && deltas.iter().all(|d| *d == "0"),
+        "{text}"
+    );
+    assert!(
+        text.contains("DRAM traffic reconciles with the DP budget in every group"),
         "{text}"
     );
     let _ = std::fs::remove_file(p);

@@ -2,11 +2,12 @@
 //!
 //! Sparse Winograd is the one algorithm in the menu whose *plan choice
 //! changes computed values* — pruning drops transform-domain
-//! coefficients. That makes its contract three-sided:
+//! coefficients. The CPU runs a pruned layer on an ordinary batched
+//! Winograd bank with the dropped coefficients zeroed
+//! (`BatchedFilters::pruned`). That makes its contract three-sided:
 //!
-//! * at density 1000‰ nothing is pruned and the CSR path must be
-//!   **bit-identical** to the dense batched Winograd path (the sparse
-//!   GEMM splits accumulation at the same `KC` boundaries);
+//! * at density 1000‰ nothing is pruned and the pruned bank must be
+//!   **bit-identical** to the dense one;
 //! * at pruned densities the output error must stay under the analytic
 //!   bound implied by the dropped transform-domain mass — pruning is a
 //!   controlled approximation, not an uncontrolled one;
@@ -16,7 +17,7 @@
 
 use proptest::prelude::*;
 use winofuse::conv::cook_toom::f43;
-use winofuse::conv::sparse::SparseFilters;
+use winofuse::conv::sparse::{prune_plane, sparse_keep_count};
 use winofuse::conv::tensor::{random_tensor, Tensor};
 use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, TransformedFilters};
 use winofuse::conv::ConvGeometry;
@@ -24,9 +25,14 @@ use winofuse::runtime::PoolProfiler;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs the sparse batched path at every thread count and checks the
-/// results are bit-identical before returning the single-threaded one.
-fn sparse_all_threads(x: &Tensor<f32>, filters: &SparseFilters, geom: ConvGeometry) -> Tensor<f32> {
+/// Runs the batched path on a pruned bank at every thread count and
+/// checks the results are bit-identical before returning the
+/// single-threaded one.
+fn sparse_all_threads(
+    x: &Tensor<f32>,
+    filters: &BatchedFilters,
+    geom: ConvGeometry,
+) -> Tensor<f32> {
     let t = f43();
     let (prof, opts) = (PoolProfiler::disabled(), BatchedOptions::default());
     let base = winograd::conv2d_batched_ext(x, filters, geom, &t, 1, None, &prof, opts).unwrap();
@@ -41,11 +47,14 @@ fn sparse_all_threads(x: &Tensor<f32>, filters: &SparseFilters, geom: ConvGeomet
 /// Analytic output-error bound for pruning: with inputs in `[-1, 1)`,
 /// `|Δy| ≤ ‖A‖₁² · ‖B‖₁² · max_{oc,uv} Σ_ic |dropped U[oc,ic,uv]|`
 /// (each dropped coefficient perturbs one transform point of one tile by
-/// at most its magnitude times the largest transformed input value).
-fn pruning_error_bound(kr: &Tensor<f32>, filters: &SparseFilters) -> f32 {
+/// at most its magnitude times the largest transformed input value). The
+/// dropped set is [`prune_plane`]'s on each transformed plane.
+fn pruning_error_bound(kr: &Tensor<f32>, density_pm: u16) -> f32 {
     let t = f43();
     let dense = TransformedFilters::new(kr, &t).unwrap();
     let alpha = t.alpha();
+    let (out_c, in_c) = (kr.n(), kr.c());
+    let keep = sparse_keep_count((out_c * in_c) as u64, density_pm) as usize;
     let row_abs_max = |m: &winofuse::conv::matrix::Mat<f32>| -> f32 {
         (0..m.rows())
             .map(|i| (0..m.cols()).map(|j| m.get(i, j).abs()).sum::<f32>())
@@ -55,12 +64,15 @@ fn pruning_error_bound(kr: &Tensor<f32>, filters: &SparseFilters) -> f32 {
     let b1 = row_abs_max(&t.b_t_f32());
     let mut worst_dropped = 0.0f32;
     for uv in 0..alpha * alpha {
-        let plane = filters.plane(uv);
-        for oc in 0..filters.out_c() {
-            let total: f32 = (0..filters.in_c())
-                .map(|ic| dense.bank(oc, ic).as_slice()[uv].abs())
-                .sum();
-            let kept: f32 = plane.row(oc).1.iter().map(|v| v.abs()).sum();
+        let full: Vec<f32> = (0..out_c * in_c)
+            .map(|f| dense.bank(f / in_c, f % in_c).as_slice()[uv])
+            .collect();
+        let mut pruned = full.clone();
+        prune_plane(&mut pruned, keep);
+        for oc in 0..out_c {
+            let row = oc * in_c..(oc + 1) * in_c;
+            let total: f32 = full[row.clone()].iter().map(|v| v.abs()).sum();
+            let kept: f32 = pruned[row].iter().map(|v| v.abs()).sum();
             worst_dropped = worst_dropped.max(total - kept);
         }
     }
@@ -76,7 +88,7 @@ fn fp_slack(in_c: usize) -> f32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Density 1000‰ prunes nothing; the CSR path must reproduce the
+    /// Density 1000‰ prunes nothing; the pruned bank must reproduce the
     /// dense batched Winograd output bit-for-bit on awkward geometries.
     #[test]
     fn full_density_sparse_is_bit_identical_to_dense(
@@ -97,7 +109,7 @@ proptest! {
             &x, &dense_bank, geom, &t, 1, None, &PoolProfiler::disabled(),
             BatchedOptions::default(),
         ).unwrap();
-        let sparse_bank = SparseFilters::new(&kr, &t, 1000).unwrap();
+        let sparse_bank = BatchedFilters::pruned(&kr, &t, 1000).unwrap();
         let sparse = sparse_all_threads(&x, &sparse_bank, geom);
         prop_assert_eq!(dense, sparse, "density 1000 must be bit-identical to dense");
     }
@@ -123,9 +135,9 @@ proptest! {
             &x, &dense_bank, geom, &t, 1, None, &PoolProfiler::disabled(),
             BatchedOptions::default(),
         ).unwrap();
-        let sparse_bank = SparseFilters::new(&kr, &t, density_pm).unwrap();
+        let sparse_bank = BatchedFilters::pruned(&kr, &t, density_pm).unwrap();
         let sparse = sparse_all_threads(&x, &sparse_bank, geom);
-        let bound = pruning_error_bound(&kr, &sparse_bank) + fp_slack(in_c);
+        let bound = pruning_error_bound(&kr, density_pm) + fp_slack(in_c);
         let diff = sparse.max_abs_diff(&dense).unwrap();
         prop_assert!(
             diff <= bound,
@@ -147,7 +159,7 @@ proptest! {
         let geom = ConvGeometry::rect(h, w, 3, 1, 1).unwrap();
         let x = random_tensor(2, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
-        let bank = SparseFilters::new(&kr, &f43(), density_pm).unwrap();
+        let bank = BatchedFilters::pruned(&kr, &f43(), density_pm).unwrap();
         // sparse_all_threads asserts 1/2/4/8-thread bit-equality.
         let _ = sparse_all_threads(&x, &bank, geom);
     }

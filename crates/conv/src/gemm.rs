@@ -699,10 +699,8 @@ mod tests {
     }
 
     fn max_diff(a: &[f32], b: &[f32]) -> f32 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f32::max)
+        let t = |v: &[f32]| crate::tensor::Tensor::from_vec(1, 1, 1, v.len(), v.to_vec()).unwrap();
+        t(a).max_abs_diff(&t(b)).unwrap()
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! These are the "other layers" of AlexNet/VGG the paper's code generator
 //! has templates for (§6: "templates for various type of layers including
 //! convolution, pooling, and local response normalization").
+//!
+//! [`pool`], [`lrn`] and [`relu`] are the element-by-element reference.
+//! The executor, the fused runner and the simulator all run the slice
+//! kernels [`pool_row`], [`lrn_block`] and [`relu_in_place`] instead,
+//! which keep every element's scalar sequence, so both agree bit for bit.
 
 use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
@@ -102,6 +107,83 @@ pub fn pool<T: Scalar + PartialOrd>(
     Ok(out)
 }
 
+/// Writes output row `o` of one channel's pooling into `dst`
+/// (`geom.output_width()` values). `row(h)` returns in-bounds input row
+/// `h` of that channel (`geom.width()` values); it is called per input
+/// row and block of 64 outputs, never per element.
+///
+/// Every output element sees [`pool`]'s sequence: the in-bounds rows in
+/// ascending order, and within each row the in-bounds columns in
+/// ascending order. Max keeps the running value `cur` when `cur >= val`,
+/// so `±0` ties and NaN resolve exactly as in [`pool`]; average sums
+/// `to_f32` from `0.0` and divides by the in-bounds count. A window that
+/// lies wholly in padding gives zero.
+pub fn pool_row<'a, T: Scalar + PartialOrd + 'a>(
+    dst: &mut [T],
+    o: usize,
+    geom: ConvGeometry,
+    kind: PoolKind,
+    row: impl Fn(usize) -> &'a [T],
+) {
+    let (k, s, pad, width) = (geom.kernel(), geom.stride(), geom.pad(), geom.width());
+    // In-bounds cells `[lo, hi)` of window `i`, whose padded extent is
+    // `[i·s, i·s + k)`, over `n` real cells; empty in the padding.
+    let span = |i: usize, n: usize| {
+        let hi = (i * s + k).min(n + pad).saturating_sub(pad);
+        ((i * s).saturating_sub(pad).min(hi), hi)
+    };
+    let (h0, h1) = span(o, geom.height());
+    // Average sums in `f32` on the stack, one block of outputs at a time.
+    let mut sums = [0.0f32; 64];
+    for (b, out) in dst.chunks_mut(sums.len()).enumerate() {
+        let j0 = b * sums.len();
+        sums.fill(0.0);
+        // Max seeds each window with its first cell; folding that cell
+        // again below keeps it bit for bit, NaN included.
+        let first = (kind == PoolKind::Max && h0 < h1).then(|| row(h0));
+        for (j, d) in (j0..).zip(out.iter_mut()) {
+            let (c0, c1) = span(j, width);
+            *d = first.filter(|_| c0 < c1).map_or(T::zero(), |r| r[c0]);
+        }
+        for h in h0..h1 {
+            let r = row(h);
+            // Tap `v` of window `j` reads column `j·s + v − pad`: the
+            // windows `[lo, hi)` of this block where that is in bounds.
+            for v in 0..k {
+                let lo = pad.saturating_sub(v).div_ceil(s).max(j0);
+                let hi = (width + pad).saturating_sub(v).div_ceil(s);
+                let hi = hi.min(j0 + out.len());
+                if lo >= hi {
+                    continue;
+                }
+                let cells = r[lo * s + v - pad..].iter().step_by(s);
+                let (a, z) = (lo - j0, hi - j0);
+                match kind {
+                    PoolKind::Max => {
+                        for (d, &val) in out[a..z].iter_mut().zip(cells) {
+                            *d = if *d >= val { *d } else { val };
+                        }
+                    }
+                    PoolKind::Average => {
+                        for (sum, val) in sums[a..z].iter_mut().zip(cells) {
+                            *sum += val.to_f32();
+                        }
+                    }
+                }
+            }
+        }
+        if kind == PoolKind::Average {
+            for ((j, d), sum) in (j0..).zip(out.iter_mut()).zip(sums) {
+                let (c0, c1) = span(j, width);
+                let count = (h1 - h0) * (c1 - c0);
+                if count > 0 {
+                    *d = T::from_f32(sum / count as f32);
+                }
+            }
+        }
+    }
+}
+
 /// Rectified linear unit applied element-wise: `max(x, 0)`.
 ///
 /// The paper integrates ReLU into the preceding convolutional layer
@@ -109,12 +191,18 @@ pub fn pool<T: Scalar + PartialOrd>(
 /// layers"); it is exposed separately here for reference computation.
 pub fn relu<T: Scalar + PartialOrd>(input: &Tensor<T>) -> Tensor<T> {
     let mut out = input.clone();
-    for v in out.as_mut_slice() {
+    relu_in_place(out.as_mut_slice());
+    out
+}
+
+/// ReLU in place: every `v < 0` becomes zero; everything else, `-0.0`
+/// and NaN included, is left as it is.
+pub fn relu_in_place<T: Scalar + PartialOrd>(values: &mut [T]) {
+    for v in values {
         if *v < T::zero() {
             *v = T::zero();
         }
     }
-    out
 }
 
 /// Parameters of AlexNet-style cross-channel local response normalization:
@@ -183,6 +271,36 @@ pub fn lrn<T: Scalar>(input: &Tensor<T>, params: LrnParams) -> Result<Tensor<T>,
         }
     }
     Ok(out)
+}
+
+/// Cross-channel LRN over one channel-major block: `src` and `dst` hold
+/// `C × len` values, channel `c` at `[c·len, (c + 1)·len)` — one frame
+/// with `len = H·W`, or one streamed row with `len = W`.
+/// `params.local_size` must be odd, as [`lrn`] checks.
+///
+/// Every element sees [`lrn`]'s sequence: a sum from `0.0` of the squares
+/// over the in-range window in ascending channel order, then
+/// `(k + α/n · sum)^β`, then `T::from_f32(a / denom)`. The only extra
+/// memory is one `len`-long `f32` row of sums.
+pub fn lrn_block<T: Scalar>(dst: &mut [T], src: &[T], len: usize, params: LrnParams) {
+    let channels = src.len().checked_div(len).unwrap_or(0);
+    let half = params.local_size / 2;
+    let scale = params.alpha / params.local_size as f32;
+    let mut sums = vec![0.0f32; len];
+    for c in 0..channels {
+        sums.fill(0.0);
+        let window = &src[c.saturating_sub(half) * len..(c + half + 1).min(channels) * len];
+        for plane in window.chunks_exact(len) {
+            for (sum, v) in sums.iter_mut().zip(plane) {
+                let v = v.to_f32();
+                *sum += v * v;
+            }
+        }
+        let at = c * len..(c + 1) * len;
+        for ((d, a), sum) in dst[at.clone()].iter_mut().zip(&src[at]).zip(&sums) {
+            *d = T::from_f32(a.to_f32() / (params.k + scale * sum).powf(params.beta));
+        }
+    }
 }
 
 /// Fully connected layer: flattens the input (per batch element) and
@@ -366,6 +484,90 @@ mod tests {
             ..LrnParams::default()
         };
         assert!(lrn(&x, p).is_err());
+    }
+
+    /// Bit patterns of `t`'s values (exact for `Fix16`, whose `to_f32` is
+    /// exact).
+    fn bits<T: Scalar>(t: &[T]) -> Vec<u32> {
+        t.iter().map(|v| v.to_f32().to_bits()).collect()
+    }
+
+    /// Runs the slice kernels the way their callers do (pool per plane and
+    /// output row, LRN per frame and per channel-major row, ReLU in place)
+    /// and checks them against `pool`, `lrn` and `relu` by bit pattern.
+    fn check_kernels<T: Scalar + PartialOrd>(x: &Tensor<T>, geom: ConvGeometry, lrn_p: LrnParams) {
+        let (n, c, h, w) = x.shape();
+        let (oh, ow) = (geom.output_height(), geom.output_width());
+        for kind in [PoolKind::Max, PoolKind::Average] {
+            let want = pool(x, geom, kind).unwrap();
+            let mut got = vec![T::zero(); n * c * oh * ow];
+            for (plane, out) in x
+                .as_slice()
+                .chunks_exact(h * w)
+                .zip(got.chunks_exact_mut(oh * ow))
+            {
+                for (o, dst) in out.chunks_exact_mut(ow).enumerate() {
+                    pool_row(dst, o, geom, kind, |r| &plane[r * w..][..w]);
+                }
+            }
+            assert_eq!(bits(&got), bits(want.as_slice()), "{kind:?} {geom:?}");
+        }
+
+        let want = lrn(x, lrn_p).unwrap();
+        let mut frames = vec![T::zero(); x.len()];
+        for (dst, src) in frames
+            .chunks_exact_mut(c * h * w)
+            .zip(x.as_slice().chunks_exact(c * h * w))
+        {
+            lrn_block(dst, src, h * w, lrn_p);
+        }
+        assert_eq!(bits(&frames), bits(want.as_slice()), "lrn frames {lrn_p:?}");
+        for b in 0..n {
+            for r in 0..h {
+                let row: Vec<T> = (0..c * w).map(|i| x.get(b, i / w, r, i % w)).collect();
+                let mut out = vec![T::zero(); c * w];
+                lrn_block(&mut out, &row, w, lrn_p);
+                let want_row: Vec<T> = (0..c * w).map(|i| want.get(b, i / w, r, i % w)).collect();
+                assert_eq!(bits(&out), bits(&want_row), "lrn row {r} {lrn_p:?}");
+            }
+        }
+
+        let mut y = x.as_slice().to_vec();
+        relu_in_place(&mut y);
+        assert_eq!(bits(&y), bits(relu(x).as_slice()));
+    }
+
+    #[test]
+    fn slice_kernels_match_the_reference_bit_for_bit() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let special = [0.0f32, -0.0, 1.0, -1.0, 0.5, f32::NAN];
+        let mut cases = 0;
+        while cases < 2000 {
+            let (n, c) = (1 + next(2), 1 + next(9));
+            let (h, w) = (1 + next(13), 1 + next(13));
+            let (k, s) = (1 + next(4), 1 + next(3));
+            let Ok(geom) = ConvGeometry::rect(h, w, k, s, next(k + 3)) else {
+                continue;
+            };
+            let lrn_p = LrnParams {
+                local_size: [1, 3, 5, 7][next(4)],
+                ..LrnParams::default()
+            };
+            let noise = random_tensor(n, c, h, w, cases as u64);
+            let x = Tensor::from_fn(n, c, h, w, |b, ch, r, col| match next(3) {
+                0 => special[next(special.len())],
+                _ => noise.get(b, ch, r, col) * 4.0,
+            });
+            check_kernels(&x, geom, lrn_p);
+            check_kernels(&x.cast::<Fix16>(), geom, lrn_p);
+            cases += 1;
+        }
     }
 
     #[test]

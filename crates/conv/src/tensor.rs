@@ -403,7 +403,9 @@ impl<T: Scalar> Tensor<T> {
     }
 
     /// Maximum absolute difference against another tensor of the same
-    /// shape, in `f32`.
+    /// shape, in `f32`. A NaN on exactly one side counts as an infinite
+    /// difference; NaN on both sides, like equal values (equal infinities
+    /// included), counts as zero.
     ///
     /// # Errors
     ///
@@ -419,7 +421,11 @@ impl<T: Scalar> Tensor<T> {
             .data
             .iter()
             .zip(&other.data)
-            .map(|(a, b)| (a.to_f32() - b.to_f32()).abs())
+            .map(|(a, b)| match (a.to_f32(), b.to_f32()) {
+                (a, b) if a == b || (a.is_nan() && b.is_nan()) => 0.0,
+                (a, b) if a.is_nan() || b.is_nan() => f32::INFINITY,
+                (a, b) => (a - b).abs(),
+            })
             .fold(0.0f32, f32::max))
     }
 
@@ -481,6 +487,27 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(1, 1, 2, 2, vec![0.0f32; 3]).is_err());
         assert!(Tensor::from_vec(1, 1, 2, 2, vec![0.0f32; 4]).is_ok());
+    }
+
+    #[test]
+    fn max_abs_diff_sees_one_sided_nan() {
+        let t = |v: Vec<f32>| Tensor::from_vec(1, 1, 1, v.len(), v).unwrap();
+        let nan = f32::NAN;
+        // NaN on exactly one side is an infinite difference.
+        let (a, b) = (t(vec![nan, nan]), t(vec![1.0, 2.0]));
+        assert_eq!(a.max_abs_diff(&b).unwrap(), f32::INFINITY);
+        assert_eq!(b.max_abs_diff(&a).unwrap(), f32::INFINITY);
+        assert!(!a.approx_eq(&b, 1e-6));
+        // NaN on both sides, equal values and equal infinities are zero.
+        let same = t(vec![nan, -0.0, 3.5, f32::INFINITY, f32::NEG_INFINITY]);
+        let other = t(vec![nan, 0.0, 3.5, f32::INFINITY, f32::NEG_INFINITY]);
+        assert_eq!(same.max_abs_diff(&other).unwrap(), 0.0);
+        assert!(same.approx_eq(&other, 0.0));
+        // Finite differences are unchanged.
+        assert_eq!(
+            t(vec![1.0, nan]).max_abs_diff(&t(vec![3.0, nan])).unwrap(),
+            2.0
+        );
     }
 
     #[test]

@@ -121,6 +121,24 @@ impl<T: Scalar> LineBuffer<T> {
         row < self.next_row && row >= self.oldest_row()
     }
 
+    /// Reads absolute row `row`: `channels · width` values, channel-major.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FusionError::Simulation`] when the row was evicted or not
+    /// yet pushed — i.e. the access pattern is infeasible for the hardware
+    /// buffer.
+    pub fn row(&self, row: usize) -> Result<&[T], FusionError> {
+        if !self.contains_row(row) {
+            return Err(FusionError::Simulation(format!(
+                "row {row} not in buffer (retained: {}..{})",
+                self.oldest_row(),
+                self.next_row
+            )));
+        }
+        Ok(&self.rows[row % self.depth])
+    }
+
     /// Reads element `(channel, absolute row, column)`.
     ///
     /// # Errors
@@ -135,15 +153,7 @@ impl<T: Scalar> LineBuffer<T> {
                 self.channels, self.width
             )));
         }
-        if !self.contains_row(row) {
-            return Err(FusionError::Simulation(format!(
-                "row {row} not in buffer (retained: {}..{})",
-                self.oldest_row(),
-                self.next_row
-            )));
-        }
-        let slot = row % self.depth;
-        Ok(self.rows[slot][channel * self.width + col])
+        Ok(self.row(row)?[channel * self.width + col])
     }
 
     /// Reads with implicit zero padding: negative or beyond-edge columns
@@ -220,6 +230,18 @@ mod tests {
                 assert_eq!(lb.get(0, r, 0).unwrap(), r as f32, "output row {i}");
             }
         }
+    }
+
+    #[test]
+    fn whole_rows_are_residency_checked() {
+        let mut lb = LineBuffer::<f32>::new(2, 2, 2);
+        for i in 0..3 {
+            lb.push_row(&[i as f32, 1.0, 2.0, 3.0]).unwrap();
+        }
+        assert_eq!(lb.row(2).unwrap(), &[2.0, 1.0, 2.0, 3.0]);
+        assert_eq!(lb.row(1).unwrap()[0], 1.0);
+        assert!(lb.row(0).is_err(), "evicted");
+        assert!(lb.row(3).is_err(), "not yet pushed");
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! weight stream each stage meters (and, for sparse Winograd, the pruned
 //! bank it computes with: a dense bank with the dropped coefficients
 //! zeroed, while the meter charges the CSR stream the accelerator would
-//! read). Pool, LRN and ReLU stages replicate the reference operators'
-//! exact scalar sequences so outputs match the layer-by-layer executor
-//! bit-for-bit in fixed point (and within float tolerance in `f32`).
+//! read). Pool, LRN and ReLU stages call the executor's own slice
+//! kernels ([`ops::pool_row`], [`ops::lrn_block`],
+//! [`ops::relu_in_place`]) on the streamed rows. So `run` matches the
+//! layer-by-layer executor on the same preparation bit for bit, and
+//! `run_fix16` matches [`forward_fix16`] bit for bit.
+//!
+//! [`forward_fix16`]: winofuse_model::runtime::forward_fix16
 //!
 //! The runner also *meters* DRAM traffic while it streams: input rows in,
 //! output rows out, one weight stream per convolution (transformed α²
@@ -34,11 +38,11 @@ use std::sync::Arc;
 
 use winofuse_conv::fixed::{saturation_count, Fix16};
 use winofuse_conv::microkernel::KernelChoice;
-use winofuse_conv::ops::PoolKind;
+use winofuse_conv::ops::{self, LrnParams};
 use winofuse_conv::tensor::{Scalar, Tensor};
 use winofuse_conv::{direct, ConvGeometry};
 use winofuse_fpga::engine::Algorithm;
-use winofuse_model::layer::{ConvParams, LayerKind, LrnSpec, PoolParams};
+use winofuse_model::layer::{ConvParams, LayerKind, PoolParams};
 use winofuse_model::network::Network;
 use winofuse_model::runtime::{
     conv_grouped, ExecAlgo, LayerWeights, NetworkWeights, PreparedConv, PreparedNetwork,
@@ -194,7 +198,7 @@ struct ConvStage {
 enum StageOp {
     Conv(ConvStage),
     Pool(PoolParams),
-    Lrn(LrnSpec),
+    Lrn(LrnParams),
     Relu,
 }
 
@@ -837,32 +841,40 @@ impl FusedGroupRunner {
                 self.conv_strip(st, conv, &row_at, o0, o1, &prof, force_direct)
             }
             StageOp::Pool(p) => {
-                let mut rows = Vec::with_capacity(o1 - o0);
-                for o in o0..o1 {
-                    rows.push(pool_row(st, p, &row_at, o)?);
-                }
-                Ok(rows)
-            }
-            StageOp::Lrn(spec) => {
-                let mut rows = Vec::with_capacity(o1 - o0);
-                for o in o0..o1 {
-                    rows.push(lrn_row(st, spec, row_at(o)?));
-                }
-                Ok(rows)
-            }
-            StageOp::Relu => {
-                let mut rows = Vec::with_capacity(o1 - o0);
-                for o in o0..o1 {
-                    let mut row = row_at(o)?.clone();
-                    for v in &mut row {
-                        if *v < T::zero() {
-                            *v = T::zero();
+                let iw = st.input.width;
+                let geom = ConvGeometry::rect(st.input.height, iw, p.kernel, p.stride, p.pad)?;
+                let lo = (o0 * p.stride).saturating_sub(p.pad);
+                let inputs = (lo..st.rows_needed(o1))
+                    .map(row_at)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let out_w = st.output.width;
+                (o0..o1)
+                    .map(|o| {
+                        let mut row = vec![T::zero(); st.output.channels * out_w];
+                        for (ch, dst) in row.chunks_exact_mut(out_w).enumerate() {
+                            ops::pool_row(dst, o, geom, p.kind, |h| {
+                                &inputs[h - lo][ch * iw..][..iw]
+                            });
                         }
-                    }
-                    rows.push(row);
-                }
-                Ok(rows)
+                        Ok(row)
+                    })
+                    .collect()
             }
+            StageOp::Lrn(params) => (o0..o1)
+                .map(|o| {
+                    let src = row_at(o)?;
+                    let mut row = vec![T::zero(); src.len()];
+                    ops::lrn_block(&mut row, src, st.input.width, *params);
+                    Ok(row)
+                })
+                .collect(),
+            StageOp::Relu => (o0..o1)
+                .map(|o| {
+                    let mut row = row_at(o)?.clone();
+                    ops::relu_in_place(&mut row);
+                    Ok(row)
+                })
+                .collect(),
         }
     }
 
@@ -1002,86 +1014,6 @@ impl ConvStage {
             weight_stream_bytes,
         })
     }
-}
-
-/// One pooling output row, replicating [`winofuse_conv::ops::pool`]'s
-/// exact gather order and in-bounds-only semantics (padding never enters
-/// the window, so average counts and max folds match bit-for-bit).
-fn pool_row<'w, T: RunnerElement + 'w>(
-    st: &RunnerStage,
-    p: &PoolParams,
-    row_at: &impl Fn(usize) -> Result<&'w Vec<T>, FusionError>,
-    o: usize,
-) -> Result<Vec<T>, FusionError> {
-    let (ih, iw) = (st.input.height, st.input.width);
-    let (out_c, out_w) = (st.output.channels, st.output.width);
-    let mut row = vec![T::zero(); out_c * out_w];
-    for ch in 0..out_c {
-        for j in 0..out_w {
-            let mut best: Option<T> = None;
-            let mut sum = 0.0f32;
-            let mut count = 0usize;
-            for u in 0..p.kernel {
-                for v in 0..p.kernel {
-                    let hh = (o * p.stride + u) as isize - p.pad as isize;
-                    let ww = (j * p.stride + v) as isize - p.pad as isize;
-                    if hh < 0 || ww < 0 || hh as usize >= ih || ww as usize >= iw {
-                        continue; // padding excluded from pooling
-                    }
-                    let val = row_at(hh as usize)?[ch * iw + ww as usize];
-                    match p.kind {
-                        PoolKind::Max => {
-                            best = Some(match best {
-                                Some(cur) if cur >= val => cur,
-                                _ => val,
-                            });
-                        }
-                        PoolKind::Average => {
-                            sum += val.to_f32();
-                            count += 1;
-                        }
-                    }
-                }
-            }
-            row[ch * out_w + j] = match p.kind {
-                PoolKind::Max => best.unwrap_or_else(T::zero),
-                PoolKind::Average => {
-                    if count == 0 {
-                        T::zero()
-                    } else {
-                        T::from_f32(sum / count as f32)
-                    }
-                }
-            };
-        }
-    }
-    Ok(row)
-}
-
-/// One LRN output row, replicating [`winofuse_conv::ops::lrn`]'s exact
-/// per-element `f32` sequence (cross-channel sum in ascending offset
-/// order, then `powf` and re-round).
-fn lrn_row<T: RunnerElement>(st: &RunnerStage, spec: &LrnSpec, input_row: &[T]) -> Vec<T> {
-    let (channels, width) = (st.input.channels, st.input.width);
-    let half = (spec.local_size / 2) as isize;
-    let mut row = vec![T::zero(); channels * width];
-    for ch in 0..channels {
-        for w in 0..width {
-            let mut sum_sq = 0.0f32;
-            for dc in -half..=half {
-                let cc = ch as isize + dc;
-                if cc < 0 || cc as usize >= channels {
-                    continue;
-                }
-                let v = input_row[cc as usize * width + w].to_f32();
-                sum_sq += v * v;
-            }
-            let denom = (spec.k + spec.alpha / spec.local_size as f32 * sum_sq).powf(spec.beta);
-            let a = input_row[ch * width + w].to_f32();
-            row[ch * width + w] = T::from_f32(a / denom);
-        }
-    }
-    row
 }
 
 /// One fusion group of an execution plan, as handed to

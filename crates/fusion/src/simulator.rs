@@ -8,7 +8,10 @@
 //!
 //! 1. **Values** — computed through the real [`LineBuffer`] structure and
 //!    validated against the layer-by-layer reference executor, proving the
-//!    fusion architecture is functionally transparent.
+//!    fusion architecture is functionally transparent. Convolution rows
+//!    are a scalar sliding window; pool, LRN and ReLU rows call the
+//!    [`ops`] slice kernels the executor runs, on rows read whole with
+//!    [`LineBuffer::row`].
 //! 2. **Cycles** — an event-driven latency estimate: per-row phase costs
 //!    come from the analytic engine models, but inter-layer dependencies,
 //!    pipeline fill and backpressure emerge from the dataflow itself. The
@@ -21,8 +24,9 @@
 
 use std::collections::VecDeque;
 
-use winofuse_conv::ops::LrnParams;
+use winofuse_conv::ops;
 use winofuse_conv::tensor::Tensor;
+use winofuse_conv::ConvGeometry;
 use winofuse_model::layer::{Layer, LayerKind};
 use winofuse_model::network::Network;
 use winofuse_model::runtime::{LayerWeights, NetworkWeights};
@@ -176,71 +180,22 @@ impl StageState {
                 }
             }
             LayerKind::Pool(p) => {
-                for ch in 0..out_c {
-                    for w in 0..out_w {
-                        let mut best: Option<f32> = None;
-                        let mut sum = 0.0f32;
-                        let mut count = 0usize;
-                        for u in 0..p.kernel {
-                            let r = (i * p.stride + u) as isize - p.pad as isize;
-                            if r < 0 || r as usize >= self.input.height {
-                                continue;
-                            }
-                            for v in 0..p.kernel {
-                                let col = (w * p.stride + v) as isize - p.pad as isize;
-                                if col < 0 || col as usize >= self.input.width {
-                                    continue;
-                                }
-                                let val = self.buffer.get(ch, r as usize, col as usize)?;
-                                best = Some(best.map_or(val, |b: f32| b.max(val)));
-                                sum += val;
-                                count += 1;
-                            }
-                        }
-                        row[ch * out_w + w] = match p.kind {
-                            winofuse_conv::ops::PoolKind::Max => best.unwrap_or(0.0),
-                            winofuse_conv::ops::PoolKind::Average => {
-                                if count == 0 {
-                                    0.0
-                                } else {
-                                    sum / count as f32
-                                }
-                            }
-                        };
-                    }
+                let iw = self.input.width;
+                let geom = ConvGeometry::rect(self.input.height, iw, p.kernel, p.stride, p.pad)?;
+                let lo = self.needed_input_start();
+                let inputs = (lo..self.needed_input_end())
+                    .map(|r| self.buffer.row(r))
+                    .collect::<Result<Vec<_>, _>>()?;
+                for (ch, dst) in row.chunks_exact_mut(out_w).enumerate() {
+                    ops::pool_row(dst, i, geom, p.kind, |h| &inputs[h - lo][ch * iw..][..iw]);
                 }
             }
-            LayerKind::Lrn(spec) => {
-                let params = LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                };
-                let half = (params.local_size / 2) as isize;
-                for ch in 0..out_c {
-                    for w in 0..out_w {
-                        let mut sum_sq = 0.0f32;
-                        for dc in -half..=half {
-                            let cc = ch as isize + dc;
-                            if cc < 0 || cc as usize >= self.input.channels {
-                                continue;
-                            }
-                            let v = self.buffer.get(cc as usize, i, w)?;
-                            sum_sq += v * v;
-                        }
-                        let denom = (params.k + params.alpha / params.local_size as f32 * sum_sq)
-                            .powf(params.beta);
-                        row[ch * out_w + w] = self.buffer.get(ch, i, w)? / denom;
-                    }
-                }
+            LayerKind::Lrn(params) => {
+                ops::lrn_block(&mut row, self.buffer.row(i)?, self.input.width, *params);
             }
             LayerKind::Relu => {
-                for ch in 0..out_c {
-                    for w in 0..out_w {
-                        row[ch * out_w + w] = self.buffer.get(ch, i, w)?.max(0.0);
-                    }
-                }
+                row.copy_from_slice(self.buffer.row(i)?);
+                ops::relu_in_place(&mut row);
             }
             other => {
                 return Err(FusionError::InvalidGroup(format!(
@@ -618,6 +573,31 @@ mod tests {
             "max diff {}",
             result.output.max_abs_diff(gold).unwrap()
         );
+    }
+
+    #[test]
+    fn max_pool_resolves_signed_zero_and_nan_like_the_reference() {
+        use winofuse_model::layer::PoolParams;
+        let net = Network::builder("pool", FmShape::new(1, 2, 4))
+            .pool("p", PoolParams::max2x2())
+            .build()
+            .unwrap();
+        let weights = NetworkWeights::random(&net, 1).unwrap();
+        let x = Tensor::from_vec(
+            1,
+            1,
+            2,
+            4,
+            vec![-0.0, 0.0, 1.0, 2.0, 0.0, -0.0, 3.0, f32::NAN],
+        )
+        .unwrap();
+        let gold = forward(&net, &weights, &x).unwrap().remove(0);
+        let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gold), [(-0.0f32).to_bits(), f32::NAN.to_bits()]);
+        let configs = configs_for(&net, 0..1, 1);
+        let dev = FpgaDevice::zc706();
+        let mut sim = FusedGroupSim::new(&net, 0, &configs, &weights, &dev).unwrap();
+        assert_eq!(bits(&sim.run(&x).unwrap().output), bits(&gold));
     }
 
     #[test]

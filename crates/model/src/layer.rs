@@ -7,6 +7,10 @@ use winofuse_conv::ops::PoolKind;
 use crate::shape::FmShape;
 use crate::ModelError;
 
+/// Parameters of a local response normalization layer (cross-channel),
+/// the type the LRN operators take.
+pub use winofuse_conv::ops::LrnParams;
+
 /// Parameters of a convolutional layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvParams {
@@ -104,30 +108,6 @@ impl PoolParams {
     }
 }
 
-/// Parameters of a local response normalization layer (cross-channel).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LrnSpec {
-    /// Window size (channels).
-    pub local_size: usize,
-    /// Scale α.
-    pub alpha: f32,
-    /// Exponent β.
-    pub beta: f32,
-    /// Bias k.
-    pub k: f32,
-}
-
-impl Default for LrnSpec {
-    fn default() -> Self {
-        LrnSpec {
-            local_size: 5,
-            alpha: 1e-4,
-            beta: 0.75,
-            k: 2.0,
-        }
-    }
-}
-
 /// Parameters of a fully connected layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FcParams {
@@ -146,7 +126,7 @@ pub enum LayerKind {
     /// Spatial pooling.
     Pool(PoolParams),
     /// Local response normalization.
-    Lrn(LrnSpec),
+    Lrn(LrnParams),
     /// Stand-alone ReLU (kept for parsing fidelity; usually folded).
     Relu,
     /// Fully connected (optionally with folded ReLU).
@@ -374,7 +354,7 @@ mod tests {
     fn lrn_and_relu_identity_shape() {
         let s = FmShape::new(96, 55, 55);
         assert_eq!(
-            Layer::new("n", LayerKind::Lrn(LrnSpec::default()))
+            Layer::new("n", LayerKind::Lrn(LrnParams::default()))
                 .output_shape(s)
                 .unwrap(),
             s

@@ -38,6 +38,6 @@ pub mod zoo;
 mod error;
 
 pub use error::ModelError;
-pub use layer::{ConvParams, FcParams, Layer, LayerKind, LrnSpec, PoolParams};
+pub use layer::{ConvParams, FcParams, Layer, LayerKind, LrnParams, PoolParams};
 pub use network::{ModularNetwork, Network};
 pub use shape::{DataType, FmShape};

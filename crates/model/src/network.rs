@@ -467,7 +467,7 @@ impl NetworkBuilder {
     }
 
     /// Appends an LRN layer.
-    pub fn lrn(mut self, name: impl Into<String>, spec: crate::layer::LrnSpec) -> Self {
+    pub fn lrn(mut self, name: impl Into<String>, spec: crate::layer::LrnParams) -> Self {
         self.layers.push(Layer::new(name, LayerKind::Lrn(spec)));
         self
     }

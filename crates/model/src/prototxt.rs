@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 
 use winofuse_conv::ops::PoolKind;
 
-use crate::layer::{ConvParams, FcParams, Layer, LayerKind, LrnSpec, PoolParams};
+use crate::layer::{ConvParams, FcParams, Layer, LayerKind, LrnParams, PoolParams};
 use crate::network::Network;
 use crate::shape::FmShape;
 use crate::ModelError;
@@ -408,7 +408,7 @@ fn interpret_layer(msg: &Message) -> Result<Option<Layer>, ModelError> {
                 Some(Value::Msg(m)) => m.clone(),
                 _ => Message::default(),
             };
-            LayerKind::Lrn(LrnSpec {
+            LayerKind::Lrn(LrnParams {
                 local_size: p.usize_or("local_size", 5)?,
                 alpha: p.num("alpha").unwrap_or(1e-4) as f32,
                 beta: p.num("beta").unwrap_or(0.75) as f32,

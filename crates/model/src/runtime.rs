@@ -25,7 +25,7 @@ use winofuse_conv::direct::PackedKernels;
 use winofuse_conv::fixed::Fix16;
 use winofuse_conv::gemm::{ConvProfile, ConvStats};
 use winofuse_conv::microkernel::KernelChoice;
-use winofuse_conv::ops::{self, LrnParams};
+use winofuse_conv::ops;
 use winofuse_conv::tensor::{random_tensor, Scalar, Tensor};
 use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
 use winofuse_conv::{direct, im2col, winograd, ConvError, ConvGeometry};
@@ -279,15 +279,7 @@ pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
                 ops::pool(&cur, geom, p.kind)?
             }
-            LayerKind::Lrn(spec) => ops::lrn(
-                &cur,
-                LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                },
-            )?,
+            LayerKind::Lrn(params) => ops::lrn(&cur, *params)?,
             LayerKind::Relu => ops::relu(&cur),
             LayerKind::Fc(fc) => {
                 let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
@@ -400,15 +392,7 @@ pub fn forward_fix16(
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
                 ops::pool(&cur, geom, p.kind)?
             }
-            LayerKind::Lrn(spec) => ops::lrn(
-                &cur,
-                LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                },
-            )?,
+            LayerKind::Lrn(params) => ops::lrn(&cur, *params)?,
             LayerKind::Relu => ops::relu(&cur),
             other => {
                 return Err(ModelError::Execution(format!(
@@ -512,11 +496,7 @@ where
         out
     };
     if c.relu {
-        for v in y.as_mut_slice() {
-            if *v < T::zero() {
-                *v = T::zero();
-            }
-        }
+        ops::relu_in_place(y.as_mut_slice());
     }
     Ok(y)
 }
@@ -1067,17 +1047,27 @@ impl<'n> NetworkExecutor<'n> {
             }
             LayerKind::Pool(p) => {
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
-                ops::pool(cur, geom, p.kind)?
+                let (iw, oh, ow) = (cur.w(), geom.output_height(), geom.output_width());
+                let mut y = Tensor::zeros(cur.n(), cur.c(), oh, ow);
+                let planes = cur.as_slice().chunks_exact(cur.h() * iw);
+                for (plane, out) in planes.zip(y.as_mut_slice().chunks_exact_mut(oh * ow)) {
+                    for (o, dst) in out.chunks_exact_mut(ow).enumerate() {
+                        ops::pool_row(dst, o, geom, p.kind, |h| &plane[h * iw..][..iw]);
+                    }
+                }
+                y
             }
-            LayerKind::Lrn(spec) => ops::lrn(
-                cur,
-                LrnParams {
-                    local_size: spec.local_size,
-                    alpha: spec.alpha,
-                    beta: spec.beta,
-                    k: spec.k,
-                },
-            )?,
+            LayerKind::Lrn(params) => {
+                let mut y = Tensor::zeros(cur.n(), cur.c(), cur.h(), cur.w());
+                let plane = cur.h() * cur.w();
+                let frame = cur.c() * plane;
+                for b in 0..cur.n() {
+                    let at = b * frame..(b + 1) * frame;
+                    let src = &cur.as_slice()[at.clone()];
+                    ops::lrn_block(&mut y.as_mut_slice()[at], src, plane, *params);
+                }
+                y
+            }
             LayerKind::Relu => ops::relu(cur),
             LayerKind::Fc(fc) => {
                 let PreparedLayer::Fc { weights, bias } = &self.prepared.layers[i] else {
@@ -1085,7 +1075,7 @@ impl<'n> NetworkExecutor<'n> {
                 };
                 let mut y = ops::fully_connected(cur, weights, bias, fc.num_output)?;
                 if fc.relu {
-                    y = ops::relu(&y);
+                    ops::relu_in_place(y.as_mut_slice());
                 }
                 y
             }

@@ -3,7 +3,7 @@
 
 use winofuse_conv::ops::PoolKind;
 
-use crate::layer::{ConvParams, FcParams, LrnSpec, PoolParams};
+use crate::layer::{ConvParams, FcParams, LrnParams, PoolParams};
 use crate::network::Network;
 use crate::shape::FmShape;
 
@@ -20,12 +20,12 @@ use crate::shape::FmShape;
 pub fn alexnet() -> Network {
     Network::builder("alexnet", FmShape::new(3, 227, 227))
         .conv("conv1", ConvParams::new(96, 11, 4, 0, true))
-        .lrn("norm1", LrnSpec::default())
+        .lrn("norm1", LrnParams::default())
         .pool("pool1", PoolParams::max3x3s2())
         // conv2/conv4/conv5 use Caffe's group: 2 (the two-GPU split of the
         // original AlexNet), halving their MACs and weights.
         .conv("conv2", ConvParams::new(256, 5, 1, 2, true).with_groups(2))
-        .lrn("norm2", LrnSpec::default())
+        .lrn("norm2", LrnParams::default())
         .pool("pool2", PoolParams::max3x3s2())
         .conv("conv3", ConvParams::new(384, 3, 1, 1, true))
         .conv("conv4", ConvParams::new(384, 3, 1, 1, true).with_groups(2))
@@ -193,7 +193,7 @@ pub fn small_test_net() -> Network {
 pub fn mixed_test_net() -> Network {
     Network::builder("mixed-test", FmShape::new(4, 24, 24))
         .conv("conv1", ConvParams::vgg3x3(8))
-        .lrn("norm1", LrnSpec::default())
+        .lrn("norm1", LrnParams::default())
         .pool(
             "pool1",
             PoolParams {

@@ -80,13 +80,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
 /// AlexNet's body with 4x smaller spatial extent (same layer structure).
 fn scaled_alexnet_body() -> Result<Network, winofuse::model::ModelError> {
-    use winofuse::model::layer::{LrnSpec, PoolParams};
+    use winofuse::model::layer::{LrnParams, PoolParams};
     Network::builder("alexnet-body-small", FmShape::new(3, 59, 59))
         .conv("conv1", ConvParams::new(24, 11, 4, 0, true))
-        .lrn("norm1", LrnSpec::default())
+        .lrn("norm1", LrnParams::default())
         .pool("pool1", PoolParams::max3x3s2())
         .conv("conv2", ConvParams::new(32, 5, 1, 2, true).with_groups(2))
-        .lrn("norm2", LrnSpec::default())
+        .lrn("norm2", LrnParams::default())
         .pool("pool2", PoolParams::max3x3s2())
         .conv("conv3", ConvParams::new(48, 3, 1, 1, true))
         .conv("conv4", ConvParams::new(48, 3, 1, 1, true).with_groups(2))

@@ -1,13 +1,14 @@
 //! Allocation-count contract for the hoisted Winograd GEMM panel pack.
 //!
-//! `BatchedFilters::new` packs every transform-point plane into GEMM `A`
-//! panels exactly once (plan-lowering time). The contract has two
-//! halves: `PackedA::pack` makes exactly two allocations (the panel
-//! buffer and the block-offset table, both sized up front), and a
+//! `BatchedFilters::new` writes every transform-point plane into GEMM `A`
+//! panels exactly once (plan-lowering time). The contract has three
+//! parts: `PackedA::pack` makes exactly two allocations (the panel
+//! buffer and the block-offset table, both sized up front); a
 //! steady-state `gemm_f32_prepacked` call makes **zero** — so no strip
 //! or transform-point job ever re-packs filter coefficients, which is
 //! what fixed the fused runner losing to the unfused executor on
-//! deep-layer strips.
+//! deep-layer strips; and a bank, dense or pruned, makes the same number
+//! of allocations at any channel count.
 //!
 //! Counting `GlobalAlloc`s live in their own single-test integration
 //! binaries so no other test's allocations pollute the counter.
@@ -92,21 +93,31 @@ fn prepacked_panels_are_built_once_and_reused_alloc_free() {
     });
     assert_eq!(steady, 0, "steady-state prepacked GEMM allocated {steady}x");
 
-    // `BatchedFilters::new` growth is exactly one allocation per extra
-    // kernel pair: the α²-plane overhead — including the 2·α² hoisted
-    // panel packs — is constant in the channel counts, so per-strip
-    // execution never pays it again.
-    let allocs_for = |out_c: usize, in_c: usize| {
+    // A bank's allocations do not grow with its channel counts, dense or
+    // pruned: the α² panel buffers and their offset tables, plus a fixed
+    // few (the plane list, the lane scratch, the transform's tap lists,
+    // and a flat plane with its index buffer when pruning). Nothing is
+    // allocated per kernel pair, per panel or per plane.
+    const ALPHA2: u64 = 36;
+    const FIXED: u64 = 24;
+    let allocs_for = |out_c: usize, in_c: usize, density_pm: u16| {
         let kernels = random_tensor(out_c, in_c, 3, 3, 7);
         let transform = f43();
-        count(|| BatchedFilters::new(&kernels, &transform).unwrap()).0
+        count(|| BatchedFilters::pruned(&kernels, &transform, density_pm).unwrap()).0
     };
-    let _ = allocs_for(1, 1);
-    let small = allocs_for(4, 3); // 12 pairs
-    let medium = allocs_for(8, 6); // 48 pairs
-    assert_eq!(
-        medium - small,
-        48 - 12,
-        "per-pair allocation churn: 12 pairs cost {small}, 48 pairs cost {medium}"
-    );
+    for density_pm in [1000u16, 250] {
+        let _ = allocs_for(1, 1, density_pm);
+        let small = allocs_for(4, 3, density_pm); // 12 pairs, one panel
+        let medium = allocs_for(8, 6, density_pm); // 48 pairs
+        let large = allocs_for(65, 257, density_pm); // crosses MC and KC
+        assert_eq!(
+            (medium, large),
+            (small, small),
+            "density {density_pm}‰: 12 pairs cost {small}, 48 cost {medium}, 16,705 cost {large}"
+        );
+        assert!(
+            small <= 2 * ALPHA2 + FIXED,
+            "density {density_pm}‰: {small} allocations, over 2·α² + {FIXED}"
+        );
+    }
 }

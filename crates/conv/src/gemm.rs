@@ -532,6 +532,19 @@ impl PackedA {
     /// Panics when `a.len() != m·k` or a blocking parameter is zero.
     pub fn pack(a: &[f32], m: usize, k: usize, blocking: GemmBlocking) -> Self {
         assert_eq!(a.len(), m * k, "A must be m×k row-major");
+        let mut packed = PackedA::zeroed(m, k, blocking);
+        packed.repack(a);
+        packed
+    }
+
+    /// An all-zero operand in the packed layout of an `m × k` `A` under
+    /// `blocking`, for a caller that writes the panels itself (see
+    /// [`panels`]). The same two allocations as [`PackedA::pack`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a blocking parameter is zero.
+    pub(crate) fn zeroed(m: usize, k: usize, blocking: GemmBlocking) -> Self {
         assert!(
             blocking.mc > 0 && blocking.kc > 0 && blocking.nc > 0,
             "blocking parameters must be positive"
@@ -547,33 +560,56 @@ impl PackedA {
                 total += mb.div_ceil(MR) * MR * kb;
             }
         }
-        let mut data = vec![0.0f32; total];
-        let mut idx = 0usize;
-        for pc in (0..k).step_by(blocking.kc) {
-            let kb = blocking.kc.min(k - pc);
-            for ic in (0..m).step_by(blocking.mc) {
-                let mb = blocking.mc.min(m - ic);
-                let len = mb.div_ceil(MR) * MR * kb;
-                pack_a_into(
-                    &mut data[offsets[idx]..offsets[idx] + len],
-                    a,
-                    k,
-                    ic,
-                    mb,
-                    pc,
-                    kb,
-                );
-                idx += 1;
-            }
-        }
         PackedA {
             m,
             k,
             blocking,
-            data,
+            data: vec![0.0f32; total],
             offsets,
             n_ic_blocks,
         }
+    }
+
+    /// Overwrites every packed block from row-major `a` (`m × k`); the
+    /// zero rows of a ragged last panel are left as they are.
+    pub(crate) fn repack(&mut self, a: &[f32]) {
+        let (m, k, GemmBlocking { mc, kc, .. }) = (self.m, self.k, self.blocking);
+        let mut idx = 0usize;
+        for pc in (0..k).step_by(kc) {
+            let kb = kc.min(k - pc);
+            for ic in (0..m).step_by(mc) {
+                let mb = mc.min(m - ic);
+                let len = mb.div_ceil(MR) * MR * kb;
+                let start = self.offsets[idx];
+                pack_a_into(&mut self.data[start..start + len], a, k, ic, mb, pc, kb);
+                idx += 1;
+            }
+        }
+    }
+
+    /// Copies the operand back out to row-major `a` (`m × k`): the
+    /// inverse of [`PackedA::repack`].
+    pub(crate) fn unpack_into(&self, a: &mut [f32]) {
+        assert_eq!(a.len(), self.m * self.k, "A must be m×k row-major");
+        for p in panels(self.m, self.k, self.blocking) {
+            for i in 0..p.rows {
+                let row = &mut a[(p.row0 + i) * self.k + p.col0..][..p.depth];
+                for (q, v) in row.iter_mut().enumerate() {
+                    *v = self.data[p.offset + q * MR + i];
+                }
+            }
+        }
+    }
+
+    /// The packed panel buffer, every block in storage order.
+    #[cfg(test)]
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// The packed panel buffer, for writing panels in place.
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
     /// Rows of the packed operand.
@@ -607,6 +643,49 @@ impl PackedA {
             .unwrap_or(self.data.len());
         &self.data[start..end]
     }
+}
+
+/// One `MR`-row panel of a packed `A`: rows `row0..row0 + rows`
+/// (`rows ≤ MR`) and columns `col0..col0 + depth`, with element
+/// `(row0 + i, col0 + p)` at `offset + p·MR + i` of the panel buffer. A
+/// ragged panel's missing rows are zero.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Panel {
+    pub(crate) row0: usize,
+    pub(crate) rows: usize,
+    pub(crate) col0: usize,
+    pub(crate) depth: usize,
+    pub(crate) offset: usize,
+}
+
+/// Every panel of an `m × k` operand packed under `blocking`, in storage
+/// order: `(pc, ic)` blocks `pc`-major, panels top to bottom in a block.
+/// The layout [`pack_a_into`] writes and [`PackedA::zeroed`] sizes.
+pub(crate) fn panels(m: usize, k: usize, blocking: GemmBlocking) -> impl Iterator<Item = Panel> {
+    let GemmBlocking { mc, kc, .. } = blocking;
+    let mut offset = 0usize;
+    (0..k)
+        .step_by(kc)
+        .flat_map(move |col0| {
+            let depth = kc.min(k - col0);
+            (0..m).step_by(mc).flat_map(move |ic| {
+                let end = mc.min(m - ic) + ic;
+                (ic..end)
+                    .step_by(MR)
+                    .map(move |row0| (row0, MR.min(end - row0), col0, depth))
+            })
+        })
+        .map(move |(row0, rows, col0, depth)| {
+            let panel = Panel {
+                row0,
+                rows,
+                col0,
+                depth,
+                offset,
+            };
+            offset += MR * depth;
+            panel
+        })
 }
 
 /// [`gemm_f32_profiled`] against a pre-packed `A`: identical loop

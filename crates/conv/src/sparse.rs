@@ -5,9 +5,10 @@
 //! planes of a Winograd filter bank keeps only its top-magnitude fraction.
 //! This module holds that pruning pass: [`sparse_keep_count`] sizes it and
 //! [`prune_plane`] applies it to one plane.
-//! [`crate::winograd::BatchedFilters::pruned`] runs it on every plane
-//! between the filter transform and the GEMM panel pack, so a pruned bank
-//! is an ordinary dense bank whose dropped coefficients are zero.
+//! [`crate::winograd::BatchedFilters::pruned`] runs it on every plane of
+//! the transformed bank, on a flat copy gathered from the packed GEMM
+//! panels and scattered back, so a pruned bank is an ordinary dense bank
+//! whose dropped coefficients are zero.
 //!
 //! ## Determinism contract
 //!
@@ -39,10 +40,17 @@ pub fn sparse_keep_count(coeffs: u64, density_pm: u16) -> u64 {
 /// Ties go to the lower flat index, so the kept set is unique. Does
 /// nothing when `keep` covers the whole plane.
 pub fn prune_plane(plane: &mut [f32], keep: usize) {
+    prune_plane_with(plane, keep, &mut Vec::new());
+}
+
+/// [`prune_plane`] with its index buffer supplied, so a bank pruning α²
+/// planes allocates it once.
+pub(crate) fn prune_plane_with(plane: &mut [f32], keep: usize, order: &mut Vec<usize>) {
     if keep >= plane.len() {
         return;
     }
-    let mut order: Vec<usize> = (0..plane.len()).collect();
+    order.clear();
+    order.extend(0..plane.len());
     // Magnitude descending, flat index ascending on ties: a total order,
     // so the first `keep` entries after selection are the kept set.
     order.select_nth_unstable_by(keep, |&a, &b| {
@@ -156,21 +164,6 @@ mod tests {
                         "density {density} uv {uv}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn density_1000_zeroes_nothing() {
-        let k = random_tensor(3, 4, 3, 3, 31);
-        let t = f43();
-        let dense = TransformedFilters::new(&k, &t).unwrap();
-        let bank = BatchedFilters::pruned(&k, &t, 1000).unwrap();
-        for uv in 0..36 {
-            let got = plane_of(&bank, uv);
-            for (f, g) in got.iter().enumerate() {
-                let v = dense.bank(f / 4, f % 4).as_slice()[uv];
-                assert_eq!(g.to_bits(), (v + 0.0).to_bits(), "uv {uv} coefficient {f}");
             }
         }
     }

@@ -7,21 +7,22 @@
 //! conventional algorithm otherwise, exactly as the paper does.
 
 use crate::cook_toom::{f43, WinogradTransform};
-use crate::gemm::{BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA};
+use crate::gemm::{panels, BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA, MR};
 use crate::matrix::Mat;
 use crate::microkernel::KernelChoice;
-use crate::sparse::{prune_plane, sparse_keep_count, DENSITY_SCALE};
+use crate::sparse::{prune_plane_with, sparse_keep_count, DENSITY_SCALE};
 use crate::tensor::Tensor;
 use crate::{ConvError, ConvGeometry};
 use std::time::Instant;
 use winofuse_runtime::PoolProfiler;
 
 /// Transformed filter bank: `U[n][c] = G·g·Gᵀ` for every (output channel,
-/// input channel) pair, precomputed once per layer.
+/// input channel) pair, one `α×α` matrix each, computed with
+/// [`Mat::mul_into`].
 ///
-/// In hardware this happens offline (the bitstream ships transformed
-/// weights); exposing it separately lets benches measure the online and
-/// offline costs independently.
+/// This is the reference: [`conv2d_with`] and [`conv2d_pretransformed`]
+/// run on it, and tests hold [`BatchedFilters`], which computes the same
+/// products lane-wise straight into GEMM panels, to it bit for bit.
 #[derive(Debug, Clone)]
 pub struct TransformedFilters {
     alpha: usize,
@@ -39,13 +40,8 @@ impl TransformedFilters {
     /// Returns [`ConvError::ShapeMismatch`] when the kernel spatial size is
     /// not `r × r`.
     pub fn new(kernels: &Tensor<f32>, transform: &WinogradTransform) -> Result<Self, ConvError> {
+        check_kernel_size(kernels, transform)?;
         let r = transform.r();
-        if kernels.h() != r || kernels.w() != r {
-            return Err(ConvError::ShapeMismatch {
-                expected: format!("{r}x{r} kernels for F({},{})", transform.m(), r),
-                found: format!("{}x{}", kernels.h(), kernels.w()),
-            });
-        }
         let g = transform.g_f32();
         let g_t = g.transpose();
         let alpha = transform.alpha();
@@ -89,6 +85,21 @@ impl TransformedFilters {
     pub fn alpha(&self) -> usize {
         self.alpha
     }
+}
+
+/// Rejects kernels whose spatial size is not the transform's `r × r`.
+fn check_kernel_size(
+    kernels: &Tensor<f32>,
+    transform: &WinogradTransform,
+) -> Result<(), ConvError> {
+    let r = transform.r();
+    if kernels.h() != r || kernels.w() != r {
+        return Err(ConvError::ShapeMismatch {
+            expected: format!("{r}x{r} kernels for F({},{})", transform.m(), r),
+            found: format!("{}x{}", kernels.h(), kernels.w()),
+        });
+    }
+    Ok(())
 }
 
 /// Winograd convolution with an explicit transform (any generated
@@ -321,8 +332,8 @@ pub struct BatchedFilters {
 }
 
 impl BatchedFilters {
-    /// Transforms and repacks a kernel tensor (`N×C×r×r`), including the
-    /// one-time GEMM panel pack of every transform-point plane. This is
+    /// Transforms a kernel tensor (`N×C×r×r`) straight into the packed
+    /// GEMM panels of every transform-point plane. This is
     /// [`BatchedFilters::pruned`] at density 1000, which zeroes nothing.
     ///
     /// # Errors
@@ -334,8 +345,18 @@ impl BatchedFilters {
 
     /// Like [`BatchedFilters::new`], but each transform-point plane keeps
     /// only its [`sparse_keep_count`]`(N·C, density_pm)` largest
-    /// coefficients ([`prune_plane`]); the rest are zeroed before the
-    /// pack. The GEMM then runs the pruned layer as an ordinary dense one.
+    /// coefficients ([`prune_plane`](crate::sparse::prune_plane)); the rest
+    /// are zeroed. The GEMM then runs the pruned layer as an ordinary
+    /// dense one.
+    ///
+    /// The bank is built in one pass over the panels, with no
+    /// per-channel-pair allocation: each panel's channel pairs are
+    /// transformed lane-wise and written where the GEMM reads them,
+    /// bit-identical to [`TransformedFilters`] packed plane by plane.
+    /// Pruning then selects per plane on a flat copy gathered from the
+    /// panels, so the kept set and its tie-break are those of
+    /// [`prune_plane`](crate::sparse::prune_plane) on the plane in
+    /// `k·in_c + c` order.
     ///
     /// # Errors
     ///
@@ -352,31 +373,24 @@ impl BatchedFilters {
                 found: format!("{density_pm}"),
             });
         }
-        let banks = TransformedFilters::new(kernels, transform)?;
+        check_kernel_size(kernels, transform)?;
         let (out_c, in_c) = (kernels.n(), kernels.c());
         let alpha = transform.alpha();
-        let aa = alpha * alpha;
-        // `planes[u·α + v][k·in_c + c] = (G·g_{k,c}·Gᵀ)[u][v]`, dropped once
-        // packed: only the panels outlive construction.
-        let mut planes = vec![vec![0.0f32; out_c * in_c]; aa];
-        for k in 0..out_c {
-            for c in 0..in_c {
-                let bank = banks.bank(k, c).as_slice();
-                for (uv, plane) in planes.iter_mut().enumerate() {
-                    plane[k * in_c + c] = bank[uv];
-                }
+        let blocking = GemmBlocking::default();
+        let mut packed: Vec<PackedA> = (0..alpha * alpha)
+            .map(|_| PackedA::zeroed(out_c, in_c, blocking))
+            .collect();
+        transform_into_panels(kernels, transform, &mut packed);
+        let coeffs = out_c * in_c;
+        let keep = sparse_keep_count(coeffs as u64, density_pm) as usize;
+        if keep < coeffs {
+            let (mut plane, mut order) = (vec![0.0f32; coeffs], Vec::with_capacity(coeffs));
+            for p in &mut packed {
+                p.unpack_into(&mut plane);
+                prune_plane_with(&mut plane, keep, &mut order);
+                p.repack(&plane);
             }
         }
-        drop(banks);
-        let keep = sparse_keep_count((out_c * in_c) as u64, density_pm) as usize;
-        let blocking = GemmBlocking::default();
-        let packed = planes
-            .iter_mut()
-            .map(|p| {
-                prune_plane(p, keep);
-                PackedA::pack(p, out_c, in_c, blocking)
-            })
-            .collect();
         Ok(BatchedFilters {
             m: transform.m(),
             r: transform.r(),
@@ -461,6 +475,72 @@ fn lane_dot<'r>(dst: &mut [f32], taps: &[(usize, f32)], row: impl Fn(usize) -> &
     for &(l, c) in taps {
         for (o, &x) in dst.iter_mut().zip(row(l)) {
             *o += c * x;
+        }
+    }
+}
+
+/// Writes `U = G·g·Gᵀ` of every (output, input) channel pair of
+/// `kernels` into the zeroed α² planes `packed` (all `out_c × in_c`
+/// under one blocking), one GEMM panel at a time.
+///
+/// A panel's pairs are the lanes of one run: lane `p·MR + i` holds pair
+/// `(row0 + i, col0 + p)`, the panel's own element order, so each
+/// transform point's run is one contiguous slice of its plane. Rows past
+/// a ragged panel's end are zero kernels, which transform to `+0`, the
+/// value the zeroed plane holds there.
+///
+/// Every lane keeps [`Mat::mul_into`]'s arithmetic in both products
+/// (`G·g`, then `·Gᵀ`), so each coefficient is bit-identical to
+/// [`TransformedFilters`] on finite weights. `G·g` leaves out `G`'s zero
+/// coefficients, as `mul_into` does. `(G·g)·Gᵀ` keeps all `r` terms:
+/// `mul_into` skips the exact zeros of `G·g`, which are data a lane
+/// cannot skip, but such a term adds `±0` to an accumulator that is never
+/// `−0` (see [`lane_dot`]), so keeping it changes nothing.
+fn transform_into_panels(
+    kernels: &Tensor<f32>,
+    transform: &WinogradTransform,
+    packed: &mut [PackedA],
+) {
+    let (r, alpha) = (transform.r(), transform.alpha());
+    let rr = r * r;
+    let (out_c, in_c) = (kernels.n(), kernels.c());
+    let blocking = packed[0].blocking();
+    let g = transform.g_f32();
+    let g_taps = nonzero_taps(&g);
+    let g_rows: Taps = (0..alpha)
+        .map(|j| (0..r).map(|l| (l, g.get(j, l))).collect())
+        .collect();
+    let max_lanes = MR * in_c.min(blocking.kc);
+    let mut scratch = vec![0.0f32; (rr + alpha * r) * max_lanes];
+    let weights = kernels.as_slice();
+    for panel in panels(out_c, in_c, blocking) {
+        let lanes = MR * panel.depth;
+        let (gk, rest) = scratch.split_at_mut(rr * lanes);
+        let gg = &mut rest[..alpha * r * lanes];
+        if panel.rows < MR {
+            gk.fill(0.0);
+        }
+        for i in 0..panel.rows {
+            let row = &weights[((panel.row0 + i) * in_c + panel.col0) * rr..][..panel.depth * rr];
+            for (p, kernel) in row.chunks_exact(rr).enumerate() {
+                for (e, &x) in kernel.iter().enumerate() {
+                    gk[e * lanes + p * MR + i] = x;
+                }
+            }
+        }
+        let gk = &*gk;
+        for (i, taps) in g_taps.iter().enumerate() {
+            for j in 0..r {
+                let dst = &mut gg[(i * r + j) * lanes..][..lanes];
+                lane_dot(dst, taps, |l| &gk[(l * r + j) * lanes..][..lanes]);
+            }
+        }
+        let gg = &*gg;
+        for i in 0..alpha {
+            for (j, taps) in g_rows.iter().enumerate() {
+                let dst = &mut packed[i * alpha + j].data_mut()[panel.offset..][..lanes];
+                lane_dot(dst, taps, |l| &gg[(i * r + l) * lanes..][..lanes]);
+            }
         }
     }
 }
@@ -1424,6 +1504,84 @@ mod tests {
             e6 > e2,
             "bigger tiles amplify transform-domain error: F(2,3)={e2}, F(6,3)={e6}"
         );
+    }
+
+    /// The bank as the three passes the one-pass build replaced produce
+    /// it: [`TransformedFilters`], then flat planes in `k·in_c + c` order,
+    /// each pruned to its `keep` largest magnitudes by a full sort with
+    /// ties to the lower flat index (the set `prune_plane` selects), then
+    /// [`PackedA::pack`].
+    fn three_pass_bank(kernels: &Tensor<f32>, density_pm: u16) -> Vec<PackedA> {
+        let t = f43();
+        let banks = TransformedFilters::new(kernels, &t).unwrap();
+        let (out_c, in_c) = (kernels.n(), kernels.c());
+        let keep = sparse_keep_count((out_c * in_c) as u64, density_pm) as usize;
+        (0..t.alpha() * t.alpha())
+            .map(|uv| {
+                let mut plane: Vec<f32> = (0..out_c * in_c)
+                    .map(|f| banks.bank(f / in_c, f % in_c).as_slice()[uv])
+                    .collect();
+                let mut order: Vec<usize> = (0..plane.len()).collect();
+                order.sort_by(|&a, &b| plane[b].abs().total_cmp(&plane[a].abs()).then(a.cmp(&b)));
+                for &f in &order[keep.min(plane.len())..] {
+                    plane[f] = 0.0;
+                }
+                PackedA::pack(&plane, out_c, in_c, GemmBlocking::default())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_bank_matches_the_three_pass_build_panel_for_panel() {
+        // Shapes (out_c × in_c) cross the MR, MC and KC edges and leave
+        // ragged last panels. Values: random; small integers, whose planes
+        // tie on magnitude so the prune tie-break decides; ±0, subnormals
+        // and magnitudes whose sums overflow inside the transform; NaN and
+        // ±inf. Panels must match under `to_bits`, except that the sign
+        // and payload of a NaN are unspecified.
+        const EXTREMES: [f32; 8] = [0.0, -0.0, 1e-40, -1e-45, 1e38, -1e38, 3e38, -3e38];
+        const NON_FINITE: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let shapes = [
+            (1, 1),
+            (3, 2),
+            (3, 4),
+            (5, 7),
+            (64, 3),
+            (65, 257),
+            (384, 256),
+        ];
+        for (case, &(out_c, in_c)) in shapes.iter().enumerate() {
+            for kind in 0..4 {
+                let mut k = random_tensor(out_c, in_c, 3, 3, 31 + case as u64);
+                let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (case * 4 + kind) as u64;
+                for v in k.as_mut_slice() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let pick = (state >> 32) as usize;
+                    *v = match kind {
+                        1 => (pick % 3) as f32 - 1.0,
+                        2 if pick.is_multiple_of(2) => EXTREMES[pick / 2 % EXTREMES.len()],
+                        3 if pick.is_multiple_of(3) => NON_FINITE[pick / 3 % NON_FINITE.len()],
+                        _ => *v,
+                    };
+                }
+                for density in [1u16, 250, 1000] {
+                    let bank = BatchedFilters::pruned(&k, &f43(), density).unwrap();
+                    for (uv, want) in three_pass_bank(&k, density).iter().enumerate() {
+                        let (got, want) = (bank.packed_plane(uv).data(), want.data());
+                        assert_eq!(got.len(), want.len());
+                        for (at, (g, w)) in got.iter().zip(want).enumerate() {
+                            assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "{out_c}x{in_c}, values {kind}, density {density}, \
+                                 point {uv}, panel offset {at}: {g:?} vs {w:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -110,9 +110,10 @@ impl PlanCache {
     }
 
     /// Locks the registry, recovering from poisoning. A build closure
-    /// that panics (killing its serve worker) must not condemn every
-    /// later lookup: the map is only written by a single `insert` after
-    /// a successful build, so a mid-build panic leaves it consistent.
+    /// that panics (the serve engine contains it and fails the batch)
+    /// must not condemn every later lookup: the map is only written by a
+    /// single `insert` after a successful build, so a mid-build panic
+    /// leaves it consistent.
     fn lock_entries(&self) -> MutexGuard<'_, HashMap<PlanKey, Arc<PlanEntry>>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -186,6 +187,8 @@ impl Framework {
     /// runner share every bank. This is the expensive miss-path body a
     /// [`PlanCache`] amortizes.
     ///
+    /// Checks the fault site `plan.build` once on entry.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Framework::optimize`] plus
@@ -198,6 +201,7 @@ impl Framework {
         budget_bytes: u64,
         precision: DataType,
     ) -> Result<PlanEntry, CoreError> {
+        self.faults().trip("plan.build");
         let key = self.plan_key(&net, &weights, budget_bytes, precision);
         let design = self.optimize(&net, budget_bytes)?;
         let prepared = Arc::new(PreparedNetwork::new(&net, &weights, ExecAlgo::Auto)?);

@@ -18,7 +18,7 @@
 //! [`PreparedNetwork::per_layer`] picks the algorithm layer by layer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
 use winofuse_conv::direct::PackedKernels;
@@ -54,6 +54,9 @@ pub enum RefAlgo {
 #[derive(Debug, Clone)]
 pub struct NetworkWeights {
     entries: Vec<LayerWeights>,
+    /// [`NetworkWeights::fingerprint`], computed on first use. The
+    /// entries never change after construction, so it stays valid.
+    fingerprint: OnceLock<u64>,
 }
 
 /// Weights of one layer.
@@ -123,7 +126,10 @@ impl NetworkWeights {
             };
             entries.push(w);
         }
-        Ok(NetworkWeights { entries })
+        Ok(NetworkWeights {
+            entries,
+            fingerprint: OnceLock::new(),
+        })
     }
 
     /// Weights of layer `index`.
@@ -158,7 +164,15 @@ impl NetworkWeights {
     /// [`Network::fingerprint`] this identifies a servable model: same
     /// structure + same weights ⇒ same fingerprints ⇒ the plan cache may
     /// reuse a prepared entry.
+    ///
+    /// The hash reads every weight, so it is computed once per value and
+    /// memoized; a clone carries the memoized value with its entries.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    /// The FNV-1a pass behind [`NetworkWeights::fingerprint`].
+    fn compute_fingerprint(&self) -> u64 {
         let mut h = crate::network::Fnv1a::new();
         h.u64(self.entries.len() as u64);
         for entry in &self.entries {
@@ -1178,6 +1192,23 @@ mod tests {
             let s = shapes[i + 1];
             assert_eq!((out.c(), out.h(), out.w()), (s.channels, s.height, s.width));
         }
+    }
+
+    #[test]
+    fn memoized_fingerprint_equals_a_fresh_hash_before_and_after_clone() {
+        let net = zoo::small_test_net();
+        let w = NetworkWeights::random(&net, 5).unwrap();
+        let fresh = w.compute_fingerprint();
+        let unfilled = w.clone();
+        assert_eq!(w.fingerprint(), fresh);
+        assert_eq!(w.fingerprint(), fresh, "second read of the memo");
+        let filled = w.clone();
+        for c in [&unfilled, &filled] {
+            assert_eq!(c.fingerprint(), c.compute_fingerprint());
+            assert_eq!(c.fingerprint(), fresh);
+        }
+        let other = NetworkWeights::random(&net, 6).unwrap();
+        assert_ne!(other.fingerprint(), fresh, "the memo is per value");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! plain strings named by the code that hosts the injection point (the pool
 //! checks `pool.<label>` before every job claim; the executor checks
 //! `exec.<layer>`; the fused runner checks `fused.group<start>` and
-//! `fused.dram<start>`). Every rule carries its own atomic occurrence
+//! `fused.dram<start>`; `Framework::plan_entry` checks `plan.build` once
+//! per plan build). Every rule carries its own atomic occurrence
 //! counter, so "the 3rd time site X is reached" is exact and — because all
 //! pool claims and layer boundaries are sequenced deterministically — the
 //! same fault fires at the same point regardless of worker count.

@@ -20,12 +20,14 @@
 //! hash lookup (`serve.plan_hits`) plus a batched kernel invocation that
 //! amortizes packing across coalesced frames.
 //!
-//! Failure is contained per batch: execution runs under
-//! `catch_unwind`, so a poisoned request fails its own batch's tickets
-//! with an error while the engine keeps serving (the lenient-mode
-//! kernel fallback ladder underneath degrades Winograd → direct before
-//! anything panics out). Overload is a typed, synchronous rejection at
-//! [`ServeEngine::submit`] — no silent queue growth.
+//! Failure is contained per batch: everything from the plan build to the
+//! per-frame split runs under `catch_unwind`, so a poisoned request or a
+//! panicking plan build fails its own batch's tickets with an error while
+//! the engine keeps serving, and the next batch builds the plan again
+//! (the lenient-mode kernel fallback ladder underneath degrades
+//! Winograd → direct before anything panics out). Overload is a typed,
+//! synchronous rejection at [`ServeEngine::submit`] — no silent queue
+//! growth.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -37,7 +39,7 @@ use winofuse_core::cache::{PlanCache, PlanEntry, PlanKey};
 use winofuse_core::framework::Framework;
 use winofuse_model::runtime::NetworkWeights;
 use winofuse_model::{DataType, Network};
-use winofuse_runtime::faults::FaultMode;
+use winofuse_runtime::faults::{describe_panic, FaultMode};
 use winofuse_runtime::serve::ServeQueue;
 use winofuse_telemetry::Telemetry;
 
@@ -163,9 +165,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Runs `f`, turning a panic into an error message that names it.
+    /// Each contained panic counts in `serve.batch_panics`.
+    fn contain<T>(&self, what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|panic| {
+            self.telemetry.counter("serve.batch_panics").incr();
+            format!("{what} panicked: {}", describe_panic(&*panic))
+        })
+    }
+
+    /// The cached plan, built on a miss. A build that panics fails like
+    /// one that errs: nothing is cached, so the next call builds again.
     fn plan(&self) -> Result<Arc<PlanEntry>, TaskError> {
-        self.cache
-            .get_or_build(&self.key, || {
+        let built = self.contain("plan build", || {
+            self.cache.get_or_build(&self.key, || {
                 self.fw.plan_entry(
                     Arc::clone(&self.net),
                     Arc::clone(&self.weights),
@@ -173,7 +186,17 @@ impl Shared {
                     self.cfg.precision,
                 )
             })
-            .map_err(TaskError::from)
+        });
+        built.map_err(TaskError::Other)?.map_err(TaskError::from)
+    }
+
+    /// Answers one coalesced batch frame by frame: plan, concat along N,
+    /// execute, split.
+    fn answer(&self, frames: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, TaskError> {
+        let entry = self.plan()?;
+        let batched = Tensor::concat_frames(frames)?;
+        let out = self.execute(&entry, &batched).map_err(TaskError::Other)?;
+        Ok((0..out.n()).map(|b| out.frame(b)).collect())
     }
 
     /// Runs one coalesced batch through the cached plan. The error side
@@ -256,7 +279,8 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Whatever [`Framework::optimize`] or plan lowering fails with.
+    /// Whatever [`Framework::optimize`] or plan lowering fails with, and
+    /// [`TaskError::Other`] naming the panic when the build panics.
     pub fn warm(&self) -> Result<(), TaskError> {
         self.shared.plan().map(|_| ())
     }
@@ -314,13 +338,7 @@ impl ServeEngine {
     /// Plan-build errors as in [`ServeEngine::warm`]; execution errors as
     /// [`TaskError::Other`].
     pub fn run_batch_now(&self, frames: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, TaskError> {
-        let entry = self.shared.plan()?;
-        let batched = Tensor::concat_frames(frames)?;
-        let out = self
-            .shared
-            .execute(&entry, &batched)
-            .map_err(TaskError::Other)?;
-        Ok((0..out.n()).map(|b| out.frame(b)).collect())
+        self.shared.answer(frames)
     }
 
     /// Current queue depth (requests admitted but not yet batched).
@@ -376,57 +394,40 @@ fn worker_loop(queue: &ServeQueue<Request>, shared: &Shared) {
 fn process_batch(shared: &Shared, batch: Vec<Request>) {
     let t = &shared.telemetry;
     let started = Instant::now();
-    t.counter("serve.batches").incr();
-    t.histogram("serve.batch_size").record(batch.len() as u64);
-    let mut frames = Vec::with_capacity(batch.len());
-    let mut slots = Vec::with_capacity(batch.len());
-    for r in batch {
-        t.histogram("serve.queue_wait_us")
-            .record(started.duration_since(r.enqueued).as_micros() as u64);
-        frames.push(r.input);
-        slots.push(r.slot);
-    }
-    let fail_all = |msg: String| {
-        t.counter("serve.failed").add(slots.len() as u64);
-        for s in &slots {
-            s.fill(Err(msg.clone()));
-        }
-    };
-    let entry = match shared.plan() {
-        Ok(e) => e,
-        Err(e) => {
-            return fail_all(format!(
-                "plan build failed: {}",
-                crate::error::render_chain(&e)
-            ))
-        }
-    };
-    let batched = match Tensor::concat_frames(&frames) {
-        Ok(b) => b,
-        Err(e) => return fail_all(format!("batch assembly failed: {e}")),
-    };
-    // Panic isolation: a poisoned request takes down its own batch's
+    let slots: Vec<Arc<ResponseSlot>> = batch.iter().map(|r| Arc::clone(&r.slot)).collect();
+    // Panic isolation: a panic anywhere between the pop and the answers
+    // (plan build, batch assembly, execution, split) fails this batch's
     // tickets, never the worker. (Kernel-level faults are already caught
     // below this by the lenient fallback ladder; this is the backstop.)
-    let result = catch_unwind(AssertUnwindSafe(|| shared.execute(&entry, &batched)));
+    let answered = shared.contain("batch", || {
+        t.counter("serve.batches").incr();
+        t.histogram("serve.batch_size").record(batch.len() as u64);
+        let frames: Vec<Tensor<f32>> = batch
+            .into_iter()
+            .map(|r| {
+                t.histogram("serve.queue_wait_us")
+                    .record(started.duration_since(r.enqueued).as_micros() as u64);
+                r.input
+            })
+            .collect();
+        shared
+            .answer(&frames)
+            .map_err(|e| crate::error::render_chain(&e))
+    });
     t.histogram("serve.batch_exec_us")
         .record(started.elapsed().as_micros() as u64);
-    match result {
-        Ok(Ok(out)) => {
+    match answered.and_then(|r| r) {
+        Ok(outs) => {
             t.counter("serve.completed").add(slots.len() as u64);
-            for (b, s) in slots.iter().enumerate() {
-                s.fill(Ok(out.frame(b)));
+            for (s, out) in slots.iter().zip(outs) {
+                s.fill(Ok(out));
             }
         }
-        Ok(Err(msg)) => fail_all(msg),
-        Err(panic) => {
-            t.counter("serve.batch_panics").incr();
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            fail_all(format!("batch panicked: {msg}"));
+        Err(msg) => {
+            t.counter("serve.failed").add(slots.len() as u64);
+            for s in &slots {
+                s.fill(Err(msg.clone()));
+            }
         }
     }
 }

@@ -7,15 +7,17 @@
 //! matter how much traffic follows. This suite pins both, across the
 //! batch-size × thread-count grid.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use winofuse::{ServeConfig, ServeEngine};
+use winofuse::{ServeConfig, ServeEngine, Ticket};
 use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_core::framework::Framework;
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_model::network::Network;
 use winofuse_model::runtime::NetworkWeights;
 use winofuse_model::zoo;
+use winofuse_runtime::faults::{install_quiet_panic_hook, FaultInjector};
 use winofuse_telemetry::Telemetry;
 
 fn body() -> (Network, NetworkWeights) {
@@ -159,4 +161,46 @@ fn distinct_budgets_are_distinct_plans() {
     assert_eq!(cache.misses(), 2, "one build per budget");
     assert_eq!(cache.hits(), 2, "one hit per repeated budget");
     assert_eq!(cache.len(), 2);
+}
+
+/// A plan build that panics fails the batch that ran it, not the engine:
+/// that ticket resolves to an error naming the panic, and the next
+/// request builds the plan again and gets `run_batch_now`'s answer bit
+/// for bit. Tickets are awaited with a deadline, so a dead worker fails
+/// the test instead of hanging it.
+#[test]
+fn a_panicking_plan_build_fails_its_batch_not_the_engine() {
+    install_quiet_panic_hook();
+    let (net, weights) = body();
+    let telemetry = Telemetry::enabled();
+    let faults = FaultInjector::parse("panic@plan.build#1").expect("fault spec");
+    let fw = Framework::new(FpgaDevice::zc706())
+        .with_threads(1)
+        .with_faults(faults);
+    let eng = ServeEngine::start(fw, net, weights, telemetry.clone(), ServeConfig::default())
+        .expect("engine starts");
+    let resolve = |ticket: Ticket| {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(ticket.wait().map_err(|e| e.to_string())));
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("ticket resolves within 30 s")
+    };
+
+    let first = resolve(eng.submit(frame(1)).expect("submit"));
+    let err = first.expect_err("the panicking build fails its batch");
+    assert!(err.contains("injected fault at plan.build"), "{err}");
+
+    let second = resolve(eng.submit(frame(2)).expect("submit")).expect("next build succeeds");
+    let want = eng.run_batch_now(&[frame(2)]).expect("synchronous run");
+    let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&second), bits(&want[0]));
+
+    let s = telemetry.summary();
+    assert_eq!(s.counter("serve.batch_panics"), 1);
+    assert_eq!(
+        (s.counter("serve.failed"), s.counter("serve.completed")),
+        (1, 1)
+    );
+    assert_eq!(eng.plan_misses(), 2, "the failed build caches nothing");
+    eng.shutdown().expect("clean shutdown");
 }

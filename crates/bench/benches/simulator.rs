@@ -1,20 +1,16 @@
-//! Criterion: behavioral fusion simulator throughput, and the analytic
+//! Criterion: fusion timing simulator throughput, and the analytic
 //! pipeline model it is cross-checked against.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use winofuse_conv::tensor::random_tensor;
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_fpga::engine::{Algorithm, EngineConfig};
 use winofuse_fusion::pipeline::{group_timing, LayerConfig};
 use winofuse_fusion::simulator::FusedGroupSim;
-use winofuse_model::runtime::NetworkWeights;
 use winofuse_model::zoo;
 
 fn bench_simulator(c: &mut Criterion) {
     let net = zoo::small_test_net();
     let dev = FpgaDevice::zc706();
-    let weights = NetworkWeights::random(&net, 1).unwrap();
-    let x = random_tensor(1, 3, 32, 32, 2);
     let configs: Vec<LayerConfig> = (0..net.len())
         .map(|i| {
             LayerConfig::build(
@@ -31,8 +27,8 @@ fn bench_simulator(c: &mut Criterion) {
 
     c.bench_function("fused_sim_small_net_frame", |b| {
         b.iter(|| {
-            let mut sim = FusedGroupSim::new(&net, 0, &configs, &weights, &dev).unwrap();
-            sim.run(&x).unwrap()
+            let mut sim = FusedGroupSim::new(&net, 0, &configs, &dev).unwrap();
+            sim.run().unwrap()
         })
     });
 

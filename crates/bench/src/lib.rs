@@ -17,7 +17,7 @@
 //!
 //! Criterion benches (`cargo bench`): convolution kernels, Cook–Toom
 //! transform generation, the optimizer ("returns the optimal solutions
-//! within seconds", §7.1) and the behavioral simulator.
+//! within seconds", §7.1) and the timing simulator.
 
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_model::network::Network;

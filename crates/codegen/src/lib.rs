@@ -19,7 +19,7 @@
 //! * [`project`] — a complete emitted project (sources, header, build
 //!   script) for an [`OptimizedDesign`],
 //! * [`testbench`] — C testbenches whose golden vectors come from the
-//!   behavioral fusion simulator (the csim stand-in),
+//!   layer-by-layer reference (the csim stand-in),
 //! * [`check`] — re-parses the emitted pragmas and cross-checks them
 //!   against the strategy (unroll factors = parallelism, one DATAFLOW per
 //!   group, one stream per fused boundary) — the stand-in for C/RTL

@@ -2,19 +2,17 @@
 //!
 //! The paper validates generated designs with Vivado HLS C simulation
 //! (§7.1). This module closes that loop for the reproduction: the
-//! behavioral fusion simulator computes the golden input/output vectors
-//! in Rust, and a `tb_fusion_group_N.cpp` is emitted that streams the
-//! input through the group's top function and compares against the
-//! expected output within a fixed-point tolerance — exactly what a
-//! Vivado `csim_design` run would execute.
+//! layer-by-layer reference ([`forward`]) computes the golden
+//! input/output vectors in Rust, and a `tb_fusion_group_N.cpp` is emitted
+//! that streams the group's input through its top function and compares
+//! against the expected output within a fixed-point tolerance — exactly
+//! what a Vivado `csim_design` run would execute.
 
 use std::fmt::Write as _;
 
 use winofuse_core::framework::OptimizedDesign;
-use winofuse_fpga::device::FpgaDevice;
-use winofuse_fusion::simulator::FusedGroupSim;
 use winofuse_model::network::Network;
-use winofuse_model::runtime::NetworkWeights;
+use winofuse_model::runtime::{forward, NetworkWeights};
 use winofuse_model::LayerKind;
 
 use crate::template::c_ident;
@@ -42,21 +40,23 @@ fn emit_f32_array(s: &mut String, name: &str, dims: &str, values: impl Iterator<
 }
 
 /// Generates C testbenches for every fusion group of a design: golden
-/// vectors come from running the behavioral simulator on `input` with
-/// `weights`. Returns `(file name, contents)` pairs to append to an
-/// [`crate::HlsProject`] output directory.
+/// vectors come from one [`forward`] run on `input` with `weights` — a
+/// group's input is the output of the layer before it (or `input`), and
+/// its expected output is the output of its last layer. Returns
+/// `(file name, contents)` pairs to append to an [`crate::HlsProject`]
+/// output directory.
 ///
 /// # Errors
 ///
 /// * [`CodegenError::UnsupportedLayer`] when the total embedded data
 ///   exceeds [`MAX_EMBEDDED_VALUES`] (use a smaller network or input),
-/// * propagated simulation errors when the design cannot be executed.
+/// * [`CodegenError::ConsistencyCheck`] when the reference cannot run the
+///   network.
 pub fn generate_testbenches(
     net: &Network,
     design: &OptimizedDesign,
     weights: &NetworkWeights,
     input: &winofuse_conv::tensor::Tensor<f32>,
-    device: &FpgaDevice,
 ) -> Result<Vec<(String, String)>, CodegenError> {
     // Budget check across all groups (from shapes alone, before any
     // computation): I/O plus conv weights.
@@ -85,14 +85,12 @@ pub fn generate_testbenches(
         )));
     }
 
+    let reference = forward(net, weights, input)
+        .map_err(|e| CodegenError::ConsistencyCheck(format!("reference run failed: {e}")))?;
     let mut out = Vec::new();
-    let mut group_input = input.clone();
     for (g, plan) in design.partition.groups.iter().enumerate() {
-        let mut sim = FusedGroupSim::new(net, plan.start, &plan.configs, weights, device)
-            .map_err(|e| CodegenError::ConsistencyCheck(format!("simulator build failed: {e}")))?;
-        let result = sim
-            .run(&group_input)
-            .map_err(|e| CodegenError::ConsistencyCheck(format!("simulation failed: {e}")))?;
+        let group_input = plan.start.checked_sub(1).map_or(input, |i| &reference[i]);
+        let expected = &reference[plan.end - 1];
 
         let mut s = String::new();
         let _ = writeln!(
@@ -101,7 +99,7 @@ pub fn generate_testbenches(
         );
         let _ = writeln!(
             s,
-            "// Golden vectors computed by the behavioral fusion simulator."
+            "// Golden vectors computed by the layer-by-layer reference (forward)."
         );
         let _ = writeln!(s, "#include \"winofuse.h\"");
         let _ = writeln!(s, "#include <cstdio>");
@@ -119,8 +117,8 @@ pub fn generate_testbenches(
         emit_f32_array(
             &mut s,
             "tb_expected",
-            &format!("[{}]", result.output.len()),
-            result.output.as_slice().iter().copied(),
+            &format!("[{}]", expected.len()),
+            expected.as_slice().iter().copied(),
         );
         // Per-conv-layer weights (transformed weights are computed by the
         // synthesis-time tool, so the testbench carries spatial kernels
@@ -204,11 +202,7 @@ pub fn generate_testbenches(
             .collect();
         let _ = writeln!(s, "    fusion_group_{g}(in, out{args});");
         let _ = writeln!(s, "    int errors = 0;");
-        let _ = writeln!(
-            s,
-            "    for (int i = 0; i < {}; ++i) {{",
-            result.output.len()
-        );
+        let _ = writeln!(s, "    for (int i = 0; i < {}; ++i) {{", expected.len());
         let _ = writeln!(s, "        float got = (float)out.read();");
         let _ = writeln!(s, "        // Q8.8 tolerance scaled by accumulation depth.");
         let _ = writeln!(
@@ -228,7 +222,6 @@ pub fn generate_testbenches(
         let _ = writeln!(s, "}}");
 
         out.push((format!("tb_fusion_group_{g}.cpp"), s));
-        group_input = result.output;
     }
     Ok(out)
 }
@@ -238,6 +231,7 @@ mod tests {
     use super::*;
     use winofuse_conv::tensor::random_tensor;
     use winofuse_core::framework::Framework;
+    use winofuse_fpga::device::FpgaDevice;
     use winofuse_model::zoo;
 
     const MB: u64 = 1024 * 1024;
@@ -245,11 +239,12 @@ mod tests {
     #[test]
     fn testbench_embeds_golden_vectors() {
         let net = zoo::small_test_net();
-        let dev = FpgaDevice::zc706();
-        let design = Framework::new(dev.clone()).optimize(&net, 8 * MB).unwrap();
+        let design = Framework::new(FpgaDevice::zc706())
+            .optimize(&net, 8 * MB)
+            .unwrap();
         let weights = NetworkWeights::random(&net, 7).unwrap();
         let input = random_tensor(1, 3, 32, 32, 8);
-        let tbs = generate_testbenches(&net, &design, &weights, &input, &dev).unwrap();
+        let tbs = generate_testbenches(&net, &design, &weights, &input).unwrap();
         assert_eq!(tbs.len(), design.partition.groups.len());
         let (name, src) = &tbs[0];
         assert!(name.starts_with("tb_fusion_group_"));
@@ -262,11 +257,12 @@ mod tests {
     #[test]
     fn testbench_weight_arguments_match_algorithms() {
         let net = zoo::small_test_net();
-        let dev = FpgaDevice::zc706();
-        let design = Framework::new(dev.clone()).optimize(&net, 8 * MB).unwrap();
+        let design = Framework::new(FpgaDevice::zc706())
+            .optimize(&net, 8 * MB)
+            .unwrap();
         let weights = NetworkWeights::random(&net, 9).unwrap();
         let input = random_tensor(1, 3, 32, 32, 10);
-        let tbs = generate_testbenches(&net, &design, &weights, &input, &dev).unwrap();
+        let tbs = generate_testbenches(&net, &design, &weights, &input).unwrap();
         let all: String = tbs.iter().map(|(_, c)| c.clone()).collect();
         for plan in &design.partition.groups {
             for cfg in &plan.configs {
@@ -289,13 +285,14 @@ mod tests {
     #[test]
     fn oversized_testbench_rejected() {
         let net = zoo::vgg_e_fused_prefix();
-        let dev = FpgaDevice::zc706();
-        let design = Framework::new(dev.clone()).optimize(&net, 2 * MB).unwrap();
+        let design = Framework::new(FpgaDevice::zc706())
+            .optimize(&net, 2 * MB)
+            .unwrap();
         let weights = NetworkWeights::random(&net, 11).unwrap();
         let input = random_tensor(1, 3, 224, 224, 12);
         // 224x224 VGG I/O blows the literal budget.
         assert!(matches!(
-            generate_testbenches(&net, &design, &weights, &input, &dev),
+            generate_testbenches(&net, &design, &weights, &input),
             Err(CodegenError::UnsupportedLayer(_))
         ));
     }

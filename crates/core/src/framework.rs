@@ -39,6 +39,21 @@ pub struct DesignTiming {
     pub weight_transfer_bytes: u64,
 }
 
+/// One fusion group's row of [`Framework::validate_by_simulation`].
+#[derive(Debug, Clone)]
+pub struct GroupValidation {
+    /// First layer index (inclusive).
+    pub start: usize,
+    /// Last layer index (exclusive).
+    pub end: usize,
+    /// The group's simulated frame: cycles, DRAM bytes, backpressure and
+    /// per-stage activity.
+    pub sim: winofuse_fusion::simulator::SimResult,
+    /// Largest absolute difference between the fused runner's group
+    /// output and the reference at layer `end − 1`.
+    pub max_abs_err: f32,
+}
+
 /// The strategy framework: owns the device description and algorithm
 /// policy.
 ///
@@ -332,17 +347,21 @@ impl Framework {
         total
     }
 
-    /// Runs a design's fusion groups through the behavioral simulator
-    /// end to end and cross-checks every group's output against the
-    /// unfused reference executor — the one-call functional validation
-    /// of a strategy.
+    /// Validates a design end to end, group by group: the timing
+    /// simulator gives each group's cycles, and the design's fused runner
+    /// (strict DRAM reconciliation) computes its values, which must match
+    /// the layer-by-layer executor prepared like the plan
+    /// ([`ExecutionPlan::prepare`](crate::plan::ExecutionPlan::prepare))
+    /// within `tol` at the group's last layer — the one-call functional
+    /// and timing check of a strategy.
     ///
-    /// Returns the final output tensor and the total simulated cycles.
+    /// Returns the fused network output and one row per group.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Substrate`] when simulation fails or any group's
-    /// output diverges from the reference by more than `tol`.
+    /// [`CoreError::Substrate`] when the design cannot be simulated or
+    /// run, DRAM traffic does not reconcile, or any group's output
+    /// diverges from the reference by more than `tol`.
     pub fn validate_by_simulation(
         &self,
         net: &Network,
@@ -350,41 +369,53 @@ impl Framework {
         weights: &winofuse_model::runtime::NetworkWeights,
         input: &winofuse_conv::tensor::Tensor<f32>,
         tol: f32,
-    ) -> Result<(winofuse_conv::tensor::Tensor<f32>, u64), CoreError> {
-        let reference = winofuse_model::runtime::forward(net, weights, input)?;
+    ) -> Result<(winofuse_conv::tensor::Tensor<f32>, Vec<GroupValidation>), CoreError> {
+        let plan = design.execution_plan();
+        let prepared = plan.prepare(net, weights)?;
+        let runner = self
+            .configure_runner(plan.lower(net, weights, &prepared)?)
+            .strict_dram(true);
+        let reference =
+            winofuse_model::runtime::NetworkExecutor::from_prepared(net, prepared.into())?
+                .with_threads(self.threads)
+                .run_all(input)?;
         let mut cur = input.clone();
-        let mut cycles = 0u64;
+        let mut rows = Vec::with_capacity(runner.groups().len());
         // Simulator stages get consecutive trace lanes across groups, and
         // each group starts where the previous one finished in cycle time.
-        let mut tid_base = 1u64;
-        for plan in &design.partition.groups {
+        let (mut tid_base, mut cycles) = (1u64, 0u64);
+        for (planned, group) in plan.groups().iter().zip(runner.groups()) {
             let mut sim = winofuse_fusion::simulator::FusedGroupSim::new(
                 net,
-                plan.start,
-                &plan.configs,
-                weights,
+                planned.start,
+                planned.configs,
                 &self.device,
             )?;
             if self.telemetry.is_enabled() {
                 sim.set_telemetry(self.telemetry.clone(), tid_base, cycles);
-                tid_base += plan.configs.len() as u64;
+                tid_base += planned.configs.len() as u64;
             }
-            let r = sim.run(&cur)?;
-            let gold = &reference[plan.end - 1];
-            let diff = r
-                .output
-                .max_abs_diff(gold)
+            let sim = sim.run()?;
+            cycles += sim.cycles;
+            let output = group.run(&cur)?.output;
+            let max_abs_err = output
+                .max_abs_diff(&reference[planned.end - 1])
                 .map_err(|e| CoreError::Substrate(e.to_string()))?;
-            if diff > tol {
+            if max_abs_err > tol {
                 return Err(CoreError::Substrate(format!(
-                    "group {}..{} diverges from the reference by {diff} (tol {tol})",
-                    plan.start, plan.end
+                    "group {}..{} diverges from the reference by {max_abs_err} (tol {tol})",
+                    planned.start, planned.end
                 )));
             }
-            cycles += r.cycles;
-            cur = r.output;
+            rows.push(GroupValidation {
+                start: planned.start,
+                end: planned.end,
+                sim,
+                max_abs_err,
+            });
+            cur = output;
         }
-        Ok((cur, cycles))
+        Ok((cur, rows))
     }
 
     /// Instantiates the plan-faithful fused runner for a design: one
@@ -408,8 +439,9 @@ impl Framework {
     }
 
     /// Applies the framework's threads, telemetry and fault handling to a
-    /// lowered fused runner.
-    pub(crate) fn configure_runner(
+    /// lowered fused runner (see
+    /// [`ExecutionPlan::lower`](crate::plan::ExecutionPlan::lower)).
+    pub fn configure_runner(
         &self,
         runner: winofuse_fusion::runner::FusedNetworkRunner,
     ) -> winofuse_fusion::runner::FusedNetworkRunner {
@@ -626,10 +658,11 @@ mod tests {
         let d = fw.optimize(&net, 8 * MB).unwrap();
         let weights = winofuse_model::runtime::NetworkWeights::random(&net, 23).unwrap();
         let x = winofuse_conv::tensor::random_tensor(1, 3, 32, 32, 24);
-        let (out, cycles) = fw
+        let (out, groups) = fw
             .validate_by_simulation(&net, &d, &weights, &x, 1e-4)
             .unwrap();
-        assert!(cycles > 0);
+        assert_eq!(groups.len(), d.partition.groups.len());
+        assert!(groups.iter().all(|g| g.sim.cycles > 0));
         let shape = net.output_shape().unwrap();
         assert_eq!(
             (out.c(), out.h(), out.w()),

@@ -9,6 +9,7 @@
 //! [`FusedNetworkRunner`](winofuse_fusion::runner::FusedNetworkRunner)
 //! whose measured traffic is reconciled against those budgets.
 
+use winofuse_fpga::engine::Algorithm;
 use winofuse_fusion::pipeline::LayerConfig;
 use winofuse_fusion::runner::{FusedNetworkRunner, GroupSpec};
 use winofuse_model::network::Network;
@@ -69,9 +70,43 @@ impl<'a> ExecutionPlan<'a> {
         self.groups.iter().map(|g| g.analytic_dram_bytes).sum()
     }
 
+    /// Prepares `net` the way this plan computes it:
+    /// [`ExecAlgo::Sparse`] at the planned density on every layer the
+    /// plan prunes, [`ExecAlgo::Auto`] everywhere else. The fused runner
+    /// lowered onto it shares every bank, and a
+    /// [`NetworkExecutor`](winofuse_model::runtime::NetworkExecutor)
+    /// built from it is the layer-by-layer reference of the plan's
+    /// values.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Substrate`] when the weights cannot be prepared.
+    pub fn prepare(
+        &self,
+        net: &Network,
+        weights: &NetworkWeights,
+    ) -> Result<PreparedNetwork, CoreError> {
+        // The groups tile the network in order, so the i-th config is
+        // layer i's.
+        let planned: Vec<Algorithm> = self
+            .groups
+            .iter()
+            .flat_map(|g| g.configs.iter().map(|c| c.engine.algorithm))
+            .collect();
+        Ok(PreparedNetwork::per_layer(
+            net,
+            weights,
+            |i| match planned.get(i) {
+                Some(&Algorithm::SparseWinograd { density_pm, .. }) => {
+                    ExecAlgo::Sparse { density_pm }
+                }
+                _ => ExecAlgo::Auto,
+            },
+        )?)
+    }
+
     /// Instantiates the fused runner for this plan on a fresh
-    /// [`ExecAlgo::Auto`] preparation of `net` (see
-    /// [`ExecutionPlan::lower`]).
+    /// [`ExecutionPlan::prepare`] of `net` (see [`ExecutionPlan::lower`]).
     ///
     /// # Errors
     ///
@@ -82,11 +117,7 @@ impl<'a> ExecutionPlan<'a> {
         net: &Network,
         weights: &NetworkWeights,
     ) -> Result<FusedNetworkRunner, CoreError> {
-        self.lower(
-            net,
-            weights,
-            &PreparedNetwork::new(net, weights, ExecAlgo::Auto)?,
-        )
+        self.lower(net, weights, &self.prepare(net, weights)?)
     }
 
     /// Lowers the plan onto `prepared`: one

@@ -1,4 +1,4 @@
-//! # winofuse-fusion — the fusion architecture and its behavioral simulator
+//! # winofuse-fusion — the fusion architecture, its timing simulator and its runner
 //!
 //! The paper's §4 architecture, reproduced as executable models:
 //!
@@ -7,18 +7,19 @@
 //!   and how much recomputation tile-based fusion (Alwani et al. \[1\])
 //!   incurs,
 //! * [`line_buffer`] — the circular `K + S`-row line buffer of §4.2 /
-//!   Fig. 2(b), as a functional data structure,
+//!   Fig. 2(b), as a row-residency model,
 //! * [`pipeline`] — the two-level (intra-layer + inter-layer) pipeline
 //!   latency model of §4.3 / Fig. 2(c)(d), including DRAM bandwidth
 //!   contention,
-//! * [`simulator`] — a cycle-approximate, row-synchronous behavioral
-//!   simulator of a fused group that computes *real values* through the
-//!   line buffers and is validated against the layer-by-layer reference
-//!   executor,
-//! * [`runner`] — a plan-faithful fused *executor*: streams rows through
-//!   per-stage windows driving the fast `winofuse-conv` kernels
-//!   (honoring the BnB's conventional-vs-Winograd choice) and reconciles
-//!   measured DRAM traffic against the DP's analytic transfer budget,
+//! * [`simulator`] — a cycle-approximate, row-synchronous timing
+//!   simulator of a fused group: cycles, backpressure and per-stage
+//!   activity, with the line buffers tracked as row counters,
+//! * [`runner`] — a plan-faithful fused *executor*, the source of every
+//!   fused value: streams rows through per-stage windows driving the fast
+//!   `winofuse-conv` kernels (honoring the BnB's per-layer algorithm
+//!   choice), matches the layer-by-layer executor on the same
+//!   preparation, and reconciles measured DRAM traffic against the DP's
+//!   analytic transfer budget,
 //! * [`baseline`] — an analytical model of the tile-based fused-layer
 //!   accelerator of Alwani et al. (MICRO 2016), the paper's comparison
 //!   target,

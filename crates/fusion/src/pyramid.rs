@@ -14,8 +14,10 @@ use winofuse_model::network::Network;
 
 use crate::FusionError;
 
-/// Spatial behaviour of one layer as seen by the pyramid: window size and
-/// stride (padding does not change dependency *sizes*, only clipping).
+/// Spatial behaviour of one layer's window: size, stride and padding.
+/// The pyramid reads only size and stride (padding does not change
+/// dependency *sizes*, only clipping); the row-streaming runner and
+/// simulator clip their windows with the padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpatialSpec {
     /// Window side (kernel for conv, window for pooling, 1 for
@@ -23,6 +25,8 @@ pub struct SpatialSpec {
     pub kernel: usize,
     /// Stride.
     pub stride: usize,
+    /// Zero padding on each border (0 for element-wise layers).
+    pub pad: usize,
 }
 
 impl SpatialSpec {
@@ -32,14 +36,17 @@ impl SpatialSpec {
             LayerKind::Conv(c) => SpatialSpec {
                 kernel: c.kernel,
                 stride: c.stride,
+                pad: c.pad,
             },
             LayerKind::Pool(p) => SpatialSpec {
                 kernel: p.kernel,
                 stride: p.stride,
+                pad: p.pad,
             },
             _ => SpatialSpec {
                 kernel: 1,
                 stride: 1,
+                pad: 0,
             },
         }
     }
@@ -170,6 +177,7 @@ mod tests {
         SpatialSpec {
             kernel: 3,
             stride: 1,
+            pad: 0,
         }
     }
 
@@ -196,6 +204,7 @@ mod tests {
             SpatialSpec {
                 kernel: 2,
                 stride: 2,
+                pad: 0,
             }, // pool
             k3s1(),
         ])
@@ -221,7 +230,8 @@ mod tests {
         assert!(Pyramid::new(vec![]).is_err());
         assert!(Pyramid::new(vec![SpatialSpec {
             kernel: 0,
-            stride: 1
+            stride: 1,
+            pad: 0,
         }])
         .is_err());
         let net = zoo::small_test_net();
@@ -243,6 +253,7 @@ mod tests {
         let p = Pyramid::new(vec![SpatialSpec {
             kernel: 1,
             stride: 1,
+            pad: 0,
         }])
         .unwrap();
         assert!((p.recompute_ratio(4, 16) - 1.0).abs() < 1e-9);

@@ -1,12 +1,13 @@
 //! Plan-faithful fused execution of optimizer strategies.
 //!
 //! Where [`crate::simulator::FusedGroupSim`] models *time* (cycles,
-//! occupancy, backpressure) with scalar per-row compute, the runner
-//! executes a fusion group the way the strategy says the hardware would
-//! — and fast. Each group streams rows through per-stage line-buffer
-//! windows. A runner is lowered from a [`PreparedNetwork`]: its `f32`
-//! convolution strips run [`PreparedConv::run`] on the layer's shared
-//! banks — the executor's own preparation and dispatch, batched
+//! occupancy, backpressure) and computes no values, the runner executes
+//! a fusion group the way the strategy says the hardware would — and
+//! fast. It is the one source of fused values. Each group streams rows
+//! through per-stage line-buffer windows. A runner is lowered from a
+//! [`PreparedNetwork`]: its `f32` convolution strips run
+//! [`PreparedConv::run`] on the layer's shared banks — the executor's
+//! own preparation and dispatch, batched
 //! Winograd-as-GEMM on 3×3 stride-1 layers and blocked im2col+GEMM
 //! elsewhere — while the BnB's per-layer algorithm choice sets the
 //! weight stream each stage meters (and, for sparse Winograd, the pruned
@@ -185,9 +186,10 @@ struct ConvStage {
     /// Per-group quantized kernels (exact fixed-point path).
     kernels_fix: Vec<Tensor<Fix16>>,
     /// The layer's [`PreparedConv`]: shared with the [`PreparedNetwork`]
-    /// the runner was lowered from, or — for a sparse-planned layer — the
-    /// stage's own pruned preparation, since there the plan's choice
-    /// changes the computed values (the accelerator multiplies by pruned
+    /// the runner was lowered from, or — for a sparse-planned layer that
+    /// preparation does not prune at the plan's density — the stage's own
+    /// pruned preparation, since there the plan's choice changes the
+    /// computed values (the accelerator multiplies by pruned
     /// coefficients), not just the metered stream.
     conv: Arc<PreparedConv>,
     /// DRAM bytes the accelerator streams for this layer's weights per
@@ -311,8 +313,9 @@ impl FusedGroupRunner {
     /// Lowers the group described by `configs` (resolved layer
     /// configurations for consecutive layers of `net` starting at
     /// `start`) onto `prepared`: each conv stage computes with the
-    /// layer's shared [`PreparedConv`], except a sparse-planned layer,
-    /// which prunes its own bank from `weights`. The analytic DRAM budget
+    /// layer's shared [`PreparedConv`], except a sparse-planned layer
+    /// that `prepared` does not prune at the plan's density, which prunes
+    /// its own bank from `weights`. The analytic DRAM budget
     /// defaults to the configs' own accounting (group input + output
     /// feature maps plus every member's weight stream) — override it
     /// with [`FusedGroupRunner::with_analytic_budget`] when lowering
@@ -362,7 +365,7 @@ impl FusedGroupRunner {
                 }
             }
             let spec = crate::pyramid::SpatialSpec::of(&cfg.layer.kind);
-            let (pad, op, strip_rows) = match &cfg.layer.kind {
+            let (op, strip_rows) = match &cfg.layer.kind {
                 LayerKind::Conv(c) => {
                     let (Some(LayerWeights::Conv(kernels)), Some(shared)) =
                         (weights.get(idx), prepared.conv(idx))
@@ -378,11 +381,11 @@ impl FusedGroupRunner {
                         .conv
                         .winograd_m()
                         .map_or(DIRECT_STRIP_ROWS, |m| m * WINO_STRIP_TILE_ROWS);
-                    (c.pad, StageOp::Conv(conv), strip)
+                    (StageOp::Conv(conv), strip)
                 }
-                LayerKind::Pool(p) => (p.pad, StageOp::Pool(*p), 1),
-                LayerKind::Lrn(spec) => (0, StageOp::Lrn(*spec), 1),
-                LayerKind::Relu => (0, StageOp::Relu, 1),
+                LayerKind::Pool(p) => (StageOp::Pool(*p), 1),
+                LayerKind::Lrn(spec) => (StageOp::Lrn(*spec), 1),
+                LayerKind::Relu => (StageOp::Relu, 1),
                 other => {
                     return Err(FusionError::InvalidGroup(format!(
                         "layer kind `{}` cannot be fused",
@@ -395,7 +398,7 @@ impl FusedGroupRunner {
                 output: cfg.output,
                 kernel: spec.kernel,
                 stride: spec.stride,
-                pad,
+                pad: spec.pad,
                 strip_rows,
                 op,
             });
@@ -961,8 +964,9 @@ impl ConvStage {
     /// bank while metering the raw K² stream — exactly what the
     /// executor runs, so the fused/executor comparison times identical
     /// kernels. A sparse-planned layer is the exception: its pruned
-    /// coefficients change the computed values, so the stage prepares
-    /// its own pruned bank.
+    /// coefficients change the computed values, so the stage shares the
+    /// preparation only when it is pruned at the plan's density, and
+    /// prepares its own pruned bank otherwise.
     fn lower(
         c: &ConvParams,
         kernels: &Tensor<f32>,
@@ -976,18 +980,20 @@ impl ConvStage {
         let kernels_fix = (0..groups)
             .map(|g| kernels.slice_channels_n(g * ng, (g + 1) * ng).cast())
             .collect();
-        let conv = match algorithm {
-            Algorithm::SparseWinograd { density_pm, .. } => Arc::new(PreparedConv::new(
-                c,
-                kernels,
-                ExecAlgo::Sparse { density_pm },
-            )?),
-            _ if shared.algo() == "sparse" => {
+        let conv = match (algorithm, shared.density_pm()) {
+            (Algorithm::SparseWinograd { density_pm, .. }, kept) if kept != Some(density_pm) => {
+                Arc::new(PreparedConv::new(
+                    c,
+                    kernels,
+                    ExecAlgo::Sparse { density_pm },
+                )?)
+            }
+            (Algorithm::SparseWinograd { .. }, _) | (_, None) => Arc::clone(shared),
+            (_, Some(_)) => {
                 return Err(FusionError::InvalidGroup(format!(
                     "a {algorithm} layer cannot share a pruned preparation"
                 )))
             }
-            _ => Arc::clone(shared),
         };
         let dtype_bytes = DataType::Fixed16.bytes() as u64;
         let weight_stream_bytes = match algorithm {
@@ -1301,6 +1307,60 @@ mod tests {
         let r = runner.run(&x).unwrap();
         assert!(r.output.approx_eq(reference.last().unwrap(), 1e-4));
         assert_eq!(r.dram.delta(), 0);
+    }
+
+    #[test]
+    fn partial_group_matches_reference_prefix() {
+        let net = zoo::small_test_net();
+        let weights = NetworkWeights::random(&net, 5).unwrap();
+        let x = random_tensor(1, 3, 32, 32, 6);
+        let reference = forward(&net, &weights, &x).unwrap();
+        let configs = configs_for(&net, 0..2, Algorithm::Conventional);
+        let r = group_runner(&net, 0, &configs, &weights)
+            .unwrap()
+            .run(&x)
+            .unwrap();
+        assert!(r.output.approx_eq(&reference[1], 1e-4));
+    }
+
+    #[test]
+    fn mid_network_group_runs_from_intermediate_input() {
+        let net = zoo::small_test_net();
+        let weights = NetworkWeights::random(&net, 15).unwrap();
+        let x = random_tensor(1, 3, 32, 32, 16);
+        let reference = forward(&net, &weights, &x).unwrap();
+        let configs = configs_for(&net, 1..4, Algorithm::Conventional);
+        let r = group_runner(&net, 1, &configs, &weights)
+            .unwrap()
+            .run(&reference[0])
+            .unwrap();
+        assert!(r.output.approx_eq(reference.last().unwrap(), 1e-4));
+    }
+
+    #[test]
+    fn max_pool_resolves_signed_zero_and_nan_like_the_reference() {
+        let net = Network::builder("pool", FmShape::new(1, 2, 4))
+            .pool("p", PoolParams::max2x2())
+            .build()
+            .unwrap();
+        let weights = NetworkWeights::random(&net, 1).unwrap();
+        let x = Tensor::from_vec(
+            1,
+            1,
+            2,
+            4,
+            vec![-0.0, 0.0, 1.0, 2.0, 0.0, -0.0, 3.0, f32::NAN],
+        )
+        .unwrap();
+        let gold = forward(&net, &weights, &x).unwrap().remove(0);
+        let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gold), [(-0.0f32).to_bits(), f32::NAN.to_bits()]);
+        let configs = configs_for(&net, 0..1, Algorithm::Conventional);
+        let r = group_runner(&net, 0, &configs, &weights)
+            .unwrap()
+            .run(&x)
+            .unwrap();
+        assert_eq!(bits(&r.output), bits(&gold));
     }
 
     #[test]

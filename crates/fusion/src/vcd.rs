@@ -4,7 +4,7 @@
 //! GTKWave (or any VCD viewer) to inspect the inter-layer pipeline — fill,
 //! steady state, backpressure bubbles and drain are all visible at a
 //! glance. This is the kind of artifact a hardware team actually debugs
-//! with, and it falls straight out of the behavioral simulator's
+//! with, and it falls straight out of the timing simulator's
 //! [`SimResult::stage_activity`].
 
 use std::fmt::Write as _;
@@ -91,17 +91,12 @@ mod tests {
     use super::*;
     use crate::pipeline::LayerConfig;
     use crate::simulator::FusedGroupSim;
-    use winofuse_conv::tensor::random_tensor;
     use winofuse_fpga::device::FpgaDevice;
     use winofuse_fpga::engine::{Algorithm, EngineConfig};
-    use winofuse_model::runtime::NetworkWeights;
     use winofuse_model::zoo;
 
     fn run_small() -> SimResult {
         let net = zoo::small_test_net();
-        let weights = NetworkWeights::random(&net, 1).unwrap();
-        let x = random_tensor(1, 3, 32, 32, 2);
-        let dev = FpgaDevice::zc706();
         let configs: Vec<LayerConfig> = (0..net.len())
             .map(|i| {
                 LayerConfig::build(
@@ -115,8 +110,8 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let mut sim = FusedGroupSim::new(&net, 0, &configs, &weights, &dev).unwrap();
-        sim.run(&x).unwrap()
+        let mut sim = FusedGroupSim::new(&net, 0, &configs, &FpgaDevice::zc706()).unwrap();
+        sim.run().unwrap()
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   VGGNet-E) plus small test networks,
 //! * [`prototxt`] — a parser and printer for a Caffe-prototxt-style text
 //!   format,
-//! * [`runtime`] — a reference executor that runs a network numerically
-//!   (layer by layer, no fusion) using the algorithms in `winofuse-conv`;
-//!   the fusion simulator is validated against it.
+//! * [`runtime`] — the naive reference and the fast executor, which run
+//!   a network numerically (layer by layer, no fusion) using the
+//!   algorithms in `winofuse-conv`; the fused runner is validated against
+//!   them.
 //!
 //! ## Example
 //!

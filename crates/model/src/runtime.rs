@@ -1,21 +1,22 @@
-//! Reference execution of a network, layer by layer, with no fusion.
+//! Execution of a network, layer by layer, with no fusion.
 //!
-//! This is the numerical gold standard the fusion simulator
-//! (`winofuse-fusion`) is validated against, and it can run each
-//! convolutional layer with any of the algorithms the paper's framework
-//! chooses between — so a heterogeneous strategy can be checked for
-//! functional equivalence end to end.
+//! Two interpreters live here. The naive reference is one generic layer
+//! loop with two entry points: [`forward`] in `f32` on the sliding-window
+//! convolution, and [`forward_fix16`] in fixed point on the exact
+//! wide-integer kernel. `forward` is the oracle the fast path is tested
+//! against and the source of the codegen testbench goldens; `forward_fix16`
+//! is the fused runner's bit-exact fixed-point reference.
 //!
-//! Two interpreters live here: the naive reference ([`forward`],
-//! [`forward_with`], [`forward_fix16`]) and the fast [`NetworkExecutor`].
-//! The fast path prepares each convolution once as a [`PreparedConv`] —
-//! per group, the packed direct operand plus the dense or pruned
-//! Winograd bank the layer's algorithm calls for (a pruned bank is a
-//! dense one with the dropped coefficients zeroed) — and
+//! The fast [`NetworkExecutor`] prepares each convolution once as a
+//! [`PreparedConv`] — per group, the packed direct operand plus the dense
+//! or pruned Winograd bank the layer's algorithm calls for (a pruned bank
+//! is a dense one with the dropped coefficients zeroed) — and
 //! [`PreparedConv::run`] is its one dispatch. A [`PreparedNetwork`] holds
 //! one `Arc<PreparedConv>` per conv layer, shared by every executor
 //! cloned from it and by the fused runner lowered from it;
-//! [`PreparedNetwork::per_layer`] picks the algorithm layer by layer.
+//! [`PreparedNetwork::per_layer`] picks the algorithm layer by layer, so
+//! an executor prepared like an optimized plan is the reference the fused
+//! runner's values are validated against.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -28,7 +29,7 @@ use winofuse_conv::microkernel::KernelChoice;
 use winofuse_conv::ops;
 use winofuse_conv::tensor::{random_tensor, Scalar, Tensor};
 use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
-use winofuse_conv::{direct, im2col, winograd, ConvError, ConvGeometry};
+use winofuse_conv::{direct, winograd, ConvError, ConvGeometry};
 use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
@@ -36,19 +37,6 @@ use winofuse_telemetry::Telemetry;
 use crate::layer::{ConvParams, Layer, LayerKind};
 use crate::network::Network;
 use crate::ModelError;
-
-/// Which algorithm executes a convolutional layer in the reference runner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RefAlgo {
-    /// Conventional sliding-window convolution (Eq. 1).
-    #[default]
-    Direct,
-    /// im2col + GEMM lowering.
-    Im2col,
-    /// Winograd `F(4×4, 3×3)` (falls back to an error for non-3×3 or
-    /// strided layers; the optimizer never assigns those).
-    WinogradF43,
-}
 
 /// Per-layer weights for a network (synthetic, seeded).
 #[derive(Debug, Clone)]
@@ -217,84 +205,12 @@ pub fn forward(
     weights: &NetworkWeights,
     input: &Tensor<f32>,
 ) -> Result<Vec<Tensor<f32>>, ModelError> {
-    forward_with(net, weights, input, |_| RefAlgo::Direct)
-}
-
-/// Runs the network choosing a convolution algorithm per layer index.
-///
-/// # Errors
-///
-/// Same conditions as [`forward`]; additionally
-/// [`ModelError::Execution`] when `WinogradF43` is requested for a layer it
-/// cannot implement (kernel ≠ 3×3 or stride ≠ 1).
-pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
-    net: &Network,
-    weights: &NetworkWeights,
-    input: &Tensor<f32>,
-    mut algo_for: F,
-) -> Result<Vec<Tensor<f32>>, ModelError> {
-    let in_shape = net.input_shape();
-    if input.c() != in_shape.channels || input.h() != in_shape.height || input.w() != in_shape.width
-    {
-        return Err(ModelError::Execution(format!(
-            "input tensor {}x{}x{} does not match network input {}",
-            input.c(),
-            input.h(),
-            input.w(),
-            in_shape
-        )));
-    }
-    // Grouped-conv slicing must derive from shape inference (which
-    // rejects non-divisible group counts), not raw tensor dimensions.
-    let shapes = net.shapes()?;
-    let mut outputs = Vec::with_capacity(net.len());
-    let mut cur = input.clone();
-    for (i, layer) in net.layers().iter().enumerate() {
-        let next = match &layer.kind {
-            LayerKind::Conv(c) => {
-                let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing conv weights for layer {i} `{}`",
-                        layer.name
-                    )));
-                };
-                let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
-                let algo = algo_for(i);
-                let run = |x: &Tensor<f32>, k: &Tensor<f32>| -> Result<Tensor<f32>, ModelError> {
-                    Ok(match algo {
-                        RefAlgo::Direct => direct::conv2d(x, k, geom)?,
-                        RefAlgo::Im2col => im2col::conv2d(x, k, geom)?,
-                        RefAlgo::WinogradF43 => winograd::conv2d_f43(x, k, geom)?,
-                    })
-                };
-                let mut y = if c.groups <= 1 {
-                    run(&cur, kernels)?
-                } else {
-                    // Grouped convolution: each group's kernels see only
-                    // their channel slice.
-                    let cg = c.channels_per_group(shapes[i].channels);
-                    let ng = c.num_output / c.groups;
-                    let out_shape = layer.output_shape(shapes[i])?;
-                    let mut out =
-                        Tensor::zeros(cur.n(), c.num_output, out_shape.height, out_shape.width);
-                    for g in 0..c.groups {
-                        let x = cur.slice_channels(g * cg, (g + 1) * cg);
-                        let k = kernels.slice_channels_n(g * ng, (g + 1) * ng);
-                        out.write_channels(g * ng, &run(&x, &k)?);
-                    }
-                    out
-                };
-                if c.relu {
-                    y = ops::relu(&y);
-                }
-                y
-            }
-            LayerKind::Pool(p) => {
-                let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
-                ops::pool(&cur, geom, p.kind)?
-            }
-            LayerKind::Lrn(params) => ops::lrn(&cur, *params)?,
-            LayerKind::Relu => ops::relu(&cur),
+    reference_layers(
+        net,
+        weights,
+        input,
+        |x, k, geom| Ok(direct::conv2d(x, k, geom)?),
+        |i, layer, x| match &layer.kind {
             LayerKind::Fc(fc) => {
                 let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
                     return Err(ModelError::Execution(format!(
@@ -302,23 +218,20 @@ pub fn forward_with<F: FnMut(usize) -> RefAlgo>(
                         layer.name
                     )));
                 };
-                let mut y = ops::fully_connected(&cur, w, bias, fc.num_output)?;
+                let mut y = ops::fully_connected(x, w, bias, fc.num_output)?;
                 if fc.relu {
-                    y = ops::relu(&y);
+                    ops::relu_in_place(y.as_mut_slice());
                 }
-                y
+                Ok(y)
             }
-            LayerKind::Softmax => ops::softmax(&cur)?,
-        };
-        outputs.push(next.clone());
-        cur = next;
-    }
-    Ok(outputs)
+            _ => Ok(ops::softmax(x)?),
+        },
+    )
 }
 
 /// Reference fixed-point execution of a convolutional body: every layer
-/// computed on [`Fix16`] values, the network's kernels quantized once via
-/// [`Tensor::cast`]. Convolutions run the exact wide-integer
+/// computed on [`Fix16`] values, the network's kernels quantized once per
+/// layer via [`Tensor::cast`]. Convolutions run the exact wide-integer
 /// `conv2d_fix16_fast_with_kernel` path (bit-identical at any thread
 /// count), pooling and ReLU are the generic reference operators, and LRN
 /// computes in `f32` from the dequantized values before re-rounding — a
@@ -341,6 +254,77 @@ pub fn forward_fix16(
     input: &Tensor<Fix16>,
     threads: usize,
 ) -> Result<Vec<Tensor<Fix16>>, ModelError> {
+    reference_layers(
+        net,
+        weights,
+        input,
+        |x, k, geom| {
+            Ok(direct::conv2d_fix16_fast_with_kernel(
+                x,
+                &k.cast(),
+                geom,
+                threads,
+                KernelChoice::auto(),
+            )?)
+        },
+        |i, layer, _| {
+            Err(ModelError::Execution(format!(
+                "layer {i} `{}`: kind `{}` has no fixed-point path (conv body only)",
+                layer.name,
+                layer.kind.tag()
+            )))
+        },
+    )
+}
+
+/// The one reference layer loop behind [`forward`] and [`forward_fix16`]:
+/// `conv(x, kernels, geom)` convolves one channel group with its `f32`
+/// kernels (the grouping and folded ReLU are [`conv_grouped`]'s), pool,
+/// LRN and ReLU are the element-by-element reference operators, and
+/// `dense(index, layer, x)` runs an FC or softmax layer. Each layer reads
+/// the previous layer's output in place.
+fn reference_layers<T: Scalar + PartialOrd>(
+    net: &Network,
+    weights: &NetworkWeights,
+    input: &Tensor<T>,
+    mut conv: impl FnMut(&Tensor<T>, &Tensor<f32>, ConvGeometry) -> Result<Tensor<T>, ModelError>,
+    mut dense: impl FnMut(usize, &Layer, &Tensor<T>) -> Result<Tensor<T>, ModelError>,
+) -> Result<Vec<Tensor<T>>, ModelError> {
+    check_input(net, input)?;
+    let mut outputs: Vec<Tensor<T>> = Vec::with_capacity(net.len());
+    for (i, layer) in net.layers().iter().enumerate() {
+        let cur = outputs.last().unwrap_or(input);
+        let next = match &layer.kind {
+            LayerKind::Conv(c) => {
+                let LayerWeights::Conv(kernels) = weights.layer(i) else {
+                    return Err(ModelError::Execution(format!(
+                        "missing conv weights for layer {i} `{}`",
+                        layer.name
+                    )));
+                };
+                let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
+                let ng = c.num_output / c.groups.max(1);
+                conv_grouped(c, cur, geom, |g, x| match c.groups {
+                    0 | 1 => conv(x, kernels, geom),
+                    _ => conv(x, &kernels.slice_channels_n(g * ng, (g + 1) * ng), geom),
+                })?
+            }
+            LayerKind::Pool(p) => {
+                let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
+                ops::pool(cur, geom, p.kind)?
+            }
+            LayerKind::Lrn(params) => ops::lrn(cur, *params)?,
+            LayerKind::Relu => ops::relu(cur),
+            LayerKind::Fc(_) | LayerKind::Softmax => dense(i, layer, cur)?,
+        };
+        outputs.push(next);
+    }
+    Ok(outputs)
+}
+
+/// Rejects an input whose `C × H × W` differs from the network's input
+/// shape (any batch size passes).
+fn check_input<T: Scalar>(net: &Network, input: &Tensor<T>) -> Result<(), ModelError> {
     let in_shape = net.input_shape();
     if input.c() != in_shape.channels || input.h() != in_shape.height || input.w() != in_shape.width
     {
@@ -352,74 +336,7 @@ pub fn forward_fix16(
             in_shape
         )));
     }
-    let shapes = net.shapes()?;
-    let mut outputs = Vec::with_capacity(net.len());
-    let mut cur = input.clone();
-    for (i, layer) in net.layers().iter().enumerate() {
-        let next = match &layer.kind {
-            LayerKind::Conv(c) => {
-                let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing conv weights for layer {i} `{}`",
-                        layer.name
-                    )));
-                };
-                let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
-                let mut y = if c.groups <= 1 {
-                    let k: Tensor<Fix16> = kernels.cast();
-                    direct::conv2d_fix16_fast_with_kernel(
-                        &cur,
-                        &k,
-                        geom,
-                        threads,
-                        KernelChoice::auto(),
-                    )?
-                } else {
-                    let cg = c.channels_per_group(shapes[i].channels);
-                    let ng = c.num_output / c.groups;
-                    let out_shape = layer.output_shape(shapes[i])?;
-                    let mut out =
-                        Tensor::zeros(cur.n(), c.num_output, out_shape.height, out_shape.width);
-                    for g in 0..c.groups {
-                        let x = cur.slice_channels(g * cg, (g + 1) * cg);
-                        let k: Tensor<Fix16> =
-                            kernels.slice_channels_n(g * ng, (g + 1) * ng).cast();
-                        out.write_channels(
-                            g * ng,
-                            &direct::conv2d_fix16_fast_with_kernel(
-                                &x,
-                                &k,
-                                geom,
-                                threads,
-                                KernelChoice::auto(),
-                            )?,
-                        );
-                    }
-                    out
-                };
-                if c.relu {
-                    y = ops::relu(&y);
-                }
-                y
-            }
-            LayerKind::Pool(p) => {
-                let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
-                ops::pool(&cur, geom, p.kind)?
-            }
-            LayerKind::Lrn(params) => ops::lrn(&cur, *params)?,
-            LayerKind::Relu => ops::relu(&cur),
-            other => {
-                return Err(ModelError::Execution(format!(
-                    "layer {i} `{}`: kind `{}` has no fixed-point path (conv body only)",
-                    layer.name,
-                    other.tag()
-                )))
-            }
-        };
-        outputs.push(next.clone());
-        cur = next;
-    }
-    Ok(outputs)
+    Ok(())
 }
 
 /// Convolution backend selection for [`NetworkExecutor`].
@@ -524,9 +441,9 @@ where
 pub struct PreparedConv {
     params: ConvParams,
     transform: WinogradTransform,
-    /// Whether the Winograd banks, if any, are pruned
-    /// ([`ExecAlgo::Sparse`]).
-    pruned: bool,
+    /// The kept-coefficient density of the Winograd banks when they are
+    /// pruned ([`ExecAlgo::Sparse`]), `None` when dense or direct.
+    density_pm: Option<u16>,
     groups: Vec<GroupBanks>,
 }
 
@@ -580,7 +497,10 @@ impl PreparedConv {
         Ok(PreparedConv {
             params: *params,
             transform,
-            pruned: matches!(algo, ExecAlgo::Sparse { .. }),
+            density_pm: match algo {
+                ExecAlgo::Sparse { density_pm } if capable => Some(density_pm),
+                _ => None,
+            },
             groups,
         })
     }
@@ -593,11 +513,17 @@ impl PreparedConv {
     /// The algorithm the layer computes with: `sparse`, `winograd` or
     /// `direct`.
     pub fn algo(&self) -> &'static str {
-        match (&self.groups[0].winograd, self.pruned) {
+        match (&self.groups[0].winograd, self.density_pm) {
             (None, _) => "direct",
-            (Some(_), true) => "sparse",
-            (Some(_), false) => "winograd",
+            (Some(_), Some(_)) => "sparse",
+            (Some(_), None) => "winograd",
         }
+    }
+
+    /// The kept-coefficient density, in per mille, of a layer computing
+    /// on pruned banks; `None` for a dense or direct layer.
+    pub fn density_pm(&self) -> Option<u16> {
+        self.density_pm
     }
 
     /// Output rows per Winograd tile when the layer computes on a bank —
@@ -971,7 +897,7 @@ impl<'n> NetworkExecutor<'n> {
         input: &Tensor<f32>,
         mut on_layer: impl FnMut(usize, &Tensor<f32>, &ConvStats, u64),
     ) -> Result<Tensor<f32>, ModelError> {
-        self.check_input(input)?;
+        check_input(self.net, input)?;
         let base = PoolProfiler::new(self.telemetry.clone(), "").with_faults(self.faults.clone());
         let total = ConvStats::new();
         let mut cur: Option<Tensor<f32>> = None;
@@ -996,23 +922,6 @@ impl<'n> NetworkExecutor<'n> {
             .counter("conv.bytes_packed")
             .add(bytes_packed);
         cur.ok_or_else(|| ModelError::Execution("network has no layers to execute".to_string()))
-    }
-
-    fn check_input(&self, input: &Tensor<f32>) -> Result<(), ModelError> {
-        let in_shape = self.net.input_shape();
-        if input.c() != in_shape.channels
-            || input.h() != in_shape.height
-            || input.w() != in_shape.width
-        {
-            return Err(ModelError::Execution(format!(
-                "input tensor {}x{}x{} does not match network input {}",
-                input.c(),
-                input.h(),
-                input.w(),
-                in_shape
-            )));
-        }
-        Ok(())
     }
 
     fn exec_layer(
@@ -1220,38 +1129,6 @@ mod tests {
         // Every conv in the small net has relu folded.
         assert!(outs[0].as_slice().iter().all(|&v| v >= 0.0));
         assert!(outs[1].as_slice().iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn heterogeneous_algorithms_agree() {
-        let net = zoo::small_test_net();
-        let w = NetworkWeights::random(&net, 5).unwrap();
-        let x = random_tensor(1, 3, 32, 32, 6);
-        let a = forward(&net, &w, &x).unwrap();
-        // conv1 is stride-2 (direct only); conv2/conv3 are 3x3 s1.
-        let b = forward_with(&net, &w, &x, |i| match i {
-            0 => RefAlgo::Im2col,
-            1 => RefAlgo::WinogradF43,
-            3 => RefAlgo::WinogradF43,
-            _ => RefAlgo::Direct,
-        })
-        .unwrap();
-        for (ya, yb) in a.iter().zip(&b) {
-            assert!(
-                ya.approx_eq(yb, 1e-2),
-                "diff {}",
-                ya.max_abs_diff(yb).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn winograd_on_strided_layer_is_an_error() {
-        let net = zoo::small_test_net();
-        let w = NetworkWeights::random(&net, 7).unwrap();
-        let x = random_tensor(1, 3, 32, 32, 8);
-        let r = forward_with(&net, &w, &x, |_| RefAlgo::WinogradF43);
-        assert!(r.is_err());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use winofuse::fusion::simulator::FusedGroupSim;
 use winofuse::fusion::vcd;
-use winofuse::model::runtime::NetworkWeights;
 use winofuse::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,18 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- bottleneck diagnosis ---");
     print!("{}", fw.explain(&net, &design));
 
-    // Simulate the first fusion group with real values.
-    let weights = NetworkWeights::random(&net, 11)?;
-    let input = winofuse::conv::tensor::random_tensor(
-        1,
-        net.input_shape().channels,
-        net.input_shape().height,
-        net.input_shape().width,
-        12,
-    );
+    // Simulate the first fusion group's timing.
     let plan = &design.partition.groups[0];
-    let mut sim = FusedGroupSim::new(&net, plan.start, &plan.configs, &weights, &device)?;
-    let result = sim.run(&input)?;
+    let result = FusedGroupSim::new(&net, plan.start, &plan.configs, &device)?.run()?;
 
     println!("\n--- simulated occupancy ({} cycles) ---", result.cycles);
     for (name, occ) in result.stage_names.iter().zip(result.stage_occupancy()) {

@@ -27,10 +27,7 @@ use winofuse::codegen::{check, testbench, HlsProject};
 use winofuse::core::bnb::AlgoPolicy;
 use winofuse::fpga::engine::{computational_roof_gops, Algorithm};
 use winofuse::fpga::roofline::Roofline;
-use winofuse::fusion::simulator::FusedGroupSim;
-use winofuse::model::runtime::{
-    ExecAlgo, LayerProfile, NetworkExecutor, NetworkWeights, PreparedNetwork,
-};
+use winofuse::model::runtime::{ExecAlgo, LayerProfile, NetworkExecutor, NetworkWeights};
 use winofuse::model::{prototxt, zoo, DataType, LayerKind, Network};
 use winofuse::prelude::{FpgaDevice, Framework};
 use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
@@ -488,7 +485,7 @@ fn cmd_codegen(net: &Network, o: &Options) -> Result<(), TaskError> {
             net.input_shape().width,
             o.seed + 1,
         );
-        let tbs = testbench::generate_testbenches(net, &design, &weights, &input, &o.device)?;
+        let tbs = testbench::generate_testbenches(net, &design, &weights, &input)?;
         for (name, contents) in &tbs {
             std::fs::write(out.join(name), contents)?;
         }
@@ -512,39 +509,18 @@ fn cmd_simulate(net: &Network, o: &Options) -> Result<(), TaskError> {
         net.input_shape().width,
         o.seed + 1,
     );
-    let reference = winofuse::model::runtime::forward(net, &weights, &input)?;
-
-    let mut cur = input;
-    let mut total_cycles = 0u64;
-    let mut tid_base = 1u64;
+    let (_, groups) = fw.validate_by_simulation(net, &design, &weights, &input, 1e-3)?;
     println!(
         "{:>6} {:>10} {:>14} {:>12} {:>12}",
         "group", "layers", "cycles", "read (B)", "max |err|"
     );
-    for plan in &design.partition.groups {
-        let mut sim = FusedGroupSim::new(net, plan.start, &plan.configs, &weights, &o.device)?;
-        if o.telemetry.is_enabled() {
-            // Stage lanes are consecutive across groups; each group's
-            // slices start where the previous group finished.
-            sim.set_telemetry(o.telemetry.clone(), tid_base, total_cycles);
-            tid_base += plan.configs.len() as u64;
-        }
-        let r = sim.run(&cur)?;
-        let gold = &reference[plan.end - 1];
-        let err = r.output.max_abs_diff(gold)?;
+    for g in &groups {
         println!(
             "{:>6} {:>7}..{:<2} {:>14} {:>12} {:>12.2e}",
-            plan.start, plan.start, plan.end, r.cycles, r.dram_bytes_read, err
+            g.start, g.start, g.end, g.sim.cycles, g.sim.dram_bytes_read, g.max_abs_err
         );
-        if err > 1e-3 {
-            return Err(TaskError::Other(format!(
-                "group {}..{} diverged: {err}",
-                plan.start, plan.end
-            )));
-        }
-        total_cycles += r.cycles;
-        cur = r.output;
     }
+    let total_cycles: u64 = groups.iter().map(|g| g.sim.cycles).sum();
     println!(
         "\nsimulated {} cycles total ({:.2} ms at {:.0} MHz); analytic model: {} cycles",
         total_cycles,
@@ -568,12 +544,16 @@ fn cmd_run_fused(net: &Network, o: &Options) -> Result<(), TaskError> {
         shape.width,
         o.seed + 1,
     );
+    // The runner and its reference share one preparation, pruned exactly
+    // where the plan prunes.
+    let plan = design.execution_plan();
+    let prepared = plan.prepare(net, &weights)?;
     // Lenient mode by default: collect every group's delta (and any
     // fault-driven fallbacks) for the table, then fail once at the end
     // so the operator sees the whole picture. `--fault-mode strict`
     // surfaces the first fault as a typed error instead.
     let runner = fw
-        .fused_runner(net, &design, &weights)?
+        .configure_runner(plan.lower(net, &weights, &prepared)?)
         .with_fault_mode(o.fault_mode.unwrap_or(FaultMode::Lenient));
     let start = std::time::Instant::now();
     let report = runner.run(&input)?;
@@ -596,17 +576,7 @@ fn cmd_run_fused(net: &Network, o: &Options) -> Result<(), TaskError> {
             g.delta()
         );
     }
-    // The reference prunes exactly the layers the plan prunes, with the
-    // constructor the runner's sparse stages use.
-    let planned = design.partition.strategy.layers();
-    let prepared = PreparedNetwork::per_layer(net, &weights, |i| {
-        match planned.get(i).map(|l| l.algorithm) {
-            Some(Algorithm::SparseWinograd { density_pm, .. }) => ExecAlgo::Sparse { density_pm },
-            _ => ExecAlgo::Auto,
-        }
-    })?;
-    let exec =
-        NetworkExecutor::from_prepared(net, std::sync::Arc::new(prepared))?.with_threads(o.threads);
+    let exec = NetworkExecutor::from_prepared(net, prepared.into())?.with_threads(o.threads);
     let reference = exec.run(&input)?;
     let err = report.output.max_abs_diff(&reference)?;
     println!(

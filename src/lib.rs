@@ -16,7 +16,7 @@
 //! | [`conv`] | `winofuse-conv` | direct / im2col / Winograd convolution, Cook–Toom transform generation, 16-bit fixed point |
 //! | [`model`] | `winofuse-model` | CNN descriptions, AlexNet/VGG zoo, prototxt parser, reference executor |
 //! | [`fpga`] | `winofuse-fpga` | device catalog, resource vectors, roofline, engine cost models, energy |
-//! | [`fusion`] | `winofuse-fusion` | pyramid math, line buffers, pipeline timing, behavioral simulator, Alwani (MICRO'16) baseline |
+//! | [`fusion`] | `winofuse-fusion` | pyramid math, line buffers, pipeline timing, timing simulator, fused runner, Alwani (MICRO'16) baseline |
 //! | [`core`] | `winofuse-core` | strategy triples, branch-and-bound (Alg. 2), transfer-budget DP (Alg. 1), framework driver |
 //! | [`codegen`] | `winofuse-codegen` | Vivado-HLS-style source emission + pragma consistency checks |
 //! | [`telemetry`] | `winofuse-telemetry` | counters, spans, Chrome-trace / JSON-lines export, run summaries |

@@ -1,11 +1,10 @@
 //! Cross-crate integration: the full tool-flow from prototxt to verified
-//! HLS project, with functional validation through the behavioral
-//! simulator.
+//! HLS project, with functional validation through the fused runner.
 
 use winofuse::codegen::check::verify_project;
-use winofuse::fusion::simulator::FusedGroupSim;
+use winofuse::conv::tensor::Tensor;
 use winofuse::model::prototxt;
-use winofuse::model::runtime::{forward, NetworkWeights};
+use winofuse::model::runtime::{forward, ExecAlgo, NetworkExecutor, NetworkWeights};
 use winofuse::prelude::*;
 
 const MB: u64 = 1024 * 1024;
@@ -44,36 +43,90 @@ fn prototxt_to_verified_hls_project() {
     assert_eq!(stats.dataflow, design.partition.groups.len());
 }
 
+/// Streams `input` through every fusion group of `design` with the
+/// design's fused runner and checks each group's output against layer
+/// `end − 1` of the unfused reference within `tol`.
+fn assert_groups_match_reference(
+    net: &Network,
+    design: &OptimizedDesign,
+    weights: &NetworkWeights,
+    input: Tensor<f32>,
+    tol: f32,
+) {
+    let reference = forward(net, weights, &input).unwrap();
+    let runner = design
+        .execution_plan()
+        .runner(net, weights)
+        .expect("runner lowers")
+        .strict_dram(true);
+    let mut cur = input;
+    for group in runner.groups() {
+        let out = group.run(&cur).expect("group runs").output;
+        let gold = &reference[group.end() - 1];
+        assert!(
+            out.approx_eq(gold, tol),
+            "group {}..{} diverges: {}",
+            group.start(),
+            group.end(),
+            out.max_abs_diff(gold).unwrap()
+        );
+        cur = out;
+    }
+}
+
 #[test]
 fn optimized_strategy_is_functionally_correct() {
-    // Run every fusion group of an optimized design through the
-    // behavioral simulator and compare against unfused reference
-    // execution — the strategy must be functionally transparent.
+    // Run every fusion group of an optimized design through the fused
+    // runner and compare against unfused reference execution — the
+    // strategy must be functionally transparent.
     let net = prototxt::parse(DEMO_PROTOTXT).unwrap();
-    let device = FpgaDevice::zc706();
-    let design = Framework::new(device.clone())
+    let design = Framework::new(FpgaDevice::zc706())
         .optimize(&net, 4 * MB)
         .unwrap();
-
     let weights = NetworkWeights::random(&net, 99).unwrap();
     let input = winofuse::conv::tensor::random_tensor(1, 3, 32, 32, 100);
-    let reference = forward(&net, &weights, &input).unwrap();
+    assert_groups_match_reference(&net, &design, &weights, input, 1e-4);
+}
 
-    let mut cur = input.clone();
-    for plan in &design.partition.groups {
-        let mut sim = FusedGroupSim::new(&net, plan.start, &plan.configs, &weights, &device)
-            .expect("simulator builds");
-        let result = sim.run(&cur).expect("simulation runs");
-        let gold = &reference[plan.end - 1];
-        assert!(
-            result.output.approx_eq(gold, 1e-4),
-            "group {}..{} diverges: {}",
-            plan.start,
-            plan.end,
-            result.output.max_abs_diff(gold).unwrap()
-        );
-        cur = result.output;
-    }
+#[test]
+fn sparse_plan_is_validated_against_a_reference_pruned_like_the_plan() {
+    // Two 3x3 convs; the sparse policy plans conv2 as sparse Winograd at
+    // 250 per mille, so the fused values are the pruned network's, not
+    // the dense forward's.
+    let net = Network::builder("two-conv", FmShape::new(3, 32, 32))
+        .conv("conv1", ConvParams::new(32, 3, 1, 1, false))
+        .conv("conv2", ConvParams::new(32, 3, 1, 1, false))
+        .build()
+        .unwrap();
+    let fw = Framework::new(FpgaDevice::zc706())
+        .with_policy(AlgoPolicy::heterogeneous_sparse(250))
+        .with_threads(2);
+    let design = fw.optimize(&net, 2 * MB).unwrap();
+    assert!(
+        Framework::conv_algorithms(&net, &design)
+            .iter()
+            .any(|(_, a)| matches!(a, Algorithm::SparseWinograd { .. })),
+        "the plan prunes a layer"
+    );
+    let weights = NetworkWeights::random(&net, 1).unwrap();
+    let x = winofuse::conv::tensor::random_tensor(1, 3, 32, 32, 2);
+    let (out, groups) = fw
+        .validate_by_simulation(&net, &design, &weights, &x, 1e-3)
+        .unwrap();
+    assert!(groups.iter().all(|g| g.max_abs_err == 0.0));
+    let prepared = design.execution_plan().prepare(&net, &weights).unwrap();
+    let pruned = NetworkExecutor::from_prepared(&net, prepared.into())
+        .unwrap()
+        .with_threads(2)
+        .run(&x)
+        .unwrap();
+    let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out), bits(&pruned));
+    let dense = forward(&net, &weights, &x).unwrap().remove(1);
+    assert!(
+        out.max_abs_diff(&dense).unwrap() > 1e-2,
+        "pruned output must differ from the dense forward"
+    );
 }
 
 #[test]
@@ -181,9 +234,9 @@ fn winograd_chosen_for_eligible_layers_conventional_for_strided() {
 #[test]
 fn grouped_convolutions_are_functionally_transparent() {
     // A grouped net (AlexNet-style group: 2) run through the fused
-    // simulator must match the reference executor, and the reference
-    // executor must agree across algorithms.
-    use winofuse::model::layer::{ConvParams, PoolParams};
+    // runner must match the reference, and the executor's Winograd path
+    // must agree with it on the grouped layers.
+    use winofuse::model::layer::PoolParams;
     let net = Network::builder("grouped", FmShape::new(4, 20, 20))
         .conv("c1", ConvParams::new(8, 3, 1, 1, true))
         .conv("c2", ConvParams::new(8, 3, 1, 1, true).with_groups(2))
@@ -195,30 +248,18 @@ fn grouped_convolutions_are_functionally_transparent() {
     let x = winofuse::conv::tensor::random_tensor(1, 4, 20, 20, 6);
     let direct = forward(&net, &weights, &x).unwrap();
     // Winograd path on the grouped layers.
-    let wino = winofuse::model::runtime::forward_with(&net, &weights, &x, |_| {
-        winofuse::model::runtime::RefAlgo::WinogradF43
-    })
-    .unwrap();
+    let wino = NetworkExecutor::with_algo(&net, &weights, ExecAlgo::Winograd)
+        .unwrap()
+        .run_all(&x)
+        .unwrap();
     for (a, b) in direct.iter().zip(&wino) {
         assert!(a.approx_eq(b, 1e-2), "winograd grouped diverges");
     }
-    // Fused simulation.
-    let device = FpgaDevice::zc706();
-    let design = Framework::new(device.clone())
+    // Fused execution.
+    let design = Framework::new(FpgaDevice::zc706())
         .optimize(&net, 8 * MB)
         .unwrap();
-    let mut cur = x;
-    for plan in &design.partition.groups {
-        let mut sim =
-            FusedGroupSim::new(&net, plan.start, &plan.configs, &weights, &device).unwrap();
-        let r = sim.run(&cur).unwrap();
-        assert!(
-            r.output.approx_eq(&direct[plan.end - 1], 1e-4),
-            "fused grouped diverges: {}",
-            r.output.max_abs_diff(&direct[plan.end - 1]).unwrap()
-        );
-        cur = r.output;
-    }
+    assert_groups_match_reference(&net, &design, &weights, x, 1e-4);
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //!   --threads N  parallel worker count          [default 4]
 //! ```
 
+use winofuse::runtime::faults::FaultMode;
 use winofuse_bench::{banner, BenchCase, BenchReport, LatencySamples};
 use winofuse_conv::tensor::random_tensor;
 use winofuse_core::framework::Framework;
@@ -82,7 +83,7 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
     let runner = fw
         .fused_runner(net, &design, &weights)
         .expect("fused runner")
-        .strict_dram(true);
+        .with_fault_mode(FaultMode::Strict);
     let exec = NetworkExecutor::with_algo(net, &weights, ExecAlgo::Auto)
         .expect("executor")
         .with_threads(threads);

@@ -173,7 +173,7 @@ fn fill_patches<T: Scalar + Send + Sync>(
     let (oh, ow) = (geom.output_height(), geom.output_width());
     let cols = oh * ow;
     let slices = winofuse_runtime::split_chunks(patches, PATCH_ROW_CHUNK * cols);
-    winofuse_runtime::run_sliced_jobs_isolated(
+    winofuse_runtime::run_jobs(
         threads,
         slices,
         prof,
@@ -249,7 +249,7 @@ impl PackedKernels {
 /// test matrix uses), `None` auto-selects.
 ///
 /// Work is partitioned at output-row-block grain: each job owns
-/// [`DIRECT_ROW_BLOCK`] output rows of one image, lowers exactly those
+/// `DIRECT_ROW_BLOCK` output rows of one image, lowers exactly those
 /// patch columns thread-locally, and runs one GEMM over all output
 /// channels against the shared packed panels — one pool invocation
 /// total, no im2col/GEMM barrier, no per-job re-pack of the `A` operand.
@@ -324,7 +324,7 @@ pub fn conv2d_fast_packed_ext(
     let groups = winofuse_runtime::split_spans(out.as_mut_slice(), &spans, n_jobs);
 
     let packed_ref = packed_k;
-    winofuse_runtime::run_grouped_jobs_isolated(
+    winofuse_runtime::run_jobs(
         threads,
         groups,
         &prof.scoped("direct.rowblock"),
@@ -333,7 +333,7 @@ pub fn conv2d_fast_packed_ext(
             patches: vec![0.0; ckk * max_bc],
             cbuf: vec![0.0; out_c * max_bc],
         },
-        |st, job, frags| {
+        |st, job, mut frags| {
             let bn = job / row_blocks;
             let blk = job % row_blocks;
             let r0 = blk * DIRECT_ROW_BLOCK;
@@ -438,7 +438,7 @@ pub fn conv2d_fix16_fast_with_kernel(
         let img = &mut out_all[bn * out_c * cols..(bn + 1) * out_c * cols];
         let slices = winofuse_runtime::split_lengths(img, &lengths);
         let patches_ref = &patches;
-        winofuse_runtime::run_sliced_jobs_isolated(
+        winofuse_runtime::run_jobs(
             threads,
             slices,
             &PoolProfiler::disabled(),

@@ -31,9 +31,9 @@ pub enum ConvError {
     /// Exact rational arithmetic overflowed `i128` during transform
     /// generation (only possible for very large tile sizes).
     RationalOverflow,
-    /// A kernel's worker-pool jobs panicked (or blew the watchdog
-    /// deadline): the panic-isolated pool caught the fault and the kernel
-    /// surfaced it as a typed error instead of unwinding. Recoverable by
+    /// A kernel's worker-pool jobs panicked: the panic-isolated pool
+    /// caught the fault and the kernel surfaced it as a typed error
+    /// instead of unwinding. Recoverable by
     /// re-running the layer on a different algorithm path — see the
     /// executor's degradation ladder.
     KernelFault {
@@ -46,13 +46,9 @@ pub enum ConvError {
 
 impl From<winofuse_runtime::PoolError> for ConvError {
     fn from(e: winofuse_runtime::PoolError) -> Self {
-        let site = match &e {
-            winofuse_runtime::PoolError::JobsPanicked { label, .. }
-            | winofuse_runtime::PoolError::DeadlineExceeded { label, .. } => label.clone(),
-            _ => String::from("pool"),
-        };
+        let winofuse_runtime::PoolError::JobsPanicked { label, .. } = &e;
         ConvError::KernelFault {
-            site,
+            site: label.clone(),
             detail: e.to_string(),
         }
     }

@@ -287,7 +287,7 @@ const TILE_BLOCK_MIN_JOBS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WinoSchedule {
     /// Pick per shape: tile-block when the layer has enough tiles to feed
-    /// [`TILE_BLOCK_MIN_JOBS`] jobs, transform-point otherwise.
+    /// `TILE_BLOCK_MIN_JOBS` jobs, transform-point otherwise.
     #[default]
     Auto,
     /// One pool invocation; each job owns a contiguous block of
@@ -864,7 +864,7 @@ fn run_transform_point(
     {
         let t_phase = stats.map(|_| Instant::now());
         let slices = winofuse_runtime::split_chunks(&mut v_buf, TILE_CHUNK * aa * in_c);
-        winofuse_runtime::run_sliced_jobs_isolated(
+        winofuse_runtime::run_jobs(
             threads,
             slices,
             &prof.scoped("wino.scatter"),
@@ -901,7 +901,7 @@ fn run_transform_point(
         let v_ref = &v_buf;
         let t_phase = stats.map(|_| Instant::now());
         let kernel = cx.kernel;
-        winofuse_runtime::run_sliced_jobs_isolated(
+        winofuse_runtime::run_jobs(
             threads,
             slices,
             &prof.scoped("wino.gemm"),
@@ -934,7 +934,7 @@ fn run_transform_point(
         let slices = winofuse_runtime::split_lengths(out.as_mut_slice(), &lengths);
         let m_ref = &m_buf;
         let t_phase = stats.map(|_| Instant::now());
-        winofuse_runtime::run_sliced_jobs_isolated(
+        winofuse_runtime::run_jobs(
             threads,
             slices,
             &prof.scoped("wino.gather"),
@@ -1028,7 +1028,7 @@ fn run_tile_block(
     let groups = winofuse_runtime::split_spans(out.as_mut_slice(), &spans, n_jobs);
 
     let kernel = cx.kernel;
-    winofuse_runtime::run_grouped_jobs_isolated(
+    winofuse_runtime::run_jobs(
         threads,
         groups,
         &prof.scoped("wino.tileblock"),
@@ -1038,7 +1038,7 @@ fn run_tile_block(
             v: vec![0.0; aa * in_c * tb],
             mbuf: vec![0.0; aa * out_c * tb],
         },
-        |st, job, frags| {
+        |st, job, mut frags| {
             let TileBlockScratch {
                 gemm,
                 lanes,

@@ -42,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use winofuse_fpga::device::FpgaDevice;
@@ -53,6 +53,7 @@ use winofuse_fusion::pipeline::{
 };
 use winofuse_model::network::Network;
 use winofuse_model::shape::DataType;
+use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
 use crate::{CoreError, MAX_FUSION_LAYERS};
@@ -737,6 +738,10 @@ impl<'a> GroupPlanner<'a> {
     /// Worth it only when the plan table has a single admissible range
     /// (e.g. a fully-fused AlexNet body); otherwise ranges themselves are
     /// the better unit of parallelism.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a subtree's search panics, as the serial search would.
     pub fn plan_split(&self, range: Range<usize>, threads: usize) -> Option<GroupPlan> {
         let key = (range.start, range.end);
         if let Some(hit) = self.cache.get(key) {
@@ -844,8 +849,9 @@ impl<'a> GroupPlanner<'a> {
     }
 
     /// The split branch-and-bound behind [`GroupPlanner::plan_split`]:
-    /// the root's children (first-layer menu entries, in menu order) form
-    /// the task list, consumed from an atomic index by scoped workers.
+    /// the root's children (first-layer menu entries, in menu order) are
+    /// the jobs of one `winofuse-runtime` pool run, each writing its
+    /// subtree's winner into its own result slot.
     ///
     /// Determinism: the serial winner is the depth-first-first leaf that
     /// attains the global minimum latency, and every entry on its path
@@ -876,46 +882,39 @@ impl<'a> GroupPlanner<'a> {
         let child_weight = 1 + bounds.subtree.get(1).copied().unwrap_or(0);
 
         let shared = AtomicU64::new(u64::MAX);
-        let next = AtomicUsize::new(0);
-        let workers = threads.min(tasks.len());
-        let mut candidates: Vec<(usize, Incumbent)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| {
-                    let mut found: Vec<(usize, Incumbent)> = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&entry) = tasks.get(t) else { break };
-                        let mut ctx = self.ctx(&range, &bounds, Some(&shared));
-                        let limit = shared.load(Ordering::Relaxed).saturating_add(1);
-                        let totals = PathTotals::default().with(entry, LatencyProfile::slot(0, n));
-                        let optimistic = totals.used + bounds.suffix_min[1];
-                        if entry.bound >= limit {
-                            ctx.tally.pruned_bound += child_weight;
-                        } else if !optimistic.fits_within(&ctx.capacity) {
-                            ctx.tally.pruned_resource += child_weight;
-                        } else {
-                            let mut chosen = Vec::with_capacity(n);
-                            chosen.push(entry);
-                            visit(&mut ctx, 1, &mut chosen, totals);
-                        }
-                        self.publish(&ctx.tally);
-                        if let Some(best) = ctx.best {
-                            found.push((t, best));
-                        }
-                    }
-                    found
-                }));
-            }
-            for h in handles {
-                candidates.extend(h.join().expect("search worker panicked"));
-            }
-        });
-        candidates.sort_by_key(|(t, (latency, _, _))| (*latency, *t));
-        candidates
+        let mut slots: Vec<Option<Incumbent>> = tasks.iter().map(|_| None).collect();
+        let searched = winofuse_runtime::run_jobs(
+            threads,
+            slots.iter_mut().collect(),
+            &PoolProfiler::disabled(),
+            || (),
+            |(), t, slot: &mut Option<Incumbent>| {
+                let entry = tasks[t];
+                let mut ctx = self.ctx(&range, &bounds, Some(&shared));
+                let limit = shared.load(Ordering::Relaxed).saturating_add(1);
+                let totals = PathTotals::default().with(entry, LatencyProfile::slot(0, n));
+                let optimistic = totals.used + bounds.suffix_min[1];
+                if entry.bound >= limit {
+                    ctx.tally.pruned_bound += child_weight;
+                } else if !optimistic.fits_within(&ctx.capacity) {
+                    ctx.tally.pruned_resource += child_weight;
+                } else {
+                    let mut chosen = Vec::with_capacity(n);
+                    chosen.push(entry);
+                    visit(&mut ctx, 1, &mut chosen, totals);
+                }
+                self.publish(&ctx.tally);
+                *slot = ctx.best;
+            },
+        );
+        if let Err(e) = searched {
+            panic!("split branch-and-bound: {e}");
+        }
+        slots
             .into_iter()
-            .next()
+            .enumerate()
+            .filter_map(|(t, best)| best.map(|b| (t, b)))
+            .min_by_key(|(t, (latency, _, _))| (*latency, *t))
             .map(|(_, (_, configs, timing))| GroupPlan {
                 start: range.start,
                 end: range.end,

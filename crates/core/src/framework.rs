@@ -146,11 +146,17 @@ impl Framework {
     }
 
     /// Overrides the fault-handling mode of every runner the framework
-    /// builds. `None` (the default) keeps each runner's own default
-    /// (strict under `debug_assertions`).
+    /// builds. Unset (the default), each runner keeps its own default,
+    /// strict.
     pub fn with_fault_mode(mut self, mode: FaultMode) -> Self {
         self.fault_mode = Some(mode);
         self
+    }
+
+    /// The fault-handling override, `None` unless
+    /// [`Framework::with_fault_mode`] set one.
+    pub fn fault_mode(&self) -> Option<FaultMode> {
+        self.fault_mode
     }
 
     /// Overrides the fusion-group size cap (default 8, §7.1; the AlexNet
@@ -374,7 +380,7 @@ impl Framework {
         let prepared = plan.prepare(net, weights)?;
         let runner = self
             .configure_runner(plan.lower(net, weights, &prepared)?)
-            .strict_dram(true);
+            .with_fault_mode(FaultMode::Strict);
         let reference =
             winofuse_model::runtime::NetworkExecutor::from_prepared(net, prepared.into())?
                 .with_threads(self.threads)

@@ -4,9 +4,10 @@
 //! independent branch-and-bound, so the table is embarrassingly
 //! parallel. This module enumerates every range the DP of [`crate::dp`]
 //! can request — `(i, j)` pairs whose endpoints are admissible under the
-//! cut mask — and fills the planner's shared cache from scoped
-//! `std::thread` workers. With the table prefilled, the single-threaded
-//! DP recursion finds every `plan` call already memoized.
+//! cut mask — and fills the planner's shared cache from the
+//! `winofuse-runtime` worker pool, one job per range. With the table
+//! prefilled, the single-threaded DP recursion finds every `plan` call
+//! already memoized.
 //!
 //! Determinism: each cell is searched serially by exactly one worker, so
 //! the per-range search — and every `bnb.*` node counter — is
@@ -16,6 +17,8 @@
 //! admits a single range (a fully-fused network), range-level
 //! parallelism degenerates, so the one branch-and-bound is split across
 //! workers instead ([`GroupPlanner::plan_split`]).
+
+use winofuse_runtime::PoolProfiler;
 
 use crate::bnb::GroupPlanner;
 use crate::CoreError;
@@ -52,7 +55,8 @@ fn exhaustive_weight(menu_sizes: &[usize]) -> u64 {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidRequest`] for out-of-range boundaries —
-/// the same validation the DP itself performs.
+/// the same validation the DP itself performs — and
+/// [`CoreError::Substrate`] when a range's search panics.
 pub fn fill_plan_table(
     planner: &GroupPlanner<'_>,
     n: usize,
@@ -98,28 +102,31 @@ pub fn fill_plan_table(
         .map(|idx| cells[idx])
         .collect();
 
+    let ranges = cells.len();
     let span = planner.telemetry().span("parallel", "plan_table");
     planner
         .telemetry()
         .counter("parallel.table_ranges")
-        .add(cells.len() as u64);
-    let workers = if cells.len() == 1 {
+        .add(ranges as u64);
+    let workers = if let [(i, j)] = cells[..] {
         // One admissible range: parallelism must come from inside the
         // branch-and-bound itself.
-        let (i, j) = cells[0];
         planner.plan_split(i..j + 1, threads);
         1
     } else {
-        winofuse_runtime::run_jobs(threads, cells.len(), |t| {
-            let (i, j) = cells[t];
-            planner.plan_shared(i..j + 1);
-        })
+        winofuse_runtime::run_jobs(
+            threads,
+            cells,
+            &PoolProfiler::disabled(),
+            || (),
+            |(), _, (i, j)| {
+                planner.plan_shared(i..j + 1);
+            },
+        )
+        .map_err(|e| CoreError::Substrate(format!("plan table: {e}")))?
     };
     drop(span);
-    Ok(PlanTableStats {
-        ranges: cells.len(),
-        workers,
-    })
+    Ok(PlanTableStats { ranges, workers })
 }
 
 #[cfg(test)]

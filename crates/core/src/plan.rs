@@ -5,9 +5,8 @@
 //! [`ExecutionPlan`] is the thin, executable view of that result — one
 //! entry per group carrying exactly what the fused runner needs (the
 //! member configs and the group's analytic DRAM transfer budget), plus
-//! the glue that instantiates a
-//! [`FusedNetworkRunner`](winofuse_fusion::runner::FusedNetworkRunner)
-//! whose measured traffic is reconciled against those budgets.
+//! the glue that instantiates a [`FusedNetworkRunner`] whose measured
+//! traffic is reconciled against those budgets.
 
 use winofuse_fpga::engine::Algorithm;
 use winofuse_fusion::pipeline::LayerConfig;
@@ -166,6 +165,7 @@ mod tests {
     use winofuse_fpga::device::FpgaDevice;
     use winofuse_model::runtime::forward;
     use winofuse_model::zoo;
+    use winofuse_runtime::faults::FaultMode;
 
     #[test]
     fn plan_mirrors_partition_accounting() {
@@ -197,7 +197,10 @@ mod tests {
         let plan = d.execution_plan();
         let weights = NetworkWeights::random(&net, 7).unwrap();
         let x = random_tensor(1, 3, 32, 32, 8);
-        let runner = plan.runner(&net, &weights).unwrap().strict_dram(true);
+        let runner = plan
+            .runner(&net, &weights)
+            .unwrap()
+            .with_fault_mode(FaultMode::Strict);
         let report = runner.run(&x).unwrap();
         let gold = forward(&net, &weights, &x).unwrap();
         assert!(report.output.approx_eq(gold.last().unwrap(), 1e-4));

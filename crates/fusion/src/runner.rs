@@ -28,13 +28,11 @@
 //! analytic transfer budget for the group — the paper's central claim
 //! that fusing keeps intermediate maps off DRAM (§4.2) becomes a checked
 //! invariant: a mismatch is a hard [`FusionError::DramMismatch`] in
-//! strict fault mode (the default under `debug_assertions`), while
-//! lenient mode records `fused.dram_delta` and degrades the group to
-//! unfused direct execution (see [`GroupFallback`] and the degradation
-//! ladder in `DESIGN.md` §12).
+//! strict fault mode (the default), while lenient mode records
+//! `fused.dram_delta` and degrades the group to unfused direct execution
+//! (see [`GroupFallback`] and the degradation ladder in `DESIGN.md` §12).
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use winofuse_conv::fixed::{saturation_count, Fix16};
@@ -49,7 +47,7 @@ use winofuse_model::runtime::{
     conv_grouped, ExecAlgo, LayerWeights, NetworkWeights, PreparedConv, PreparedNetwork,
 };
 use winofuse_model::shape::{DataType, FmShape};
-use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
+use winofuse_runtime::faults::{fall_back, Failure, Fault, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
@@ -426,11 +424,7 @@ impl FusedGroupRunner {
             output_shape: last.output,
             threads: 0,
             analytic_dram_bytes,
-            fault_mode: if cfg!(debug_assertions) {
-                FaultMode::Strict
-            } else {
-                FaultMode::Lenient
-            },
+            fault_mode: FaultMode::Strict,
             faults: FaultInjector::disabled(),
             telemetry: Telemetry::disabled(),
             weight_stream_bytes,
@@ -451,22 +445,10 @@ impl FusedGroupRunner {
         self
     }
 
-    /// Sugar for [`FusedGroupRunner::with_fault_mode`], kept for the
-    /// original reconciliation-only API: `true` is strict mode, `false`
-    /// lenient. Defaults to strict exactly when `debug_assertions` are
-    /// on.
-    pub fn strict_dram(self, strict: bool) -> Self {
-        self.with_fault_mode(if strict {
-            FaultMode::Strict
-        } else {
-            FaultMode::Lenient
-        })
-    }
-
-    /// Selects fault behavior: strict mode surfaces a DRAM mismatch or
-    /// group fault as a typed error; lenient mode re-runs the group
-    /// unfused on the direct kernels (recording `exec.fallbacks` and
-    /// the per-group [`GroupFallback`]).
+    /// Selects fault behavior (default [`FaultMode::Strict`]): strict
+    /// mode surfaces a DRAM mismatch or group fault as a typed error;
+    /// lenient mode re-runs the group unfused on the direct kernels
+    /// (recording `exec.fallbacks` and the per-group [`GroupFallback`]).
     pub fn with_fault_mode(mut self, mode: FaultMode) -> Self {
         self.fault_mode = mode;
         self
@@ -547,100 +529,70 @@ impl FusedGroupRunner {
         self.run_guarded(input)
     }
 
-    /// Runs the group behind the fault guard and degradation ladder:
-    /// the fused attempt is wrapped in `catch_unwind`; a caught panic,
-    /// typed kernel fault, injected group fault, or (after a clean run)
-    /// a nonzero DRAM-reconciliation delta either surfaces as a typed
-    /// error (strict) or triggers one unfused re-run on the direct
-    /// kernels (lenient), bumping `exec.fallbacks` and
-    /// `exec.fallbacks.<class>`.
+    /// Runs the group behind the fault guard and the algorithm-fallback
+    /// rung ([`fall_back`]). In lenient mode a caught panic, typed kernel
+    /// fault, injected group saturation, or (after a clean run) a nonzero
+    /// DRAM-reconciliation delta triggers one unfused re-run on the
+    /// direct kernels, bumping `exec.fallbacks` and
+    /// `exec.fallbacks.<class>`. Strict mode surfaces each as a typed
+    /// error: the delta as [`FusionError::DramMismatch`], the others as
+    /// [`FusionError::GroupFault`].
     fn run_guarded<T: RunnerElement>(
         &self,
         input: &Tensor<T>,
     ) -> Result<GroupRunResult<T>, FusionError> {
+        let primary = || {
+            if self.faults.trip(&format!("fused.group{}", self.start)) == Some(FaultKind::Saturate)
+            {
+                return Err(Failure::Fault(Fault {
+                    class: "saturation",
+                    reason: "injected winograd-domain fix16 saturation".to_string(),
+                }));
+            }
+            // Shape, config and simulation errors are not kernel faults —
+            // switching algorithms cannot fix them.
+            let r = self.run_generic(input, false, true).map_err(|e| match e {
+                FusionError::KernelFault { .. } => Failure::Fault(Fault {
+                    class: "kernel_fault",
+                    reason: e.to_string(),
+                }),
+                e => Failure::Error(e),
+            })?;
+            if r.dram.delta() == 0 {
+                return Ok(r);
+            }
+            let (measured, analytic) = (r.dram.measured(), r.dram.analytic_dram_bytes);
+            Err(match self.fault_mode {
+                FaultMode::Strict => Failure::Error(FusionError::DramMismatch {
+                    start: self.start,
+                    measured,
+                    analytic,
+                }),
+                FaultMode::Lenient => Failure::Fault(Fault {
+                    class: "dram_mismatch",
+                    reason: format!(
+                        "dram reconciliation failed: measured {measured} B vs analytic {analytic} B"
+                    ),
+                }),
+            })
+        };
+        let fallback = Some(|| self.run_generic(input, true, false));
+        let fault = |reason| FusionError::GroupFault {
+            start: self.start,
+            reason,
+        };
         let sat0 = saturation_count();
-        let out = self.run_ladder(input);
+        let out = fall_back(self.fault_mode, &self.telemetry, primary, fallback, fault);
         let sats = saturation_count().saturating_sub(sat0);
         if sats > 0 {
             self.telemetry.add("fix16.saturations", sats);
         }
-        out
-    }
-
-    fn run_ladder<T: RunnerElement>(
-        &self,
-        input: &Tensor<T>,
-    ) -> Result<GroupRunResult<T>, FusionError> {
-        let primary = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(kind) = self.faults.trip(&format!("fused.group{}", self.start)) {
-                if matches!(kind, FaultKind::Saturate) {
-                    return Err(FusionError::GroupFault {
-                        start: self.start,
-                        reason: "injected winograd-domain fix16 saturation".to_string(),
-                    });
-                }
-            }
-            self.run_generic(input, false, true)
-        }));
-        let (reason, class) = match primary {
-            Ok(Ok(r)) => {
-                if r.dram.delta() == 0 {
-                    return Ok(r);
-                }
-                match self.fault_mode {
-                    FaultMode::Strict => {
-                        return Err(FusionError::DramMismatch {
-                            start: self.start,
-                            measured: r.dram.measured(),
-                            analytic: r.dram.analytic_dram_bytes,
-                        })
-                    }
-                    FaultMode::Lenient => (
-                        format!(
-                            "dram reconciliation failed: measured {} B vs analytic {} B",
-                            r.dram.measured(),
-                            r.dram.analytic_dram_bytes
-                        ),
-                        "dram_mismatch",
-                    ),
-                }
-            }
-            Ok(Err(e)) => match fault_class(&e) {
-                Some(class) => (e.to_string(), class),
-                // Shape, config and simulation errors are not kernel
-                // faults — switching algorithms cannot fix them.
-                None => return Err(e),
-            },
-            Err(payload) => (describe_panic(payload.as_ref()), "panic"),
-        };
-        if self.fault_mode == FaultMode::Lenient {
-            let retry = catch_unwind(AssertUnwindSafe(|| self.run_generic(input, true, false)));
-            return match retry {
-                Ok(Ok(mut r)) => {
-                    self.telemetry.counter("exec.fallbacks").incr();
-                    self.telemetry
-                        .counter(&format!("exec.fallbacks.{class}"))
-                        .incr();
-                    r.fallback = Some(GroupFallback {
-                        start: self.start,
-                        reason,
-                    });
-                    Ok(r)
-                }
-                Ok(Err(e)) => Err(e),
-                Err(payload) => Err(FusionError::GroupFault {
-                    start: self.start,
-                    reason: format!(
-                        "unfused fallback panicked after `{reason}`: {}",
-                        describe_panic(payload.as_ref())
-                    ),
-                }),
-            };
-        }
-        Err(FusionError::GroupFault {
+        let (mut r, reason) = out?;
+        r.fallback = reason.map(|reason| GroupFallback {
             start: self.start,
             reason,
-        })
+        });
+        Ok(r)
     }
 
     /// One streaming pass. `force_direct` pins every conv stage to the
@@ -936,22 +888,6 @@ impl FusedGroupRunner {
     }
 }
 
-/// Classifies an error from the fused attempt: `Some(class)` when the
-/// degradation ladder may absorb it by re-running unfused, `None` when
-/// it must propagate (shape/config/simulation errors, which no
-/// algorithm switch can fix).
-fn fault_class(e: &FusionError) -> Option<&'static str> {
-    match e {
-        FusionError::KernelFault { .. } => Some("kernel_fault"),
-        FusionError::GroupFault { reason, .. } => Some(if reason.contains("saturation") {
-            "saturation"
-        } else {
-            "kernel_fault"
-        }),
-        _ => None,
-    }
-}
-
 impl ConvStage {
     /// Quantizes a conv layer's kernels, picks the `f32` preparation its
     /// strips compute with, and derives the weight-stream bytes the
@@ -1094,17 +1030,8 @@ impl FusedNetworkRunner {
         self
     }
 
-    /// Sugar for [`FusedNetworkRunner::with_fault_mode`]: `true` is
-    /// strict mode, `false` lenient.
-    pub fn strict_dram(self, strict: bool) -> Self {
-        self.with_fault_mode(if strict {
-            FaultMode::Strict
-        } else {
-            FaultMode::Lenient
-        })
-    }
-
-    /// Selects strict or lenient fault handling for every group.
+    /// Selects strict (the default) or lenient fault handling for every
+    /// group.
     pub fn with_fault_mode(mut self, mode: FaultMode) -> Self {
         for g in &mut self.groups {
             g.fault_mode = mode;
@@ -1580,7 +1507,7 @@ mod tests {
         let runner = group_runner(&net, 0, &configs, &weights)
             .unwrap()
             .with_analytic_budget(1)
-            .strict_dram(true);
+            .with_fault_mode(FaultMode::Strict);
         match runner.run(&x) {
             Err(FusionError::DramMismatch {
                 start, analytic, ..
@@ -1603,7 +1530,7 @@ mod tests {
         let runner = group_runner(&net, 0, &configs, &weights)
             .unwrap()
             .with_analytic_budget(1)
-            .strict_dram(false)
+            .with_fault_mode(FaultMode::Lenient)
             .with_telemetry(tel.clone());
         let r = runner.run(&x).unwrap();
         // The mismatch triggered the fallback rung: same output, with

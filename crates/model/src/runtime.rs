@@ -18,7 +18,6 @@
 //! an executor prepared like an optimized plan is the reference the fused
 //! runner's values are validated against.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
@@ -30,7 +29,7 @@ use winofuse_conv::ops;
 use winofuse_conv::tensor::{random_tensor, Scalar, Tensor};
 use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
 use winofuse_conv::{direct, winograd, ConvError, ConvGeometry};
-use winofuse_runtime::faults::{describe_panic, FaultInjector, FaultKind, FaultMode};
+use winofuse_runtime::faults::{fall_back, Failure, Fault, FaultInjector, FaultKind, FaultMode};
 use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
@@ -924,6 +923,14 @@ impl<'n> NetworkExecutor<'n> {
         cur.ok_or_else(|| ModelError::Execution("network has no layers to execute".to_string()))
     }
 
+    /// Runs one layer behind the fault guard and the algorithm-fallback
+    /// rung ([`fall_back`]): a caught panic, a kernel fault, or an
+    /// injected Winograd-domain saturation re-runs a layer that has a
+    /// Winograd bank on the direct path in lenient mode, counting
+    /// `exec.fallbacks` / `exec.fallbacks.<class>`. Any other layer has
+    /// no fallback, so its fault — like every fault in strict mode, or one
+    /// the direct rung hits itself — surfaces as
+    /// [`ModelError::KernelFault`].
     fn exec_layer(
         &self,
         i: usize,
@@ -932,32 +939,48 @@ impl<'n> NetworkExecutor<'n> {
         stats: &ConvStats,
         prof: &PoolProfiler,
     ) -> Result<Tensor<f32>, ModelError> {
-        if let PreparedLayer::Conv(conv) = &self.prepared.layers[i] {
-            return self.run_conv_guarded(layer, cur, conv, stats, prof);
-        }
-        // Non-conv layers have no alternate algorithm rung: a caught panic
-        // (or injected fault) becomes a typed `KernelFault` in either
-        // fault mode.
-        let guarded = catch_unwind(AssertUnwindSafe(|| {
-            if self.faults.trip(&format!("exec.{}", layer.name)).is_some() {
-                return Err(ModelError::KernelFault {
-                    layer: layer.name.clone(),
-                    reason: "injected fault".to_string(),
-                });
+        let conv = match &self.prepared.layers[i] {
+            PreparedLayer::Conv(conv) => Some(conv),
+            _ => None,
+        };
+        let run_conv = |conv: &PreparedConv, force_direct: bool| -> Result<_, ModelError> {
+            let c = conv.params();
+            let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
+            Ok(conv.run(cur, geom, self.threads, Some(stats), prof, force_direct)?)
+        };
+        let primary = || {
+            if self.faults.trip(&format!("exec.{}", layer.name)) == Some(FaultKind::Saturate) {
+                return Err(Failure::Fault(Fault {
+                    class: "saturation",
+                    reason: "injected winograd-domain fix16 saturation".to_string(),
+                }));
             }
-            self.exec_simple(i, layer, cur)
-        }));
-        match guarded {
-            Ok(result) => result,
-            Err(payload) => Err(ModelError::KernelFault {
-                layer: layer.name.clone(),
-                reason: describe_panic(payload.as_ref()),
-            }),
-        }
+            let y = match conv {
+                Some(conv) => run_conv(conv, false),
+                None => self.exec_simple(i, layer, cur),
+            };
+            // Non-fault errors (shape mismatches etc.) are not recoverable
+            // by switching algorithms — they propagate untouched.
+            y.map_err(|e| match e {
+                ModelError::KernelFault { reason, .. } => Failure::Fault(Fault {
+                    class: "kernel_fault",
+                    reason,
+                }),
+                e => Failure::Error(e),
+            })
+        };
+        let fallback = conv
+            .filter(|conv| conv.winograd_m().is_some())
+            .map(|conv| move || run_conv(conv, true));
+        let fault = |reason| ModelError::KernelFault {
+            layer: layer.name.clone(),
+            reason,
+        };
+        fall_back(self.fault_mode, &self.telemetry, primary, fallback, fault).map(|(y, _)| y)
     }
 
-    /// The non-conv layer bodies (pool/LRN/ReLU/FC/softmax) — no fallback
-    /// path, called inside the guard of [`NetworkExecutor::exec_layer`].
+    /// The non-conv layer bodies (pool/LRN/ReLU/FC/softmax), called inside
+    /// the guard of [`NetworkExecutor::exec_layer`].
     fn exec_simple(
         &self,
         i: usize,
@@ -966,7 +989,7 @@ impl<'n> NetworkExecutor<'n> {
     ) -> Result<Tensor<f32>, ModelError> {
         Ok(match &layer.kind {
             LayerKind::Conv(_) => {
-                unreachable!("invariant: conv layers route through run_conv_guarded")
+                unreachable!("invariant: conv layers run their prepared convolution")
             }
             LayerKind::Pool(p) => {
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), p.kernel, p.stride, p.pad)?;
@@ -1003,79 +1026,6 @@ impl<'n> NetworkExecutor<'n> {
                 y
             }
             LayerKind::Softmax => ops::softmax(cur)?,
-        })
-    }
-
-    /// Runs a conv layer with the fault guard and the degradation ladder:
-    /// a detected kernel fault (caught panic, pool-reported fault, or
-    /// injected Winograd-domain saturation) on a Winograd layer re-runs
-    /// the layer on the direct path in lenient mode, counting
-    /// `exec.fallbacks` / `exec.fallbacks.<reason>`; in strict mode (or
-    /// when the direct rung itself faults) it surfaces as
-    /// [`ModelError::KernelFault`].
-    fn run_conv_guarded(
-        &self,
-        layer: &Layer,
-        cur: &Tensor<f32>,
-        conv: &PreparedConv,
-        stats: &ConvStats,
-        prof: &PoolProfiler,
-    ) -> Result<Tensor<f32>, ModelError> {
-        let c = conv.params();
-        let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
-        let run = |force_direct: bool| -> Result<Tensor<f32>, ModelError> {
-            Ok(conv.run(cur, geom, self.threads, Some(stats), prof, force_direct)?)
-        };
-        let primary = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(kind) = self.faults.trip(&format!("exec.{}", layer.name)) {
-                if matches!(kind, FaultKind::Saturate) {
-                    return Err(ModelError::KernelFault {
-                        layer: layer.name.clone(),
-                        reason: "injected winograd-domain fix16 saturation".to_string(),
-                    });
-                }
-            }
-            run(false)
-        }));
-        let (reason, class) = match primary {
-            Ok(Ok(y)) => return Ok(y),
-            Ok(Err(ModelError::KernelFault { reason, .. })) => {
-                let class = if reason.contains("saturation") {
-                    "saturation"
-                } else {
-                    "kernel_fault"
-                };
-                (reason, class)
-            }
-            // Non-fault errors (shape mismatches etc.) are not recoverable
-            // by switching algorithms — propagate untouched.
-            Ok(Err(other)) => return Err(other),
-            Err(payload) => (describe_panic(payload.as_ref()), "panic"),
-        };
-        if self.fault_mode == FaultMode::Lenient && conv.winograd_m().is_some() {
-            match catch_unwind(AssertUnwindSafe(|| run(true))) {
-                Ok(Ok(y)) => {
-                    self.telemetry.counter("exec.fallbacks").incr();
-                    self.telemetry
-                        .counter(&format!("exec.fallbacks.{class}"))
-                        .incr();
-                    return Ok(y);
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    return Err(ModelError::KernelFault {
-                        layer: layer.name.clone(),
-                        reason: format!(
-                            "direct fallback panicked after `{reason}`: {}",
-                            describe_panic(payload.as_ref())
-                        ),
-                    })
-                }
-            }
-        }
-        Err(ModelError::KernelFault {
-            layer: layer.name.clone(),
-            reason,
         })
     }
 }

@@ -1,9 +1,11 @@
-//! Deterministic fault injection for the execution stack.
+//! Deterministic fault injection for the execution stack, and the
+//! algorithm-fallback rung ([`fall_back`]) injected and real faults
+//! degrade through.
 //!
 //! A [`FaultInjector`] is a small, clonable table of *rules*, each firing a
 //! [`FaultKind`] at a reproducible `(site, occurrence)` point. Sites are
 //! plain strings named by the code that hosts the injection point (the pool
-//! checks `pool.<label>` before every job claim; the executor checks
+//! checks `pool.<label>` before every job; the executor checks
 //! `exec.<layer>`; the fused runner checks `fused.group<start>` and
 //! `fused.dram<start>`; `Framework::plan_entry` checks `plan.build` once
 //! per plan build). Every rule carries its own atomic occurrence
@@ -16,7 +18,7 @@
 //! ```text
 //! spec  := rule (',' rule)*
 //! rule  := kind '@' site [ '#' occ ]
-//! kind  := 'panic' | 'slow:<ms>' | 'sat' | 'dram:<±bytes>'
+//! kind  := 'panic' | 'sat' | 'dram:<±bytes>'
 //! site  := literal site name; a trailing '*' makes it a prefix match
 //! occ   := <n>      fire on the n-th occurrence only (1-based; default 1)
 //!        | '*'      fire on every occurrence
@@ -33,9 +35,11 @@
 
 use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
-use std::time::Duration;
+
+use winofuse_telemetry::Telemetry;
 
 /// What an armed rule does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +48,6 @@ pub enum FaultKind {
     /// crash; exercised recovery path: per-job isolation + algorithm
     /// fallback.
     Panic,
-    /// Sleep for the given duration at the site. Models a straggler job;
-    /// exercised recovery path: the pool watchdog deadline.
-    Slow(Duration),
     /// Report a fix16 saturation burst at the site. Models Winograd-domain
     /// overflow; exercised recovery path: re-run on the direct path.
     Saturate,
@@ -180,7 +181,7 @@ impl FaultInjector {
 
     /// Records one occurrence of `site` against every matching rule and
     /// returns the fault to apply, if any fired. The caller applies the
-    /// effect ([`FaultInjector::trip`] does it inline for `Panic`/`Slow`).
+    /// effect ([`FaultInjector::trip`] does it inline for `Panic`).
     pub fn check(&self, site: &str) -> Option<FaultKind> {
         let state = self.0.as_ref()?;
         let mut fired = None;
@@ -198,17 +199,13 @@ impl FaultInjector {
     }
 
     /// [`FaultInjector::check`], applying `Panic` (via [`std::panic::panic_any`]
-    /// with an [`InjectedFault`] payload) and `Slow` (sleep) inline.
-    /// `Saturate` / `DramDelta` are returned for the caller to interpret.
+    /// with an [`InjectedFault`] payload) inline. `Saturate` / `DramDelta`
+    /// are returned for the caller to interpret.
     pub fn trip(&self, site: &str) -> Option<FaultKind> {
         match self.check(site) {
             Some(FaultKind::Panic) => std::panic::panic_any(InjectedFault {
                 site: site.to_string(),
             }),
-            Some(FaultKind::Slow(d)) => {
-                std::thread::sleep(d);
-                None
-            }
             other => other,
         }
     }
@@ -236,27 +233,21 @@ fn parse_rule(raw: &str) -> Result<FaultRule, String> {
         None => match kind_str {
             "panic" => FaultKind::Panic,
             "sat" => FaultKind::Saturate,
-            "slow" => FaultKind::Slow(Duration::from_millis(1)),
             "dram" => {
                 return Err(format!("fault rule `{raw}`: `dram` needs `:<±bytes>`"));
             }
             other => return Err(format!("fault rule `{raw}`: unknown kind `{other}`")),
         },
-        Some(("slow", ms)) => {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("fault rule `{raw}`: bad slow duration `{ms}`"))?;
-            FaultKind::Slow(Duration::from_millis(ms))
-        }
         Some(("dram", delta)) => {
             let delta: i64 = delta
                 .parse()
                 .map_err(|_| format!("fault rule `{raw}`: bad dram delta `{delta}`"))?;
             FaultKind::DramDelta(delta)
         }
-        Some((other, _)) => {
-            return Err(format!("fault rule `{raw}`: kind `{other}` takes no arg"));
+        Some((kind @ ("panic" | "sat"), _)) => {
+            return Err(format!("fault rule `{raw}`: kind `{kind}` takes no arg"));
         }
+        Some((other, _)) => return Err(format!("fault rule `{raw}`: unknown kind `{other}`")),
     };
     let fire = match occ_str {
         None => FireAt::Nth(1),
@@ -304,6 +295,75 @@ impl std::str::FromStr for FaultMode {
             "lenient" => Ok(FaultMode::Lenient),
             other => Err(format!("fault mode `{other}`: expected strict|lenient")),
         }
+    }
+}
+
+/// A fault the algorithm-fallback rung may absorb. `class` names the
+/// `exec.fallbacks.<class>` counter a recovery bumps (`panic`,
+/// `saturation`, `kernel_fault` or `dram_mismatch`); `reason` is the
+/// one-line description a strict-mode error or a fallback record carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fault {
+    pub class: &'static str,
+    pub reason: String,
+}
+
+/// Why a primary attempt handed to [`fall_back`] produced no value.
+#[derive(Debug)]
+pub enum Failure<E> {
+    /// A fault the fallback may absorb.
+    Fault(Fault),
+    /// An error no algorithm switch can fix (shape, configuration);
+    /// it propagates untouched.
+    Error(E),
+}
+
+/// The algorithm-fallback rung of the degradation ladder, shared by the
+/// executor (Winograd → direct) and the fused runner (fused → unfused).
+///
+/// `primary` runs under `catch_unwind`; a panic counts as a [`Fault`] of
+/// class `panic`. A value returns with no reason, and a
+/// [`Failure::Error`] propagates untouched. A fault is absorbed only
+/// when `mode` is lenient and a `fallback` exists: the fallback runs
+/// under `catch_unwind`, its success bumps `exec.fallbacks` and
+/// `exec.fallbacks.<class>`, and the primary's fault reason returns with
+/// its value. Otherwise `fault(reason)` builds the typed error.
+///
+/// # Errors
+///
+/// The primary's [`Failure::Error`]; the fallback's own error;
+/// `fault(reason)` when the fault is not absorbed or the fallback
+/// panics.
+pub fn fall_back<T, E>(
+    mode: FaultMode,
+    telemetry: &Telemetry,
+    primary: impl FnOnce() -> Result<T, Failure<E>>,
+    fallback: Option<impl FnOnce() -> Result<T, E>>,
+    fault: impl FnOnce(String) -> E,
+) -> Result<(T, Option<String>), E> {
+    let Fault { class, reason } = match catch_unwind(AssertUnwindSafe(primary)) {
+        Ok(Ok(value)) => return Ok((value, None)),
+        Ok(Err(Failure::Error(e))) => return Err(e),
+        Ok(Err(Failure::Fault(f))) => f,
+        Err(payload) => Fault {
+            class: "panic",
+            reason: describe_panic(payload.as_ref()),
+        },
+    };
+    let Some(fallback) = fallback.filter(|_| mode == FaultMode::Lenient) else {
+        return Err(fault(reason));
+    };
+    match catch_unwind(AssertUnwindSafe(fallback)) {
+        Ok(Ok(value)) => {
+            telemetry.counter("exec.fallbacks").incr();
+            telemetry.counter(&format!("exec.fallbacks.{class}")).incr();
+            Ok((value, Some(reason)))
+        }
+        Ok(Err(e)) => Err(e),
+        Err(payload) => Err(fault(format!(
+            "fallback panicked after `{reason}`: {}",
+            describe_panic(payload.as_ref())
+        ))),
     }
 }
 
@@ -366,21 +426,11 @@ mod tests {
 
     #[test]
     fn parses_every_kind() {
-        let inj = FaultInjector::parse(
-            "panic@pool.a#1,slow:5@pool.b#*,sat@exec.conv3#s7,dram:-128@fused.dram*#2",
-        )
-        .unwrap();
+        let inj = FaultInjector::parse("panic@pool.a#1,sat@exec.conv3#s7,dram:-128@fused.dram*#2")
+            .unwrap();
         assert!(inj.is_enabled());
         assert_eq!(inj.check("pool.a"), Some(FaultKind::Panic));
         assert_eq!(inj.check("pool.a"), None); // #1 only fires once
-        assert_eq!(
-            inj.check("pool.b"),
-            Some(FaultKind::Slow(Duration::from_millis(5)))
-        );
-        assert_eq!(
-            inj.check("pool.b"),
-            Some(FaultKind::Slow(Duration::from_millis(5)))
-        );
         assert_eq!(inj.check("fused.dram7"), None); // occurrence 1, rule wants 2
         assert_eq!(inj.check("fused.dram7"), Some(FaultKind::DramDelta(-128)));
     }
@@ -395,7 +445,7 @@ mod tests {
             "panic@site#0",
             "panic@site#x",
             "dram@site",
-            "slow:abc@site",
+            "slow:5@site",
             "panic:3@site",
         ] {
             assert!(FaultInjector::parse(bad).is_err(), "accepted `{bad}`");
@@ -449,6 +499,40 @@ mod tests {
         }))
         .unwrap_err();
         assert_eq!(describe_panic(err.as_ref()), "injected fault at here");
+    }
+
+    #[test]
+    fn fall_back_counts_the_class_it_is_given() {
+        install_quiet_panic_hook();
+        let tel = Telemetry::enabled();
+        let fault = |reason: String| format!("fault: {reason}");
+        let sat = || -> Result<u8, Failure<String>> {
+            Err(Failure::Fault(Fault {
+                class: "saturation",
+                reason: "injected saturation".into(),
+            }))
+        };
+        let lenient = fall_back(FaultMode::Lenient, &tel, sat, Some(|| Ok(7)), fault);
+        assert_eq!(lenient, Ok((7, Some("injected saturation".to_string()))));
+        let strict = fall_back(FaultMode::Strict, &tel, sat, Some(|| Ok(7)), fault);
+        assert_eq!(strict, Err("fault: injected saturation".to_string()));
+        let panicked = fall_back(
+            FaultMode::Lenient,
+            &tel,
+            || -> Result<u8, Failure<String>> { panic!("injected: boom") },
+            Some(|| Ok(1)),
+            fault,
+        );
+        assert_eq!(panicked, Ok((1, Some("injected: boom".to_string()))));
+        let no_rung = fall_back(FaultMode::Lenient, &tel, sat, None::<fn() -> _>, fault);
+        assert_eq!(no_rung, Err("fault: injected saturation".to_string()));
+        let error = || -> Result<u8, Failure<String>> { Err(Failure::Error("shape".into())) };
+        let propagated = fall_back(FaultMode::Lenient, &tel, error, Some(|| Ok(7)), fault);
+        assert_eq!(propagated, Err("shape".to_string()));
+        let s = tel.summary();
+        assert_eq!(s.counter("exec.fallbacks"), 2);
+        assert_eq!(s.counter("exec.fallbacks.saturation"), 1);
+        assert_eq!(s.counter("exec.fallbacks.panic"), 1);
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! # winofuse-runtime — the shared scoped worker pool
 //!
 //! Both halves of the system need the same minimal parallel substrate: the
-//! strategy search fills its plan table from scoped workers, and the
-//! execution backend spreads tile and output-channel blocks across cores.
-//! This crate is that substrate — plain `std::thread::scope` workers pulling
-//! job indices from an atomic counter, with longest-job-first ordering as a
-//! scheduling helper. No work-stealing deques, no channels, no `unsafe`:
-//! jobs are indices, and mutable state is handed out as pre-split disjoint
-//! slices.
+//! strategy search fills its plan table and splits a single large
+//! branch-and-bound across workers, and the execution backend spreads
+//! tile and output-channel blocks across cores. This crate is that
+//! substrate, with one entry point, [`run_jobs`]: plain
+//! `std::thread::scope` workers claiming jobs in index order from a
+//! shared queue, every job panic-isolated, with longest-job-first
+//! ordering as a scheduling helper. No work-stealing deques, no channels,
+//! no `unsafe`: each job is a value handed to exactly one worker — a plan
+//! cell, a result slot, or a pre-split disjoint `&mut` region of an
+//! output buffer.
+//!
+//! [`faults`] holds the deterministic fault injector and the one
+//! algorithm-fallback rung ([`faults::fall_back`]) the executor and the
+//! fused runner degrade through.
 //!
 //! Determinism contract: a job's *result* may only depend on its index,
 //! never on which worker ran it or how many workers exist. Every helper
@@ -20,9 +27,9 @@ pub mod faults;
 pub mod serve;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use winofuse_telemetry::{Counter, Histogram, Telemetry, PID_WALL};
 
 use faults::{describe_panic, FaultInjector};
@@ -42,7 +49,7 @@ pub const WORKER_TID_BASE: u64 = 100;
 /// `"wino.scatter"` → slices `wino.scatter[0..n]` on the worker lanes).
 ///
 /// A disabled profiler (the default, [`PoolProfiler::disabled`]) keeps
-/// every pool entry point on the uninstrumented loop — the cost of
+/// [`run_jobs`] on the uninstrumented loop — the cost of
 /// instrumentation when telemetry is off is exactly one branch per pool
 /// invocation.
 #[derive(Clone)]
@@ -50,7 +57,6 @@ pub struct PoolProfiler {
     telemetry: Telemetry,
     label: Arc<str>,
     faults: FaultInjector,
-    guard: GuardPolicy,
 }
 
 impl Default for PoolProfiler {
@@ -60,14 +66,12 @@ impl Default for PoolProfiler {
 }
 
 impl PoolProfiler {
-    /// The no-op profiler: pool entry points run the plain untraced
-    /// path.
+    /// The no-op profiler: [`run_jobs`] runs the plain untraced path.
     pub fn disabled() -> Self {
         PoolProfiler {
             telemetry: Telemetry::disabled(),
             label: Arc::from("job"),
             faults: FaultInjector::disabled(),
-            guard: GuardPolicy::default(),
         }
     }
 
@@ -77,15 +81,14 @@ impl PoolProfiler {
             telemetry,
             label: Arc::from(label),
             faults: FaultInjector::disabled(),
-            guard: GuardPolicy::default(),
         }
     }
 
     /// A view of this profiler with `label` appended to the span label
     /// (`"conv3_1"` scoped by `"wino.gemm"` → spans `conv3_1/wino.gemm[i]`)
     /// — the cheap way to tag each kernel phase distinctly while sharing
-    /// one telemetry registry. The fault injector and guard policy are
-    /// always carried through (the joined label doubles as the pool's
+    /// one telemetry registry. The fault injector is always carried
+    /// through (the joined label doubles as the pool's
     /// fault-injection site name, `pool.<label>`); when both telemetry and
     /// faults are off this allocates nothing.
     pub fn scoped(&self, label: &str) -> PoolProfiler {
@@ -101,16 +104,10 @@ impl PoolProfiler {
         out
     }
 
-    /// Attaches a fault injector: the isolated pool entry points check the
-    /// site `pool.<label>` before every job attempt.
+    /// Attaches a fault injector: [`run_jobs`] checks the site
+    /// `pool.<label>` before every job.
     pub fn with_faults(mut self, faults: FaultInjector) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the retry/deadline policy applied by the isolated entry points.
-    pub fn with_guard(mut self, guard: GuardPolicy) -> Self {
-        self.guard = guard;
         self
     }
 
@@ -122,17 +119,13 @@ impl PoolProfiler {
         &self.faults
     }
 
-    pub fn guard(&self) -> GuardPolicy {
-        self.guard
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.telemetry.is_enabled()
     }
 
-    /// Fault-injection hook run inside each isolated job attempt's
-    /// `catch_unwind` region: checks (and applies) the `pool.<label>`
-    /// site. One branch when no injector is attached.
+    /// Fault-injection hook run inside each job's `catch_unwind` region:
+    /// checks (and applies) the `pool.<label>` site. One branch when no
+    /// injector is attached.
     #[inline]
     fn trip_job(&self) {
         if self.faults.is_enabled() {
@@ -142,51 +135,27 @@ impl PoolProfiler {
 }
 
 // ---------------------------------------------------------------------------
-// Panic isolation: guard policy + pool errors
+// Panic isolation: pool errors
 // ---------------------------------------------------------------------------
 
-/// Retry/watchdog policy for the `*_isolated` pool entry points.
-///
-/// `retries` is the number of *additional* attempts a panicking job gets
-/// before its panic is reported (jobs must be idempotent: every attempt
-/// rewrites the job's full output region, which all kernels in this
-/// workspace satisfy). `deadline` is a soft watchdog per pool invocation:
-/// workers stop claiming new jobs once it has elapsed — an already-running
-/// job is never interrupted, so the granularity is one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GuardPolicy {
-    pub retries: u32,
-    pub deadline: Option<Duration>,
-}
-
-/// One job's final (post-retry) panic, as collected by the isolated pool.
+/// One job's panic, as collected by the pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
     pub index: usize,
-    /// Total attempts made (1 = no retry).
-    pub attempts: u32,
     pub message: String,
 }
 
-/// Failure of an isolated pool invocation. The pool itself never unwinds:
-/// per-job panics are caught, retried per [`GuardPolicy`], and collected
-/// here with the invocation's completion tally.
+/// Failure of a pool invocation. The pool itself never unwinds: per-job
+/// panics are caught and collected here with the invocation's completion
+/// tally.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum PoolError {
-    /// One or more jobs panicked on every attempt. `completed` counts the
-    /// jobs that did finish — the pool drains all claimable work before
-    /// reporting, so a single bad job never poisons its siblings.
+    /// One or more jobs panicked. `completed` counts the jobs that did
+    /// finish — the pool drains all claimable work before reporting, so a
+    /// single bad job never poisons its siblings.
     JobsPanicked {
         label: String,
         panics: Vec<JobPanic>,
-        completed: usize,
-        total: usize,
-    },
-    /// The watchdog deadline elapsed before all jobs were claimed.
-    DeadlineExceeded {
-        label: String,
-        deadline: Duration,
         completed: usize,
         total: usize,
     },
@@ -194,34 +163,21 @@ pub enum PoolError {
 
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::JobsPanicked {
-                label,
-                panics,
-                completed,
-                total,
-            } => {
-                let first = panics.first().expect("invariant: JobsPanicked is nonempty");
-                write!(
-                    f,
-                    "pool `{label}`: {} of {total} jobs panicked ({completed} completed; \
-                     first: job {} after {} attempt(s): {})",
-                    panics.len(),
-                    first.index,
-                    first.attempts,
-                    first.message
-                )
-            }
-            PoolError::DeadlineExceeded {
-                label,
-                deadline,
-                completed,
-                total,
-            } => write!(
-                f,
-                "pool `{label}`: deadline {deadline:?} exceeded with {completed}/{total} jobs completed"
-            ),
-        }
+        let PoolError::JobsPanicked {
+            label,
+            panics,
+            completed,
+            total,
+        } = self;
+        let first = panics.first().expect("invariant: JobsPanicked is nonempty");
+        write!(
+            f,
+            "pool `{label}`: {} of {total} jobs panicked ({completed} completed; \
+             first: job {}: {})",
+            panics.len(),
+            first.index,
+            first.message
+        )
     }
 }
 
@@ -334,275 +290,85 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `jobs` independent jobs (`f(index)` for `index` in `0..jobs`) on up
-/// to `threads` scoped workers, returning the worker count actually used.
+/// Runs one job per element of `jobs` on up to `threads` scoped workers,
+/// returning the worker count actually used (`threads.min(jobs).max(1)`).
 ///
-/// Workers pull indices in ascending order from a shared atomic counter, so
-/// earlier jobs start no later than later ones — pair with
-/// [`longest_first_order`] for longest-job-first scheduling. With one
-/// worker (or one job) everything runs inline on the caller's thread.
-pub fn run_jobs<F>(threads: usize, jobs: usize, f: F) -> usize
-where
-    F: Fn(usize) + Sync,
-{
-    let workers = threads.min(jobs).max(1);
-    if workers <= 1 {
-        for i in 0..jobs {
-            f(i);
-        }
-        return workers;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                f(i);
-            });
-        }
-    });
-    workers
-}
-
-// ---------------------------------------------------------------------------
-// Panic-isolated pool entry points
-// ---------------------------------------------------------------------------
-
-/// Shared bookkeeping for one isolated pool invocation.
-struct IsolatedRun {
-    start: Instant,
-    completed: AtomicUsize,
-    deadline_hit: AtomicBool,
-    panics: Mutex<Vec<JobPanic>>,
-}
-
-impl IsolatedRun {
-    fn new() -> Self {
-        IsolatedRun {
-            start: Instant::now(),
-            completed: AtomicUsize::new(0),
-            deadline_hit: AtomicBool::new(false),
-            panics: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Watchdog check before a claim: true = stop claiming.
-    fn past_deadline(&self, guard: GuardPolicy) -> bool {
-        match guard.deadline {
-            Some(d) if self.start.elapsed() > d => {
-                self.deadline_hit.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Runs one job attempt loop: `catch_unwind` around every attempt,
-    /// bounded retry per `guard`, telemetry on the rare path only.
-    fn attempt_job(
-        &self,
-        prof: &PoolProfiler,
-        index: usize,
-        guard: GuardPolicy,
-        mut run: impl FnMut(),
-    ) {
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            match catch_unwind(AssertUnwindSafe(|| {
-                prof.trip_job();
-                run();
-            })) {
-                Ok(()) => {
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(payload) => {
-                    prof.telemetry.counter("pool.job_panics").incr();
-                    if attempt <= guard.retries {
-                        prof.telemetry.counter("pool.job_retries").incr();
-                        continue;
-                    }
-                    self.panics
-                        .lock()
-                        .expect("invariant: job panic list lock never poisoned")
-                        .push(JobPanic {
-                            index,
-                            attempts: attempt,
-                            message: describe_panic(payload.as_ref()),
-                        });
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Folds the invocation into a result, emitting the deadline counter
-    /// when the watchdog fired.
-    fn finish(self, prof: &PoolProfiler, workers: usize, total: usize) -> Result<usize, PoolError> {
-        let mut panics = self
-            .panics
-            .into_inner()
-            .expect("invariant: job panic list lock never poisoned");
-        let completed = self.completed.into_inner();
-        if !panics.is_empty() {
-            panics.sort_by_key(|p| p.index);
-            return Err(PoolError::JobsPanicked {
-                label: prof.label.to_string(),
-                panics,
-                completed,
-                total,
-            });
-        }
-        if self.deadline_hit.into_inner() && completed < total {
-            prof.telemetry.counter("pool.deadline_exceeded").incr();
-            return Err(PoolError::DeadlineExceeded {
-                label: prof.label.to_string(),
-                deadline: prof
-                    .guard
-                    .deadline
-                    .expect("invariant: deadline_hit implies deadline set"),
-                completed,
-                total,
-            });
-        }
-        Ok(workers)
-    }
-}
-
-/// [`run_jobs`] with worker-lane tracing and per-job panic isolation.
+/// Job `i` receives `jobs[i]` by value: a plain value (a plan-table
+/// cell), a pre-split `&mut` slice ([`split_chunks`], [`split_lengths`])
+/// — the safe way to let workers write disjoint regions of one output
+/// buffer — or a group of disjoint fragments ([`split_spans`]). `init()`
+/// runs once on each worker to build scratch state threaded through
+/// every job that worker executes (packed GEMM panels, transform tiles)
+/// without sharing it across workers.
 ///
-/// Every job attempt runs inside `catch_unwind`; panicking jobs are
-/// retried per the profiler's [`GuardPolicy`] and finally *collected*
+/// Workers claim jobs in ascending index order, so earlier jobs start no
+/// later than later ones — pair with [`longest_first_order`] for
+/// longest-job-first scheduling. With one worker everything runs inline
+/// on the caller's thread.
+///
+/// Every job runs inside `catch_unwind`: a panicking job is *collected*
 /// instead of unwinding through the pool — one bad job never poisons its
-/// siblings, and the caller gets a typed [`PoolError`] naming every failed
-/// index. An optional watchdog deadline stops workers from claiming new
-/// jobs once elapsed.
+/// siblings, and the caller gets a typed [`PoolError`] naming every
+/// failed index once the remaining jobs have drained. Fault injection
+/// (see [`faults`]) checks site `pool.<label>` before each job.
 ///
 /// When `prof` is enabled, each worker emits one Chrome-trace complete
 /// slice per job on its own stable tid ([`WORKER_TID_BASE`]` + worker`),
 /// and the pool-level counters (`pool.jobs`, `pool.runs`,
 /// `pool.idle_ns`) and histograms (`pool.worker_busy_ns`,
-/// `pool.job_wait_us`) accumulate, plus `pool.job_panics` /
-/// `pool.job_retries` / `pool.deadline_exceeded` on the respective rare
-/// paths. A disabled profiler costs one branch per invocation. Fault
-/// injection (see [`faults`]) checks site `pool.<label>` before each
-/// attempt.
+/// `pool.job_wait_us`) accumulate, plus `pool.job_panics` on the rare
+/// path. A disabled profiler costs one branch per invocation.
 ///
 /// # Errors
 ///
-/// [`PoolError::JobsPanicked`] when any job panicked on all attempts;
-/// [`PoolError::DeadlineExceeded`] when the watchdog cut the run short.
-pub fn run_jobs_isolated<F>(
+/// [`PoolError::JobsPanicked`] when any job panicked.
+pub fn run_jobs<J: Send, S>(
     threads: usize,
-    jobs: usize,
+    jobs: Vec<J>,
     prof: &PoolProfiler,
-    f: F,
-) -> Result<usize, PoolError>
-where
-    F: Fn(usize) + Sync,
-{
-    let workers = threads.min(jobs).max(1);
-    if jobs == 0 {
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, J) + Sync,
+) -> Result<usize, PoolError> {
+    let total = jobs.len();
+    let workers = threads.min(total).max(1);
+    if total == 0 {
         return Ok(workers);
     }
-    let guard = prof.guard;
     let run = prof.is_enabled().then(|| PoolRun::start(prof));
-    let iso = IsolatedRun::new();
-    let next = AtomicUsize::new(0);
-    let worker = |w: usize| {
-        let mut lane = run.as_ref().map(|r| r.lane(w));
-        loop {
-            if iso.past_deadline(guard) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= jobs {
-                break;
-            }
-            iso.attempt_job(prof, i, guard, || match lane.as_mut() {
-                Some(l) => l.run_job(i, || f(i)),
-                None => f(i),
-            });
-        }
-        if let Some(l) = lane {
-            l.finish();
-        }
-    };
-    if workers <= 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
-            }
-        });
-    }
-    iso.finish(prof, workers, jobs)
-}
-
-/// [`run_jobs_isolated`] where each job receives exclusive ownership of
-/// its pre-split `&mut` slice — the safe way to let workers write
-/// disjoint regions of one output buffer in parallel. Job `i` gets
-/// `slices[i]`, and `init()` runs once on each worker to build scratch
-/// state threaded through every job that worker executes (packed GEMM
-/// panels, transform tiles) without sharing it across workers.
-///
-/// Lanes, counters, panic isolation, retry, and watchdog semantics match
-/// [`run_jobs_isolated`]. A retried job gets its slice back (reborrowed),
-/// so retries rewrite the same disjoint region.
-///
-/// # Errors
-///
-/// Same conditions as [`run_jobs_isolated`].
-pub fn run_sliced_jobs_isolated<T, S, I, F>(
-    threads: usize,
-    slices: Vec<&mut [T]>,
-    prof: &PoolProfiler,
-    init: I,
-    f: F,
-) -> Result<usize, PoolError>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T]) + Sync,
-{
-    let jobs = slices.len();
-    let workers = threads.min(jobs).max(1);
-    if jobs == 0 {
-        return Ok(workers);
-    }
-    let guard = prof.guard;
-    let run = prof.is_enabled().then(|| PoolRun::start(prof));
-    let iso = IsolatedRun::new();
-    let cells: Vec<Mutex<Option<&mut [T]>>> =
-        slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let completed = AtomicUsize::new(0);
+    let panics = Mutex::new(Vec::new());
     let worker = |w: usize| {
         let mut state = init();
         let mut lane = run.as_ref().map(|r| r.lane(w));
         loop {
-            if iso.past_deadline(guard) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(cell) = cells.get(i) else { break };
-            let slice = cell
+            let claimed = queue
                 .lock()
-                .expect("invariant: slice cell lock never poisoned")
-                .take()
-                .expect("invariant: each slice cell is claimed exactly once");
-            iso.attempt_job(prof, i, guard, || {
-                let s: &mut [T] = slice;
+                .expect("invariant: job queue lock never poisoned")
+                .next();
+            let Some((i, job)) = claimed else { break };
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                prof.trip_job();
                 match lane.as_mut() {
-                    Some(l) => l.run_job(i, || f(&mut state, i, s)),
-                    None => f(&mut state, i, s),
+                    Some(l) => l.run_job(i, || f(&mut state, i, job)),
+                    None => f(&mut state, i, job),
                 }
-            });
+            }));
+            match outcome {
+                Ok(()) => {
+                    completed.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(payload) => {
+                    prof.telemetry.counter("pool.job_panics").incr();
+                    panics
+                        .lock()
+                        .expect("invariant: job panic list lock never poisoned")
+                        .push(JobPanic {
+                            index: i,
+                            message: describe_panic(payload.as_ref()),
+                        });
+                }
+            }
         }
         if let Some(l) = lane {
             l.finish();
@@ -618,87 +384,25 @@ where
             }
         });
     }
-    iso.finish(prof, workers, jobs)
-}
-
-/// [`run_sliced_jobs_isolated`] for jobs that own a *group* of disjoint
-/// output fragments instead of one contiguous slice — the shape a
-/// tile-block Winograd job has, owning the same output rows across every
-/// channel plane of an NCHW tensor. Build the groups with [`split_spans`].
-///
-/// Panic isolation, retry, and watchdog semantics match
-/// [`run_jobs_isolated`]; a retried job gets its whole fragment group back
-/// (reborrowed), so retries rewrite the same disjoint regions.
-///
-/// # Errors
-///
-/// Same conditions as [`run_jobs_isolated`].
-pub fn run_grouped_jobs_isolated<T, S, I, F>(
-    threads: usize,
-    groups: Vec<Vec<&mut [T]>>,
-    prof: &PoolProfiler,
-    init: I,
-    f: F,
-) -> Result<usize, PoolError>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [&mut [T]]) + Sync,
-{
-    let jobs = groups.len();
-    let workers = threads.min(jobs).max(1);
-    if jobs == 0 {
+    let mut panics = panics
+        .into_inner()
+        .expect("invariant: job panic list lock never poisoned");
+    if panics.is_empty() {
         return Ok(workers);
     }
-    let guard = prof.guard;
-    let run = prof.is_enabled().then(|| PoolRun::start(prof));
-    let iso = IsolatedRun::new();
-    let cells: Vec<Mutex<Option<Vec<&mut [T]>>>> =
-        groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
-    let next = AtomicUsize::new(0);
-    let worker = |w: usize| {
-        let mut state = init();
-        let mut lane = run.as_ref().map(|r| r.lane(w));
-        loop {
-            if iso.past_deadline(guard) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(cell) = cells.get(i) else { break };
-            let mut group = cell
-                .lock()
-                .expect("invariant: group cell lock never poisoned")
-                .take()
-                .expect("invariant: each group cell is claimed exactly once");
-            iso.attempt_job(prof, i, guard, || {
-                let g: &mut [&mut [T]] = &mut group;
-                match lane.as_mut() {
-                    Some(l) => l.run_job(i, || f(&mut state, i, g)),
-                    None => f(&mut state, i, g),
-                }
-            });
-        }
-        if let Some(l) = lane {
-            l.finish();
-        }
-    };
-    if workers <= 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
-            }
-        });
-    }
-    iso.finish(prof, workers, jobs)
+    panics.sort_by_key(|p| p.index);
+    Err(PoolError::JobsPanicked {
+        label: prof.label.to_string(),
+        panics,
+        completed: completed.into_inner(),
+        total,
+    })
 }
 
-/// Carves `data` into per-owner fragment groups for
-/// [`run_grouped_jobs_isolated`]: `spans` lists `(owner, len)` pairs in
-/// memory order covering all of `data`, and the returned `Vec` holds, for
-/// each owner `0..owners`, its fragments in memory order. Owners may
+/// Carves `data` into per-owner fragment groups for [`run_jobs`]: `spans`
+/// lists `(owner, len)` pairs in memory order covering all of `data`, and
+/// the returned `Vec` holds, for each owner `0..owners`, its fragments in
+/// memory order. Owners may
 /// interleave arbitrarily in the span list — that is the point: a job can
 /// own non-contiguous regions (e.g. the same rows of every channel plane)
 /// with no `unsafe` and no copying.
@@ -724,8 +428,7 @@ pub fn split_spans<'a, T>(
 
 /// Splits `data` into consecutive slices of the given lengths. The lengths
 /// must sum to exactly `data.len()` — this is how a flat output buffer is
-/// carved into the disjoint per-job regions [`run_sliced_jobs_isolated`]
-/// hands out.
+/// carved into the disjoint per-job regions [`run_jobs`] hands out.
 ///
 /// # Panics
 ///
@@ -743,7 +446,7 @@ pub fn split_lengths<'a, T>(mut data: &'a mut [T], lengths: &[usize]) -> Vec<&'a
 
 /// Splits `data` into `⌈len/chunk⌉` consecutive slices of `chunk` elements
 /// (the last possibly shorter). Convenience wrapper over `chunks_mut` that
-/// collects into the `Vec` shape [`run_sliced_jobs_isolated`] expects.
+/// collects into the `Vec` shape [`run_jobs`] expects.
 ///
 /// # Panics
 ///
@@ -801,12 +504,12 @@ mod tests {
             let spans: Vec<(usize, usize)> = (0..8).map(|i| (i % 4, 3)).collect();
             let groups = split_spans(&mut data, &spans, 4);
             let prof = PoolProfiler::disabled();
-            let workers = run_grouped_jobs_isolated(
+            let workers = run_jobs(
                 threads,
                 groups,
                 &prof,
                 || (),
-                |(), job, frags| {
+                |(), job, mut frags| {
                     for frag in frags.iter_mut() {
                         for v in frag.iter_mut() {
                             *v = job + 1;
@@ -826,12 +529,12 @@ mod tests {
         let mut data = vec![0u8; 6];
         let groups = split_spans(&mut data, &[(0, 2), (1, 2), (2, 2)], 3);
         let prof = PoolProfiler::disabled();
-        let err = run_grouped_jobs_isolated(
+        let err = run_jobs(
             2,
             groups,
             &prof,
             || (),
-            |(), job, frags| {
+            |(), job, mut frags| {
                 if job == 1 {
                     panic!("boom");
                 }
@@ -839,16 +542,12 @@ mod tests {
             },
         )
         .unwrap_err();
-        match err {
-            PoolError::JobsPanicked {
-                panics, completed, ..
-            } => {
-                assert_eq!(panics.len(), 1);
-                assert_eq!(panics[0].index, 1);
-                assert_eq!(completed, 2);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let PoolError::JobsPanicked {
+            panics, completed, ..
+        } = err;
+        assert_eq!(panics.len(), 1);
+        assert_eq!(panics[0].index, 1);
+        assert_eq!(completed, 2);
         // Healthy siblings still ran.
         assert_eq!(data, vec![7, 7, 0, 0, 7, 7]);
     }
@@ -857,9 +556,16 @@ mod tests {
     fn run_jobs_covers_every_index_exactly_once() {
         for threads in [1usize, 2, 4, 8] {
             let hits: Vec<AtomicU64> = (0..37).map(|_| AtomicU64::new(0)).collect();
-            let used = run_jobs(threads, hits.len(), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            let used = run_jobs(
+                threads,
+                vec![(); hits.len()],
+                &PoolProfiler::disabled(),
+                || (),
+                |(), i, ()| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+            )
+            .unwrap();
             assert!(used >= 1 && used <= threads.max(1));
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
@@ -867,7 +573,15 @@ mod tests {
 
     #[test]
     fn run_jobs_with_zero_jobs_is_a_noop() {
-        assert_eq!(run_jobs(4, 0, |_| panic!("no jobs to run")), 1);
+        let none: Vec<()> = Vec::new();
+        let used = run_jobs(
+            4,
+            none,
+            &PoolProfiler::disabled(),
+            || (),
+            |(), _, ()| panic!("no jobs to run"),
+        );
+        assert_eq!(used, Ok(1));
     }
 
     #[test]
@@ -875,7 +589,7 @@ mod tests {
         for threads in [1usize, 3, 8] {
             let mut data = vec![0u64; 100];
             let slices = split_chunks(&mut data, 7);
-            run_sliced_jobs_isolated(
+            run_jobs(
                 threads,
                 slices,
                 &PoolProfiler::disabled(),
@@ -901,7 +615,7 @@ mod tests {
         let total = AtomicU64::new(0);
         let mut data = vec![0u64; 64];
         let slices = split_chunks(&mut data, 1);
-        run_sliced_jobs_isolated(
+        run_jobs(
             4,
             slices,
             &PoolProfiler::disabled(),
@@ -927,9 +641,15 @@ mod tests {
             let tele = Telemetry::with_sink(Box::new(sink));
             let prof = PoolProfiler::new(tele.clone(), "test.job");
             let jobs = 17;
-            let used = run_jobs_isolated(threads, jobs, &prof, |_| {
-                std::hint::black_box(0u64);
-            })
+            let used = run_jobs(
+                threads,
+                vec![(); jobs],
+                &prof,
+                || (),
+                |(), _, ()| {
+                    std::hint::black_box(0u64);
+                },
+            )
             .unwrap();
 
             let s = tele.summary();
@@ -966,7 +686,7 @@ mod tests {
         let prof = PoolProfiler::new(tele.clone(), "sliced");
         let mut data = vec![0u64; 100];
         let slices = split_chunks(&mut data, 7);
-        run_sliced_jobs_isolated(
+        run_jobs(
             3,
             slices,
             &prof,
@@ -990,9 +710,15 @@ mod tests {
         let prof = PoolProfiler::disabled();
         assert!(!prof.is_enabled());
         let hits = AtomicU64::new(0);
-        run_jobs_isolated(4, 8, &prof, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
+        run_jobs(
+            4,
+            vec![(); 8],
+            &prof,
+            || (),
+            |(), _, ()| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            },
+        )
         .unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 8);
         assert_eq!(prof.telemetry().summary().counters.len(), 0);

@@ -70,15 +70,15 @@ fn usage() -> ! {
            --sparsity T      sparse density: fraction of transformed\n\
                              coefficients kept, in (0, 1] (default 0.25); only\n\
                              valid with --exec-algo sparse or --policy sparse\n\
-           --inject SPEC     deterministic fault injection (run, profile):\n\
+           --inject SPEC     deterministic fault injection (run, profile, serve):\n\
                              comma-separated rules `kind@site[#occ]` with kind\n\
-                             panic | slow:<ms> | sat | dram:<±bytes>; site is a\n\
+                             panic | sat | dram:<±bytes>; site is a\n\
                              literal or prefix `...*` (e.g. pool.conv2/wino.*,\n\
                              exec.conv2, fused.group0, fused.dram0); occ is an\n\
                              occurrence number, `*` (every), or s<seed>\n\
            --fault-mode M    strict (typed error, per-class exit code) or\n\
                              lenient (degrade: winograd->direct rerun, fused\n\
-                             group -> unfused; default for run/profile)\n\
+                             group -> unfused; default for run/profile/serve)\n\
            --fused           `run` only: optimize first, then execute the\n\
                              strategy's fusion groups with the fast kernels and\n\
                              reconcile measured DRAM traffic per group against\n\
@@ -629,11 +629,8 @@ fn cmd_run_fused(net: &Network, o: &Options) -> Result<(), TaskError> {
 fn print_recovery_counters(telemetry: &Telemetry) {
     let s = telemetry.summary();
     println!(
-        "fault recovery: {} job panic(s), {} retry(ies), {} deadline(s) blown, \
-         {} fallback(s), {} fix16 saturation(s)",
+        "fault recovery: {} job panic(s), {} fallback(s), {} fix16 saturation(s)",
         s.counter("pool.job_panics"),
-        s.counter("pool.job_retries"),
-        s.counter("pool.deadline_exceeded"),
         s.counter("exec.fallbacks"),
         s.counter("fix16.saturations"),
     );
@@ -756,7 +753,6 @@ fn cmd_serve(net: &Network, o: &Options) -> Result<(), TaskError> {
         budget_bytes: o.budget_bytes,
         precision: DataType::Fixed16,
         fused: o.fused,
-        fault_mode: o.fault_mode.unwrap_or(FaultMode::Lenient),
     };
     let requests = o.requests.unwrap_or(32);
     let concurrency = o.concurrency.unwrap_or(4).max(1);

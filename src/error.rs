@@ -13,14 +13,13 @@
 //! | 5 | planning / resource | infeasible budget, FPGA or codegen model |
 //! | 6 | DRAM reconciliation | strict-mode [`FusionError::DramMismatch`] |
 //! | 7 | kernel fault | caught panic, pool fault, strict group fault |
-//! | 8 | deadline exceeded | worker-pool watchdog fired |
 //! | 9 | serve admission | queue overloaded, engine shutting down |
 //!
-//! The kernel-fault and deadline classes are the fault-tolerance
-//! machinery's strict-mode surface (see `DESIGN.md` §12); everything
-//! else is the pre-existing error space, now chained via
-//! [`std::error::Error::source`] so `caused by:` trails print from any
-//! layer.
+//! The DRAM-reconciliation and kernel-fault classes are the
+//! fault-tolerance machinery's strict-mode surface (see `DESIGN.md`
+//! §12); everything else is the pre-existing error space, now chained
+//! via [`std::error::Error::source`] so `caused by:` trails print from
+//! any layer.
 
 use std::error::Error;
 use std::fmt;
@@ -86,7 +85,6 @@ impl TaskError {
             TaskError::Fusion(FusionError::GroupFault { .. })
             | TaskError::Fusion(FusionError::KernelFault { .. }) => 7,
             TaskError::Fusion(_) => 3,
-            TaskError::Pool(PoolError::DeadlineExceeded { .. }) => 8,
             TaskError::Pool(_) => 7,
             TaskError::Serve(_) => 9,
             TaskError::Other(_) => 1,
@@ -239,16 +237,6 @@ mod tests {
             })
             .exit_code(),
             7
-        );
-        assert_eq!(
-            TaskError::from(PoolError::DeadlineExceeded {
-                label: "x".into(),
-                deadline: std::time::Duration::from_millis(1),
-                completed: 0,
-                total: 4
-            })
-            .exit_code(),
-            8
         );
         assert_eq!(
             TaskError::from(ServeError::Overloaded {

@@ -63,9 +63,6 @@ pub struct ServeConfig {
     /// Execute batches on the fused-group runner (conv body, per-group
     /// DRAM reconciliation) instead of the batched layer executor.
     pub fused: bool,
-    /// Fault handling for the execution substrate; lenient degrades a
-    /// faulty Winograd kernel to direct instead of failing the batch.
-    pub fault_mode: FaultMode,
 }
 
 impl Default for ServeConfig {
@@ -77,7 +74,6 @@ impl Default for ServeConfig {
             budget_bytes: 8 * 1024 * 1024,
             precision: DataType::Fixed16,
             fused: false,
-            fault_mode: FaultMode::Lenient,
         }
     }
 }
@@ -214,7 +210,12 @@ impl Shared {
                 .map_err(|e| format!("executor setup failed: {e}"))?
                 .with_threads(self.fw.threads())
                 .with_telemetry(self.telemetry.clone())
-                .with_fault_mode(self.cfg.fault_mode);
+                .with_faults(self.fw.faults().clone())
+                .with_fault_mode(
+                    self.fw
+                        .fault_mode()
+                        .expect("invariant: ServeEngine::start sets the fault mode"),
+                );
             exec.run(batched).map_err(|e| format!("batch failed: {e}"))
         }
     }
@@ -231,8 +232,10 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Starts the engine: spawns the batching worker and returns the
     /// submission front end. `fw` supplies the device, policy, thread
-    /// count, and fault injector the cached plans are built with;
-    /// `telemetry` receives the serve counters and latency histograms.
+    /// count, fault injector and fault mode both execution paths run
+    /// with — lenient when `fw` sets none, so a faulty Winograd kernel
+    /// degrades to direct before it fails a batch; `telemetry` receives
+    /// the serve counters and latency histograms.
     ///
     /// The plan cache starts cold — call [`ServeEngine::warm`] to pay
     /// the first build eagerly, or let the first request pay it.
@@ -249,13 +252,16 @@ impl ServeEngine {
     ) -> Result<Self, TaskError> {
         net.shapes()?;
         let key = fw.plan_key(&net, &weights, cfg.budget_bytes, cfg.precision);
+        // One fault mode for both execution paths: the fused runner
+        // takes it from the framework when the plan is built.
+        let fault_mode = fw.fault_mode().unwrap_or(FaultMode::Lenient);
         let shared = Arc::new(Shared {
             cache: PlanCache::new(telemetry.clone()),
             net: Arc::new(net),
             weights: Arc::new(weights),
             key,
             telemetry,
-            fw,
+            fw: fw.with_fault_mode(fault_mode),
             cfg,
         });
         let queue = Arc::new(ServeQueue::bounded(shared.cfg.queue_depth));

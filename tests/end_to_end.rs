@@ -6,6 +6,7 @@ use winofuse::conv::tensor::Tensor;
 use winofuse::model::prototxt;
 use winofuse::model::runtime::{forward, ExecAlgo, NetworkExecutor, NetworkWeights};
 use winofuse::prelude::*;
+use winofuse::runtime::faults::FaultMode;
 
 const MB: u64 = 1024 * 1024;
 
@@ -58,7 +59,7 @@ fn assert_groups_match_reference(
         .execution_plan()
         .runner(net, weights)
         .expect("runner lowers")
-        .strict_dram(true);
+        .with_fault_mode(FaultMode::Strict);
     let mut cur = input;
     for group in runner.groups() {
         let out = group.run(&cur).expect("group runs").output;

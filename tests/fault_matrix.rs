@@ -14,11 +14,12 @@
 use winofuse::conv::fixed::Fix16;
 use winofuse::conv::tensor::{random_tensor, Tensor};
 use winofuse::core::framework::Framework;
+use winofuse::model::layer::ConvParams;
 use winofuse::model::runtime::{forward_fix16, ExecAlgo, NetworkExecutor, NetworkWeights};
+use winofuse::model::shape::FmShape;
 use winofuse::model::{zoo, LayerKind, ModelError, Network};
 use winofuse::prelude::FpgaDevice;
 use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
-use winofuse::runtime::{run_jobs_isolated, GuardPolicy, PoolProfiler};
 use winofuse::telemetry::Telemetry;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -149,31 +150,31 @@ fn strict_mode_surfaces_kernel_fault_with_layer_name() {
     }
 }
 
+/// The fallback counter's class comes from the fault, not from its
+/// text: a pool panic in a layer *named* `saturation` is a kernel fault.
 #[test]
-fn retried_transient_panic_recovers_without_fallback() {
+fn fallback_class_ignores_the_layer_name() {
     install_quiet_panic_hook();
-    // One transient panic (first occurrence only): bounded retry inside
-    // the isolated pool absorbs it before any layer-level ladder would
-    // even engage, and the idempotent job rewrites its output correctly.
+    let net = Network::builder("named", FmShape::new(3, 16, 16))
+        .conv("saturation", ConvParams::vgg3x3(8))
+        .build()
+        .expect("one-layer net");
+    let weights = NetworkWeights::random(&net, 81).expect("weights");
+    let x = random_tensor(1, 3, 16, 16, 82);
     let tel = Telemetry::enabled();
-    let prof = PoolProfiler::new(tel.clone(), "victim")
-        .with_faults(FaultInjector::parse("panic@pool.victim#1").expect("spec"))
-        .with_guard(GuardPolicy {
-            retries: 1,
-            deadline: None,
-        });
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    run_jobs_isolated(2, 8, &prof, |_i| {
-        done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    })
-    .expect("retry must absorb a transient fault");
-    assert!(
-        done.load(std::sync::atomic::Ordering::Relaxed) >= 8,
-        "every job body ran at least once"
-    );
+    let out = exec_with(&net, &weights, ExecAlgo::Auto, 2)
+        .with_telemetry(tel.clone())
+        .with_faults(FaultInjector::parse("panic@pool.saturation/*#1").expect("spec"))
+        .with_fault_mode(FaultMode::Lenient)
+        .run(&x)
+        .expect("lenient run must recover");
+    let reference = exec_with(&net, &weights, ExecAlgo::Direct, 2)
+        .run(&x)
+        .expect("direct reference");
+    assert_eq!(out, reference);
     let s = tel.summary();
-    assert_eq!(s.counter("pool.job_panics"), 1);
-    assert_eq!(s.counter("pool.job_retries"), 1);
+    assert_eq!(s.counter("exec.fallbacks.kernel_fault"), 1);
+    assert_eq!(s.counter("exec.fallbacks.saturation"), 0);
 }
 
 /// The fused matrix: DRAM-meter perturbation on every group forces every

@@ -21,6 +21,7 @@ use winofuse::model::shape::FmShape;
 use winofuse::model::zoo;
 use winofuse::model::Network;
 use winofuse::prelude::FpgaDevice;
+use winofuse::runtime::faults::FaultMode;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -52,7 +53,7 @@ fn check_strategy(
     let runner = plan
         .runner(net, &weights)
         .expect("runner")
-        .strict_dram(true)
+        .with_fault_mode(FaultMode::Strict)
         .with_threads(threads[0]);
     let report = runner.run(&x).expect("fused f32 run");
     assert_eq!(report.groups.len(), design.partition.groups.len());
@@ -82,7 +83,7 @@ fn check_strategy(
         let rt = plan
             .runner(net, &weights)
             .expect("runner")
-            .strict_dram(true)
+            .with_fault_mode(FaultMode::Strict)
             .with_threads(t)
             .run(&x)
             .expect("fused f32 run");
@@ -99,7 +100,7 @@ fn check_strategy(
     let rq = plan
         .runner(net, &weights)
         .expect("runner")
-        .strict_dram(true)
+        .with_fault_mode(FaultMode::Strict)
         .with_threads(threads[0])
         .run_fix16(&xq)
         .expect("fused fix16 run");

@@ -17,7 +17,7 @@ use winofuse_fpga::device::FpgaDevice;
 use winofuse_model::network::Network;
 use winofuse_model::runtime::NetworkWeights;
 use winofuse_model::zoo;
-use winofuse_runtime::faults::{install_quiet_panic_hook, FaultInjector};
+use winofuse_runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
 use winofuse_telemetry::Telemetry;
 
 fn body() -> (Network, NetworkWeights) {
@@ -203,4 +203,33 @@ fn a_panicking_plan_build_fails_its_batch_not_the_engine() {
     );
     assert_eq!(eng.plan_misses(), 2, "the failed build caches nothing");
     eng.shutdown().expect("clean shutdown");
+}
+
+/// The executor path runs with the framework's injector and fault mode,
+/// like the fused path: a strict framework fails the faulted batch, and
+/// a framework that sets no mode gets the engine default, lenient, which
+/// answers it on the direct fallback.
+#[test]
+fn executor_path_takes_faults_and_mode_from_the_framework() {
+    install_quiet_panic_hook();
+    let serve = |mode: Option<FaultMode>| {
+        let (net, weights) = body();
+        let telemetry = Telemetry::enabled();
+        let mut fw = Framework::new(FpgaDevice::zc706())
+            .with_threads(2)
+            .with_faults(FaultInjector::parse("panic@exec.conv2#1").expect("fault spec"));
+        if let Some(mode) = mode {
+            fw = fw.with_fault_mode(mode);
+        }
+        let eng = ServeEngine::start(fw, net, weights, telemetry.clone(), ServeConfig::default())
+            .expect("engine starts");
+        let answer = eng.run_batch_now(&[frame(1)]).map_err(|e| e.to_string());
+        eng.shutdown().expect("clean shutdown");
+        (answer, telemetry.summary().counter("exec.fallbacks"))
+    };
+    let (strict, _) = serve(Some(FaultMode::Strict));
+    assert!(strict.is_err(), "a strict framework must fail the batch");
+    let (lenient, fallbacks) = serve(None);
+    assert!(lenient.is_ok(), "the default mode recovers: {lenient:?}");
+    assert_eq!(fallbacks, 1);
 }

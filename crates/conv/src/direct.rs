@@ -9,10 +9,11 @@
 //! the reference every other algorithm in this crate is validated against.
 
 use crate::fixed::{Accumulator, Fix16};
-use crate::gemm::{BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA};
+use crate::gemm::{gemm_packed, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, PanelRow};
 use crate::microkernel::KernelChoice;
 use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
+use std::ops::Range;
 use std::time::Instant;
 use winofuse_runtime::PoolProfiler;
 
@@ -158,6 +159,95 @@ const OUT_C_BLOCK: usize = 16;
 /// A tuning constant; results never depend on it.
 const DIRECT_ROW_BLOCK: usize = 4;
 
+/// The columns of one im2col row, written in order: padding columns as
+/// zero runs, input columns as runs taken from one input row.
+trait RowWriter<T> {
+    /// The next `len` columns are padding.
+    fn zeros(&mut self, len: usize);
+    /// The next `len` columns are `src[0], src[stride], …`.
+    fn take(&mut self, src: &[T], stride: usize, len: usize);
+}
+
+/// A row-major patch-matrix row.
+struct SliceRow<'a, T> {
+    dst: &'a mut [T],
+    at: usize,
+}
+
+impl<T: Scalar> RowWriter<T> for SliceRow<'_, T> {
+    fn zeros(&mut self, len: usize) {
+        self.dst[self.at..self.at + len].fill(T::zero());
+        self.at += len;
+    }
+
+    fn take(&mut self, src: &[T], stride: usize, len: usize) {
+        let dst = &mut self.dst[self.at..self.at + len];
+        if stride == 1 {
+            dst.copy_from_slice(&src[..len]);
+        } else {
+            for (t, slot) in dst.iter_mut().enumerate() {
+                *slot = src[t * stride];
+            }
+        }
+        self.at += len;
+    }
+}
+
+/// A row of a packed GEMM `B` operand.
+impl RowWriter<f32> for PanelRow<'_> {
+    fn zeros(&mut self, len: usize) {
+        self.push(len, |run, _| run.fill(0.0));
+    }
+
+    fn take(&mut self, src: &[f32], stride: usize, len: usize) {
+        if stride == 1 {
+            self.copy(&src[..len]);
+        } else {
+            self.push(len, |run, q| {
+                for (t, slot) in run.iter_mut().enumerate() {
+                    *slot = src[(q + t) * stride];
+                }
+            });
+        }
+    }
+}
+
+/// Lowers im2col row `r` — rows ordered `(channel, ku, kv)`, the order
+/// the naive kernels accumulate in — of batch element `bn` for the output
+/// rows `rows`, `outW` columns each, into `out`. Each output row is one
+/// zero run for the columns left of the input, one run taken from an
+/// input row (contiguous at stride 1), and one zero run for the columns
+/// right of it; a row that falls in the vertical padding is all zeros.
+fn lower_row<T: Scalar>(
+    input: &Tensor<T>,
+    geom: ConvGeometry,
+    bn: usize,
+    r: usize,
+    rows: Range<usize>,
+    out: &mut impl RowWriter<T>,
+) {
+    let (k, s, pad) = (geom.kernel(), geom.stride(), geom.pad());
+    let (h, w, ow) = (input.h(), input.w(), geom.output_width());
+    let (m, u, v) = (r / (k * k), (r / k) % k, r % k);
+    // Output columns j read input column j·s + v − pad, in range for
+    // j in j_lo..j_hi.
+    let j_lo = pad.saturating_sub(v).div_ceil(s).min(ow);
+    let j_hi = (w + pad).saturating_sub(v).div_ceil(s).clamp(j_lo, ow);
+    let plane = &input.as_slice()[(bn * input.c() + m) * h * w..][..h * w];
+    for i in rows {
+        let Some(hh) = (i * s + u).checked_sub(pad).filter(|&hh| hh < h) else {
+            out.zeros(ow);
+            continue;
+        };
+        out.zeros(j_lo);
+        if j_hi > j_lo {
+            let src = &plane[hh * w + j_lo * s + v - pad..];
+            out.take(src, s, j_hi - j_lo);
+        }
+        out.zeros(ow - j_hi);
+    }
+}
+
 /// Fills `patches` (length `C·K² × outH·outW`) with the im2col lowering of
 /// batch element `bn`, rows ordered `(channel, ku, kv)` — the same order
 /// [`crate::im2col::im2col`] produces and the naive kernels accumulate in.
@@ -169,9 +259,8 @@ fn fill_patches<T: Scalar + Send + Sync>(
     threads: usize,
     prof: &PoolProfiler,
 ) -> Result<(), ConvError> {
-    let (k, s, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
-    let (oh, ow) = (geom.output_height(), geom.output_width());
-    let cols = oh * ow;
+    let oh = geom.output_height();
+    let cols = oh * geom.output_width();
     let slices = winofuse_runtime::split_chunks(patches, PATCH_ROW_CHUNK * cols);
     winofuse_runtime::run_jobs(
         threads,
@@ -180,29 +269,19 @@ fn fill_patches<T: Scalar + Send + Sync>(
         || (),
         |(), job, slice| {
             let r0 = job * PATCH_ROW_CHUNK;
-            for (local, row) in slice.chunks_exact_mut(cols).enumerate() {
-                let r = r0 + local;
-                let (m, u, v) = (r / (k * k), (r / k) % k, r % k);
-                for i in 0..oh {
-                    for j in 0..ow {
-                        let hh = (i * s + u) as isize - pad;
-                        let ww = (j * s + v) as isize - pad;
-                        row[i * ow + j] = input.get_padded(bn, m, hh, ww);
-                    }
-                }
+            for (local, dst) in slice.chunks_exact_mut(cols).enumerate() {
+                lower_row(
+                    input,
+                    geom,
+                    bn,
+                    r0 + local,
+                    0..oh,
+                    &mut SliceRow { dst, at: 0 },
+                );
             }
         },
     )?;
     Ok(())
-}
-
-/// Thread-local working set for one fused direct-convolution job: GEMM
-/// scratch plus the job's own patch matrix and GEMM result band, sized
-/// once for the largest row block so the job loop never allocates.
-struct RowBlockScratch {
-    gemm: GemmScratch,
-    patches: Vec<f32>,
-    cbuf: Vec<f32>,
 }
 
 /// A direct-path filter bank lowered once into GEMM `A` panels.
@@ -249,19 +328,23 @@ impl PackedKernels {
 /// test matrix uses), `None` auto-selects.
 ///
 /// Work is partitioned at output-row-block grain: each job owns
-/// `DIRECT_ROW_BLOCK` output rows of one image, lowers exactly those
-/// patch columns thread-locally, and runs one GEMM over all output
-/// channels against the shared packed panels — one pool invocation
-/// total, no im2col/GEMM barrier, no per-job re-pack of the `A` operand.
-/// Every output element accumulates its `C·K²` products in ascending
-/// `(channel, ku, kv)` order under the same `KC` blocking, so results are
-/// bit-identical at any thread count.
+/// `DIRECT_ROW_BLOCK` output rows of one image. It lowers exactly those
+/// patch columns thread-locally, straight into the GEMM's `NR`-wide `B`
+/// panels (per `(channel, ku, kv)` row and output row: a copied input run,
+/// strided for stride > 1, with the padding zero-filled by range), and
+/// runs one GEMM over all output channels against the shared packed
+/// panels, which stores each channel's rows straight into the output
+/// tensor — one pool invocation total, no im2col/GEMM barrier, no packing
+/// or result copy per job. Every output element accumulates its `C·K²`
+/// products in ascending `(channel, ku, kv)` order under the same `KC`
+/// blocking, so results are bit-identical at any thread count.
 ///
 /// Jobs are emitted as Chrome-trace slices on per-worker lanes via `prof`
 /// (scoped to `direct.rowblock`), and when `stats` is supplied, per-phase
-/// times and the pack-vs-microkernel split are recorded alongside the
-/// exact flop/byte accounting (the im2col lowering lands in
-/// [`ConvPhase::Scatter`] — zero flops, pure data movement).
+/// times and the microkernel time are recorded alongside the exact
+/// flop/byte accounting (the lowering into panels lands in
+/// [`ConvPhase::Scatter`] — zero flops, pure data movement — and
+/// `bytes_packed` counts the `B` panels each GEMM reads).
 ///
 /// # Errors
 ///
@@ -299,7 +382,7 @@ pub fn conv2d_fast_packed_ext(
     let (batch, in_c, _, _) = input.shape();
     let out_c = packed.out_c;
     let (oh, ow) = (geom.output_height(), geom.output_width());
-    let (k, s_stride, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
+    let k = geom.kernel();
     let (ckk, cols) = (in_c * k * k, oh * ow);
     let micro = kernel.unwrap_or_else(KernelChoice::auto);
     let timed = stats.is_some();
@@ -308,7 +391,7 @@ pub fn conv2d_fast_packed_ext(
     let row_blocks = oh.div_ceil(DIRECT_ROW_BLOCK);
     let n_jobs = batch * row_blocks;
     let rows_in_block = |blk: usize| DIRECT_ROW_BLOCK.min(oh - blk * DIRECT_ROW_BLOCK);
-    let max_bc = DIRECT_ROW_BLOCK * ow;
+    let max_panels = packed_k.b_layout(DIRECT_ROW_BLOCK.min(oh) * ow).len();
 
     let mut out = Tensor::zeros(batch, out_c, oh, ow);
     // Carve the NCHW output into per-job row bands in memory order: each
@@ -323,52 +406,33 @@ pub fn conv2d_fast_packed_ext(
     }
     let groups = winofuse_runtime::split_spans(out.as_mut_slice(), &spans, n_jobs);
 
-    let packed_ref = packed_k;
     winofuse_runtime::run_jobs(
         threads,
         groups,
         &prof.scoped("direct.rowblock"),
-        move || RowBlockScratch {
-            gemm: GemmScratch::with_kernel(micro),
-            patches: vec![0.0; ckk * max_bc],
-            cbuf: vec![0.0; out_c * max_bc],
-        },
-        |st, job, mut frags| {
+        move || vec![0.0f32; max_panels],
+        |panels, job, mut frags| {
             let bn = job / row_blocks;
             let blk = job % row_blocks;
             let r0 = blk * DIRECT_ROW_BLOCK;
-            let rows_here = rows_in_block(blk);
-            let bc = rows_here * ow;
-            let patches = &mut st.patches[..ckk * bc];
-            let cbuf = &mut st.cbuf[..out_c * bc];
+            let rows = r0..r0 + rows_in_block(blk);
+            let bc = rows.len() * ow;
+            let layout = packed_k.b_layout(bc);
+            let panels = &mut panels[..layout.len()];
             let t_job = stats.map(|_| Instant::now());
 
-            // im2col for exactly this job's output positions, rows ordered
-            // (channel, ku, kv) — the order the naive kernels accumulate in.
-            for (r, row) in patches.chunks_exact_mut(bc).enumerate() {
-                let (m, u, v) = (r / (k * k), (r / k) % k, r % k);
-                for i in 0..rows_here {
-                    for j in 0..ow {
-                        let hh = ((r0 + i) * s_stride + u) as isize - pad;
-                        let ww = (j * s_stride + v) as isize - pad;
-                        row[i * ow + j] = input.get_padded(bn, m, hh, ww);
-                    }
-                }
+            // im2col for exactly this job's output positions, written into
+            // the GEMM's B panels.
+            for r in 0..ckk {
+                let mut row = layout.row(panels, r);
+                lower_row(input, geom, bn, r, rows.clone(), &mut row);
+                row.finish();
             }
             let t_lowered = stats.map(|_| Instant::now());
 
-            // One GEMM over every output channel for this row band.
-            let outcome = crate::gemm::gemm_f32_prepacked(
-                &mut st.gemm,
-                packed_ref,
-                bc,
-                BOperand::row_major(patches, bc),
-                cbuf,
-                timed,
-            );
-            for (kk, frag) in frags.iter_mut().enumerate() {
-                frag.copy_from_slice(&cbuf[kk * bc..(kk + 1) * bc]);
-            }
+            // One GEMM over every output channel for this row band, each
+            // channel's rows stored in place.
+            let outcome = gemm_packed(micro, packed_k, bc, panels, CRows::Rows(&mut frags), timed);
             if let (Some(s), Some(t0), Some(tl)) = (stats, t_job, t_lowered) {
                 s.add_gemm(1, outcome.bytes_packed);
                 s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
@@ -594,6 +658,89 @@ mod tests {
             let fast = fast_direct(&x, &kn, geom, 1, None).unwrap();
             let diff = naive.max_abs_diff(&fast).unwrap();
             assert!(diff < 1e-4, "{h}x{w} k{k} s{s} p{pad}: diff {diff}");
+        }
+    }
+
+    /// The oracle of the one-pass lowering: an explicit row-major
+    /// `[C·K² × cols]` patch matrix per image, one `get_padded` per
+    /// element, multiplied by the packed bank through
+    /// `gemm_f32_prepacked`'s `BOperand` entry point.
+    fn patch_matrix_direct(
+        x: &Tensor<f32>,
+        packed: &PackedKernels,
+        geom: ConvGeometry,
+        kernel: KernelChoice,
+    ) -> Tensor<f32> {
+        let (batch, in_c, _, _) = x.shape();
+        let (k, s, pad) = (geom.kernel(), geom.stride(), geom.pad() as isize);
+        let (oh, ow) = (geom.output_height(), geom.output_width());
+        let (ckk, cols, out_c) = (in_c * k * k, oh * ow, packed.out_c);
+        let mut out = Tensor::zeros(batch, out_c, oh, ow);
+        let mut patches = vec![0.0f32; ckk * cols];
+        let mut scratch = crate::gemm::GemmScratch::with_kernel(kernel);
+        for bn in 0..batch {
+            for (r, row) in patches.chunks_exact_mut(cols).enumerate() {
+                let (m, u, v) = (r / (k * k), (r / k) % k, r % k);
+                for (e, slot) in row.iter_mut().enumerate() {
+                    let (i, j) = (e / ow, e % ow);
+                    let (hh, ww) = ((i * s + u) as isize - pad, (j * s + v) as isize - pad);
+                    *slot = x.get_padded(bn, m, hh, ww);
+                }
+            }
+            let c = &mut out.as_mut_slice()[bn * out_c * cols..][..out_c * cols];
+            let b = crate::gemm::BOperand::row_major(&patches, cols);
+            crate::gemm::gemm_f32_prepacked(&mut scratch, &packed.packed, cols, b, c, false);
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_lowering_matches_the_patch_matrix_bitwise() {
+        // (h, w, k, stride, pad, in_c, out_c, batch). K 1/3/5/11, stride
+        // 1/2/4, pad 0–2; 4·outW a multiple of NR only in the 10×10 case;
+        // C·K² > KC in the first four; a short last row block wherever
+        // outH is not a multiple of 4; padding wider than some kernel
+        // offsets at stride 4 in the last case.
+        let cases = [
+            (9usize, 7, 1, 1, 0, 300, 5, 2),
+            (11, 13, 3, 2, 1, 30, 6, 1),
+            (13, 13, 5, 1, 2, 12, 9, 2),
+            (35, 37, 11, 4, 0, 3, 10, 2),
+            (10, 10, 3, 1, 0, 2, 4, 1),
+            (12, 9, 5, 2, 2, 4, 3, 1),
+            (20, 23, 11, 4, 2, 3, 5, 1),
+        ];
+        let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &(h, w, k, s, pad, in_c, out_c, batch) in &cases {
+            let geom = ConvGeometry::rect(h, w, k, s, pad).unwrap();
+            let mut x = random_tensor(batch, in_c, h, w, (h * 13 + k) as u64);
+            // Signed zeros in the input must reach the GEMM as they are.
+            x.as_mut_slice()
+                .iter_mut()
+                .step_by(7)
+                .for_each(|v| *v = -0.0);
+            let packed = PackedKernels::new(&random_tensor(out_c, in_c, k, k, (w + s) as u64));
+            for kernel in KernelChoice::all_supported() {
+                let want = bits(&patch_matrix_direct(&x, &packed, geom, kernel));
+                for threads in [1usize, 2, 4, 8] {
+                    let prof = PoolProfiler::disabled();
+                    let got = conv2d_fast_packed_ext(
+                        &x,
+                        &packed,
+                        geom,
+                        threads,
+                        None,
+                        &prof,
+                        Some(kernel),
+                    )
+                    .unwrap();
+                    assert!(
+                        bits(&got) == want,
+                        "{h}x{w} k{k} s{s} p{pad} c{in_c}: {} @{threads}t differs",
+                        kernel.name()
+                    );
+                }
+            }
         }
     }
 

@@ -4,11 +4,13 @@
 //! Both batched Winograd ([`crate::winograd::conv2d_batched_ext`]) and
 //! im2col direct convolution ([`crate::direct::conv2d_fast_packed_ext`])
 //! reduce to dense `C = A·B` products. This module implements the classic
-//! three-level blocking (Goto/BLIS): `NC`-wide column panels of `B` and
-//! `KC`-deep blocks are packed into contiguous buffers sized for the L3/L2
-//! caches, `MC`-tall row blocks of `A` are packed for the L1, and an
-//! `MR×NR` register-tiled microkernel runs over the packed panels with a
-//! fixed-size accumulator array the compiler can keep in vector registers.
+//! three-level blocking (Goto/BLIS): `A` is packed once into `MR`-tall row
+//! panels of `MC × KC` cache blocks ([`PackedA`]), `B` arrives in
+//! `NR`-wide column panels of `KC`-deep blocks (the `BPanels` layout,
+//! written once by the code that produces `B`), and an `MR×NR`
+//! register-tiled microkernel runs over the panels with a fixed-size
+//! accumulator array the compiler can keep in vector registers. One block
+//! loop (`gemm_packed`) runs every product.
 //!
 //! Determinism: for every output element the `k`-dimension is accumulated
 //! in one fixed serial order (`KC` blocks ascending, elements ascending
@@ -50,10 +52,10 @@ impl Default for GemmBlocking {
     }
 }
 
-/// A read-only GEMM `B` operand with arbitrary element strides, so both a
-/// row-major patch matrix and the channel-strided Winograd scatter buffer
-/// can feed the same packing routine. Element `(r, c)` lives at
-/// `data[r·row_stride + c·col_stride]`.
+/// A read-only GEMM `B` operand with arbitrary element strides, the input
+/// of [`gemm_f32_prepacked`] for callers outside the conv kernels (which
+/// write their `B` straight into `BPanels` order instead). Element
+/// `(r, c)` lives at `data[r·row_stride + c·col_stride]`.
 #[derive(Debug, Clone, Copy)]
 pub struct BOperand<'a> {
     data: &'a [f32],
@@ -88,13 +90,12 @@ impl<'a> BOperand<'a> {
     }
 }
 
-/// Reusable packing buffers. Keep one per worker thread and feed it to
-/// every [`gemm_f32`] call that worker issues — the buffers grow to the
-/// largest panel seen and are never shrunk, so steady-state GEMMs allocate
-/// nothing.
+/// The `B` packing buffer of [`gemm_f32_prepacked`] and the microkernel
+/// it dispatches to. Keep one per worker thread and feed it to every call
+/// that worker issues — the buffer grows to the largest operand seen and
+/// is never shrunk, so steady-state GEMMs allocate nothing.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
-    a_pack: Vec<f32>,
     b_pack: Vec<f32>,
     kernel: KernelChoice,
 }
@@ -125,12 +126,20 @@ impl GemmScratch {
 ///
 /// Both algorithms map onto the same three-phase shape: a data-layout
 /// phase (`Scatter` — Winograd input transforms, or the direct path's
-/// im2col lowering), the GEMM phase, and an output phase (`Gather` —
-/// Winograd output transforms; absent for direct convolution).
+/// im2col lowering — which writes the GEMM's `B` operand straight into
+/// its `BPanels` order, so `B` packing is part of this phase), the GEMM
+/// phase, and an output phase (`Gather` — Winograd output transforms;
+/// absent for direct convolution, whose GEMM stores into the output
+/// tensor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvPhase {
+    /// The data layout ahead of the GEMM — the Winograd input transform
+    /// or the direct im2col lowering — which writes the GEMM's `B`
+    /// operand in panel order, so no packing of `B` follows it.
     Scatter,
+    /// The GEMM block loop over pre-packed `A` and `B`.
     Gemm,
+    /// The Winograd output transform.
     Gather,
 }
 
@@ -170,8 +179,8 @@ impl ConvStats {
         ConvStats::default()
     }
 
-    /// Records `calls` microkernel-level GEMM invocations that packed
-    /// `bytes` bytes of panels.
+    /// Records `calls` microkernel-level GEMM invocations that consumed
+    /// `bytes` bytes of `B` panels.
     pub fn add_gemm(&self, calls: u64, bytes: u64) {
         self.gemm_calls.fetch_add(calls, Ordering::Relaxed);
         self.bytes_packed.fetch_add(bytes, Ordering::Relaxed);
@@ -207,7 +216,9 @@ impl ConvStats {
     }
 
     /// Records a GEMM call's internal split between panel packing and the
-    /// register-tiled microkernel (summed across workers).
+    /// register-tiled microkernel (summed across workers). The conv
+    /// kernels' GEMMs pack nothing (their `B` arrives in panel order), so
+    /// on conv layers `pack_ns` stays zero.
     pub fn add_gemm_split(&self, pack_ns: u64, kernel_ns: u64) {
         self.pack_ns.fetch_add(pack_ns, Ordering::Relaxed);
         self.kernel_ns.fetch_add(kernel_ns, Ordering::Relaxed);
@@ -292,9 +303,11 @@ impl ConvProfile {
     }
 }
 
-/// What one [`gemm_f32_profiled`] call did: bytes of packed panels, exact
-/// flops (`2·m·k·n`), and — only when timing was requested — the wall time
-/// split between packing and the microkernel sweep.
+/// What one GEMM call did: the bytes of `B` panels it consumed
+/// (`⌈n/NR⌉·NR·k·4`, the `conv.bytes_packed` unit, whoever wrote the
+/// panels), exact flops (`2·m·k·n`), and — only when timing was requested
+/// — the wall time split between packing `B` (nonzero only when
+/// [`gemm_f32_prepacked`] packs a [`BOperand`]) and the microkernel sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GemmOutcome {
     pub bytes_packed: u64,
@@ -303,160 +316,178 @@ pub struct GemmOutcome {
     pub kernel_ns: u64,
 }
 
-/// `C = A·B` for row-major `A` (`m × k`), strided `B` (`k × n`) and
-/// row-major `C` (`m × n`, fully overwritten). Returns the bytes of panel
-/// data packed (the `conv.bytes_packed` telemetry unit).
+/// The panel layout of a GEMM `B` operand (`k × n`) as the microkernel
+/// reads it: `KC`-deep row blocks in ascending `k`, each holding
+/// `⌈n/NR⌉` panels of `kb × NR`. Element `(pc + p, j)` of the block
+/// starting at row `pc` sits at `(j/NR)·kb·NR + p·NR + j%NR` within the
+/// block, and the lanes of a ragged last panel hold `+0.0`.
 ///
-/// `C` may be a row-block window of a larger matrix as long as its row
-/// stride equals `n` — callers parallelize over row blocks by slicing `A`
-/// and `C` consistently.
-///
-/// # Panics
-///
-/// Panics when slice lengths disagree with `m`, `k`, `n` or a blocking
-/// parameter is zero.
-#[allow(clippy::too_many_arguments)] // the seven dims/operands of a GEMM
-pub fn gemm_f32(
-    scratch: &mut GemmScratch,
-    blocking: GemmBlocking,
-    m: usize,
+/// The code that produces a `B` operand writes it here once: the direct
+/// path's im2col lowering, the Winograd input transform, and — for a
+/// [`BOperand`] handed in from outside — [`gemm_f32_prepacked`]'s packer.
+/// [`gemm_packed`] then reads it in place; the depth of its blocks is the
+/// `KC` of the [`PackedA`] it multiplies ([`PackedA::b_layout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BPanels {
     k: usize,
     n: usize,
-    a: &[f32],
-    b: BOperand<'_>,
-    c: &mut [f32],
-) -> u64 {
-    gemm_f32_profiled(scratch, blocking, m, k, n, a, b, c, false).bytes_packed
+    kc: usize,
 }
 
-/// [`gemm_f32`] with a full [`GemmOutcome`]. When `timed` is set, the wall
-/// time of every pack and macro-kernel sweep is accumulated into the
-/// outcome's `pack_ns`/`kernel_ns` split; when clear the timing fields
-/// stay zero and no clock is read.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_f32_profiled(
-    scratch: &mut GemmScratch,
-    blocking: GemmBlocking,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: BOperand<'_>,
-    c: &mut [f32],
-    timed: bool,
-) -> GemmOutcome {
-    assert_eq!(a.len(), m * k, "A must be m×k row-major");
-    assert_eq!(c.len(), m * n, "C must be m×n row-major");
-    assert!(
-        blocking.mc > 0 && blocking.kc > 0 && blocking.nc > 0,
-        "blocking parameters must be positive"
-    );
-    if m == 0 || n == 0 {
-        return GemmOutcome::default();
+impl BPanels {
+    /// The layout of a `k × n` operand in blocks `kc` deep.
+    pub(crate) fn new(k: usize, n: usize, kc: usize) -> Self {
+        assert!(kc > 0, "blocking parameters must be positive");
+        BPanels { k, n, kc }
     }
-    if k == 0 {
-        c.fill(0.0);
-        return GemmOutcome::default();
-    }
-    // Touch the far corner of B up front so a stride mistake fails loudly
-    // rather than mid-panel.
-    let _ = b.at(k - 1, n - 1);
 
-    let GemmBlocking { mc, kc, nc } = blocking;
-    let mut out = GemmOutcome {
-        flops: 2 * (m as u64) * (k as u64) * (n as u64),
-        ..GemmOutcome::default()
-    };
-    for jc in (0..n).step_by(nc) {
-        let nb = nc.min(n - jc);
-        for pc in (0..k).step_by(kc) {
-            let kb = kc.min(k - pc);
-            let t0 = timed.then(Instant::now);
-            pack_b(&mut scratch.b_pack, b, pc, kb, jc, nb);
-            if let Some(t0) = t0 {
-                out.pack_ns += t0.elapsed().as_nanos() as u64;
+    /// Columns, rounded up to whole panels.
+    fn n_pad(&self) -> usize {
+        self.n.div_ceil(NR) * NR
+    }
+
+    /// Elements of the packed operand, ragged lanes included.
+    pub(crate) fn len(&self) -> usize {
+        self.k * self.n_pad()
+    }
+
+    /// Depth of the row blocks.
+    pub(crate) fn kc(&self) -> usize {
+        self.kc
+    }
+
+    /// Number of row blocks.
+    pub(crate) fn blocks(&self) -> usize {
+        self.k.div_ceil(self.kc)
+    }
+
+    /// The offset of element `(r, j)`, and the distance from row `r`'s
+    /// run in one panel to its run in the next (`kb·NR`).
+    pub(crate) fn at(&self, r: usize, j: usize) -> (usize, usize) {
+        let pc = r - r % self.kc;
+        let kb = self.kc.min(self.k - pc);
+        let offset = pc * self.n_pad() + (j / NR) * kb * NR + (r - pc) * NR + j % NR;
+        (offset, kb * NR)
+    }
+
+    /// A writer of row `r` from its first column, in `buf` holding the
+    /// whole operand.
+    pub(crate) fn row<'a>(&self, buf: &'a mut [f32], r: usize) -> PanelRow<'a> {
+        let (offset, stride) = self.at(r, 0);
+        PanelRow::new(&mut buf[offset..], stride)
+    }
+}
+
+/// Writes one row of a [`BPanels`] operand in column order, one panel's
+/// run of at most `NR` lanes at a time.
+pub(crate) struct PanelRow<'a> {
+    /// The row from the start of its run in the first panel on.
+    dst: &'a mut [f32],
+    /// Start of the current panel's run in `dst`.
+    at: usize,
+    /// Lanes of the current panel already written.
+    lane: usize,
+    /// Distance between the row's runs in consecutive panels.
+    stride: usize,
+}
+
+impl<'a> PanelRow<'a> {
+    /// A writer of the row whose run in its first panel starts `dst`;
+    /// the runs in later panels follow `stride` apart.
+    pub(crate) fn new(dst: &'a mut [f32], stride: usize) -> Self {
+        PanelRow {
+            dst,
+            at: 0,
+            lane: 0,
+            stride,
+        }
+    }
+
+    /// Writes the next `len` columns: `fill(run, q)` fills `run` with the
+    /// columns `q..q + run.len()`, counted from this call's first, and
+    /// `run` never crosses a panel.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, len: usize, mut fill: impl FnMut(&mut [f32], usize)) {
+        let mut q = 0;
+        while q < len {
+            let n = (NR - self.lane).min(len - q);
+            if n == NR {
+                // A whole panel run: a fixed length the compiler can
+                // unroll `fill` for.
+                fill(&mut self.dst[self.at..][..NR], q);
+            } else {
+                fill(&mut self.dst[self.at + self.lane..][..n], q);
             }
-            out.bytes_packed += (nb.div_ceil(NR) * NR * kb * 4) as u64;
-            let first_k_block = pc == 0;
-            for ic in (0..m).step_by(mc) {
-                let mb = mc.min(m - ic);
-                let t0 = timed.then(Instant::now);
-                pack_a(&mut scratch.a_pack, a, k, ic, mb, pc, kb);
-                if let Some(t0) = t0 {
-                    out.pack_ns += t0.elapsed().as_nanos() as u64;
-                }
-                out.bytes_packed += (mb.div_ceil(MR) * MR * kb * 4) as u64;
-                let t0 = timed.then(Instant::now);
-                macro_kernel(
-                    scratch.kernel,
-                    &scratch.a_pack,
-                    &scratch.b_pack,
-                    mb,
-                    kb,
-                    nb,
-                    c,
-                    ic,
-                    jc,
-                    n,
-                    first_k_block,
-                );
-                if let Some(t0) = t0 {
-                    out.kernel_ns += t0.elapsed().as_nanos() as u64;
-                }
+            q += n;
+            self.lane += n;
+            if self.lane == NR {
+                self.lane = 0;
+                self.at += self.stride;
             }
         }
     }
-    out
-}
 
-/// Packs `B[pc..pc+kb, jc..jc+nb]` into `NR`-wide column panels:
-/// `b_pack[panel][p·NR + j]`, zero-padded to a full `NR` on the ragged
-/// last panel.
-fn pack_b(b_pack: &mut Vec<f32>, b: BOperand<'_>, pc: usize, kb: usize, jc: usize, nb: usize) {
-    let panels = nb.div_ceil(NR);
-    b_pack.clear();
-    b_pack.resize(panels * kb * NR, 0.0);
-    for panel in 0..panels {
-        let j0 = panel * NR;
-        let width = NR.min(nb - j0);
-        let dst = &mut b_pack[panel * kb * NR..(panel + 1) * kb * NR];
-        for p in 0..kb {
-            let row = &mut dst[p * NR..p * NR + NR];
-            for (j, slot) in row.iter_mut().enumerate().take(width) {
-                *slot = b.at(pc + p, jc + j0 + j);
-            }
-            for slot in row.iter_mut().skip(width) {
-                *slot = 0.0;
-            }
+    /// Writes `src` as the next `src.len()` columns.
+    pub(crate) fn copy(&mut self, src: &[f32]) {
+        self.push(src.len(), |run, q| {
+            run.copy_from_slice(&src[q..q + run.len()])
+        });
+    }
+
+    /// Zero-fills the rest of the current panel's run: the ragged lanes
+    /// after the row's last column.
+    pub(crate) fn finish(&mut self) {
+        if self.lane > 0 {
+            self.dst[self.at + self.lane..self.at + NR].fill(0.0);
         }
     }
 }
 
-/// Packs `A[ic..ic+mb, pc..pc+kb]` into `MR`-tall row panels:
-/// `a_pack[panel][p·MR + i]`, zero-padded to a full `MR` on the ragged
-/// last panel.
-fn pack_a(a_pack: &mut Vec<f32>, a: &[f32], k: usize, ic: usize, mb: usize, pc: usize, kb: usize) {
-    let panels = mb.div_ceil(MR);
-    a_pack.clear();
-    a_pack.resize(panels * kb * MR, 0.0);
-    pack_a_into(a_pack, a, k, ic, mb, pc, kb);
+/// Where [`gemm_packed`] stores `C` (`m × n`).
+pub(crate) enum CRows<'a, 'b> {
+    /// One dense row-major `m × n` matrix.
+    Dense(&'a mut [f32]),
+    /// One slice of `n` per row, such as the rows a direct job owns in
+    /// each output-channel plane.
+    Rows(&'a mut [&'b mut [f32]]),
 }
 
-/// [`pack_a`] into a pre-zeroed destination of exactly
-/// `⌈mb/MR⌉·MR·kb` elements — shared by the on-the-fly path and
-/// [`PackedA::pack`] so both produce bit-identical panels.
-fn pack_a_into(dst: &mut [f32], a: &[f32], k: usize, ic: usize, mb: usize, pc: usize, kb: usize) {
-    let panels = mb.div_ceil(MR);
-    for panel in 0..panels {
-        let i0 = panel * MR;
-        let height = MR.min(mb - i0);
-        let dst = &mut dst[panel * kb * MR..(panel + 1) * kb * MR];
-        for i in 0..height {
-            let src = &a[(ic + i0 + i) * k + pc..(ic + i0 + i) * k + pc + kb];
-            for (p, &v) in src.iter().enumerate() {
-                dst[p * MR + i] = v;
-            }
+impl CRows<'_, '_> {
+    /// Row `i` of `C`, `n` wide.
+    #[inline]
+    fn row(&mut self, i: usize, n: usize) -> &mut [f32] {
+        match self {
+            CRows::Dense(c) => &mut c[i * n..(i + 1) * n],
+            CRows::Rows(rows) => &mut rows[i][..n],
         }
+    }
+
+    /// Checks the sink holds `m` rows of `n`.
+    fn check(&self, m: usize, n: usize) {
+        match self {
+            CRows::Dense(c) => assert_eq!(c.len(), m * n, "C must be m×n row-major"),
+            CRows::Rows(rows) => assert!(
+                rows.len() == m && rows.iter().all(|r| r.len() == n),
+                "C must be m rows of n"
+            ),
+        }
+    }
+}
+
+/// Packs `b` (`k × n`) into `layout` in `buf`, grown as needed: the one
+/// place a [`BOperand`] becomes panels.
+fn pack_b(buf: &mut Vec<f32>, b: BOperand<'_>, layout: BPanels) {
+    if buf.len() < layout.len() {
+        buf.resize(layout.len(), 0.0);
+    }
+    for r in 0..layout.k {
+        let mut row = layout.row(buf, r);
+        row.push(layout.n, |run, q| {
+            for (j, slot) in run.iter_mut().enumerate() {
+                *slot = b.at(r, q + j);
+            }
+        });
+        row.finish();
     }
 }
 
@@ -470,7 +501,7 @@ fn macro_kernel(
     mb: usize,
     kb: usize,
     nb: usize,
-    c: &mut [f32],
+    c: &mut CRows<'_, '_>,
     ic: usize,
     jc: usize,
     n: usize,
@@ -488,7 +519,7 @@ fn macro_kernel(
             let i0 = ic + ip * MR;
             let height = MR.min(mb - ip * MR);
             for (i, acc_row) in acc.iter().enumerate().take(height) {
-                let row = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + width];
+                let row = &mut c.row(i0 + i, n)[j0..j0 + width];
                 if first_k_block {
                     row.copy_from_slice(&acc_row[..width]);
                 } else {
@@ -501,13 +532,29 @@ fn macro_kernel(
     }
 }
 
+/// Packs `A[ic..ic+mb, pc..pc+kb]` into `MR`-tall row panels,
+/// `dst[panel][p·MR + i]`, in a pre-zeroed destination of exactly
+/// `⌈mb/MR⌉·MR·kb` elements (a ragged last panel's missing rows stay
+/// zero).
+fn pack_a_into(dst: &mut [f32], a: &[f32], k: usize, ic: usize, mb: usize, pc: usize, kb: usize) {
+    let panels = mb.div_ceil(MR);
+    for panel in 0..panels {
+        let i0 = panel * MR;
+        let height = MR.min(mb - i0);
+        let dst = &mut dst[panel * kb * MR..(panel + 1) * kb * MR];
+        for i in 0..height {
+            let src = &a[(ic + i0 + i) * k + pc..(ic + i0 + i) * k + pc + kb];
+            for (p, &v) in src.iter().enumerate() {
+                dst[p * MR + i] = v;
+            }
+        }
+    }
+}
+
 /// A row-major `m × k` GEMM `A` operand packed once into the exact
 /// `(pc, ic)`-blocked panel layout the macro kernel consumes, so repeated
 /// GEMMs against the same `A` (every strip of a fused run, every transform
-/// point of a Winograd layer) skip the per-call `pack_a` entirely.
-///
-/// The pack is bit-for-bit the layout [`gemm_f32_profiled`] would build on
-/// the fly with the same [`GemmBlocking`], so results are bit-identical.
+/// point of a Winograd layer) never pack it again.
 #[derive(Debug, Clone)]
 pub struct PackedA {
     m: usize,
@@ -632,6 +679,11 @@ impl PackedA {
         (self.data.len() * 4) as u64
     }
 
+    /// The [`BPanels`] layout of a `k × n` `B` operand this `A` multiplies.
+    pub(crate) fn b_layout(&self, n: usize) -> BPanels {
+        BPanels::new(self.k, n, self.blocking.kc)
+    }
+
     /// The packed panel block for cache block `(pc_idx, ic_idx)`.
     fn block(&self, pc_idx: usize, ic_idx: usize) -> &[f32] {
         let idx = pc_idx * self.n_ic_blocks + ic_idx;
@@ -688,9 +740,93 @@ pub(crate) fn panels(m: usize, k: usize, blocking: GemmBlocking) -> impl Iterato
         })
 }
 
-/// [`gemm_f32_profiled`] against a pre-packed `A`: identical loop
-/// structure, blocking, and accumulation order — only the per-call
-/// `pack_a` is gone, so `bytes_packed` counts the `B` panels alone.
+/// `C = A·B` for a pre-packed `A` (`m × k`) and a `B` (`k × n`) already
+/// in `A`'s [`BPanels`] layout ([`PackedA::b_layout`]), stored through
+/// `c`: the one block loop every GEMM runs. `kernel` is the microkernel;
+/// with `timed` set the microkernel sweeps are timed into `kernel_ns`.
+///
+/// Each element of `C` accumulates its `k` products `KC` block by block
+/// in ascending order, and the microkernel's lanes are independent, so
+/// results do not depend on `NC` or on how the caller splits the work.
+///
+/// # Panics
+///
+/// Panics when `b` is not `A`'s panel layout of `n` columns or `c` does
+/// not hold `m` rows of `n`.
+pub(crate) fn gemm_packed(
+    kernel: KernelChoice,
+    packed_a: &PackedA,
+    n: usize,
+    b: &[f32],
+    mut c: CRows<'_, '_>,
+    timed: bool,
+) -> GemmOutcome {
+    let (m, k) = (packed_a.m, packed_a.k);
+    let layout = packed_a.b_layout(n);
+    assert_eq!(
+        b.len(),
+        layout.len(),
+        "B must be packed in A's panel layout"
+    );
+    c.check(m, n);
+    if m == 0 || n == 0 {
+        return GemmOutcome::default();
+    }
+    if k == 0 {
+        for i in 0..m {
+            c.row(i, n).fill(0.0);
+        }
+        return GemmOutcome::default();
+    }
+
+    let GemmBlocking { mc, kc, nc } = packed_a.blocking;
+    // Column blocks start on a panel.
+    let nc = nc.div_ceil(NR) * NR;
+    let mut out = GemmOutcome {
+        bytes_packed: (layout.len() * 4) as u64,
+        flops: 2 * (m as u64) * (k as u64) * (n as u64),
+        ..GemmOutcome::default()
+    };
+    for jc in (0..n).step_by(nc) {
+        let nb = nc.min(n - jc);
+        for (pc_idx, pc) in (0..k).step_by(kc).enumerate() {
+            let kb = kc.min(k - pc);
+            let block = &b[layout.at(pc, jc).0..][..nb.div_ceil(NR) * kb * NR];
+            for (ic_idx, ic) in (0..m).step_by(mc).enumerate() {
+                let mb = mc.min(m - ic);
+                let t0 = timed.then(Instant::now);
+                macro_kernel(
+                    kernel,
+                    packed_a.block(pc_idx, ic_idx),
+                    block,
+                    mb,
+                    kb,
+                    nb,
+                    &mut c,
+                    ic,
+                    jc,
+                    n,
+                    pc == 0,
+                );
+                if let Some(t0) = t0 {
+                    out.kernel_ns += t0.elapsed().as_nanos() as u64;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `C = A·B` for a pre-packed `A`, a strided `B` (`k × n`) and row-major
+/// `C` (`m × n`, fully overwritten): the entry point for callers that
+/// hold `B` as a [`BOperand`]. It packs `B` into the scratch's buffer
+/// (`BPanels`, the only packing of a `B` operand) and runs
+/// `gemm_packed`; `pack_ns` times the pack when `timed` is set.
+///
+/// # Panics
+///
+/// Panics when `c.len() != m·n` or `b` is shorter than `k × n` under its
+/// strides.
 pub fn gemm_f32_prepacked(
     scratch: &mut GemmScratch,
     packed_a: &PackedA,
@@ -708,47 +844,17 @@ pub fn gemm_f32_prepacked(
         c.fill(0.0);
         return GemmOutcome::default();
     }
+    // Touch the far corner of B up front so a stride mistake fails loudly
+    // rather than mid-panel.
     let _ = b.at(k - 1, n - 1);
 
-    let GemmBlocking { mc, kc, nc } = packed_a.blocking;
-    let mut out = GemmOutcome {
-        flops: 2 * (m as u64) * (k as u64) * (n as u64),
-        ..GemmOutcome::default()
-    };
-    for jc in (0..n).step_by(nc) {
-        let nb = nc.min(n - jc);
-        for (pc_idx, pc) in (0..k).step_by(kc).enumerate() {
-            let kb = kc.min(k - pc);
-            let t0 = timed.then(Instant::now);
-            pack_b(&mut scratch.b_pack, b, pc, kb, jc, nb);
-            if let Some(t0) = t0 {
-                out.pack_ns += t0.elapsed().as_nanos() as u64;
-            }
-            out.bytes_packed += (nb.div_ceil(NR) * NR * kb * 4) as u64;
-            let first_k_block = pc == 0;
-            for (ic_idx, ic) in (0..m).step_by(mc).enumerate() {
-                let mb = mc.min(m - ic);
-                let t0 = timed.then(Instant::now);
-                macro_kernel(
-                    scratch.kernel,
-                    packed_a.block(pc_idx, ic_idx),
-                    &scratch.b_pack,
-                    mb,
-                    kb,
-                    nb,
-                    c,
-                    ic,
-                    jc,
-                    n,
-                    first_k_block,
-                );
-                if let Some(t0) = t0 {
-                    out.kernel_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-        }
-    }
-    out
+    let layout = packed_a.b_layout(n);
+    let t0 = timed.then(Instant::now);
+    pack_b(&mut scratch.b_pack, b, layout);
+    let pack_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+    let b = &scratch.b_pack[..layout.len()];
+    let out = gemm_packed(scratch.kernel, packed_a, n, b, CRows::Dense(c), timed);
+    GemmOutcome { pack_ns, ..out }
 }
 
 #[cfg(test)]
@@ -782,6 +888,76 @@ mod tests {
         t(a).max_abs_diff(&t(b)).unwrap()
     }
 
+    /// `C = A·B` for row-major `A` packed under `blocking`.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        scratch: &mut GemmScratch,
+        blocking: GemmBlocking,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: BOperand<'_>,
+        c: &mut [f32],
+    ) -> GemmOutcome {
+        let packed = PackedA::pack(a, m, k, blocking);
+        gemm_f32_prepacked(scratch, &packed, n, b, c, false)
+    }
+
+    /// The oracle of the one block loop: a GEMM that packs `A` per
+    /// `(pc, ic)` block and `B` per `(jc, pc)` block on every call,
+    /// element by element, and writes `C` dense.
+    #[allow(clippy::too_many_arguments)]
+    fn per_block_packing_gemm(
+        kernel: KernelChoice,
+        blocking: GemmBlocking,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: BOperand<'_>,
+        c: &mut [f32],
+    ) {
+        let GemmBlocking { mc, kc, nc } = blocking;
+        for jc in (0..n).step_by(nc) {
+            let nb = nc.min(n - jc);
+            for pc in (0..k).step_by(kc) {
+                let kb = kc.min(k - pc);
+                let mut b_pack = vec![0.0f32; nb.div_ceil(NR) * NR * kb];
+                for j in 0..nb {
+                    for p in 0..kb {
+                        b_pack[(j / NR) * kb * NR + p * NR + j % NR] = b.at(pc + p, jc + j);
+                    }
+                }
+                for ic in (0..m).step_by(mc) {
+                    let mb = mc.min(m - ic);
+                    let mut a_pack = vec![0.0f32; mb.div_ceil(MR) * MR * kb];
+                    for i in 0..mb {
+                        for p in 0..kb {
+                            a_pack[(i / MR) * kb * MR + p * MR + i % MR] = a[(ic + i) * k + pc + p];
+                        }
+                    }
+                    for jp in 0..nb.div_ceil(NR) {
+                        for ip in 0..mb.div_ceil(MR) {
+                            let ap = &a_pack[ip * kb * MR..][..kb * MR];
+                            let acc = kernel.tile_f32(ap, &b_pack[jp * kb * NR..][..kb * NR], kb);
+                            for (i, acc_row) in acc.iter().enumerate().take(mb - ip * MR) {
+                                let row = (ic + ip * MR + i) * n + jc + jp * NR;
+                                for (j, &v) in acc_row.iter().enumerate().take(nb - jp * NR) {
+                                    if pc == 0 {
+                                        c[row + j] = v;
+                                    } else {
+                                        c[row + j] += v;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn matches_reference_across_shapes() {
         let mut scratch = GemmScratch::new();
@@ -791,12 +967,12 @@ mod tests {
             (4, 8, 8),
             (17, 31, 23),
             (64, 70, 40),
-            (5, 300, 9), // k spans multiple KC blocks at tiny kc below
+            (5, 300, 9), // k spans two KC blocks
         ] {
             let a = seeded(m * k, (m * 1000 + k) as u64);
             let b = seeded(k * n, (k * 1000 + n) as u64);
             let mut c = vec![f32::NAN; m * n];
-            gemm_f32(
+            gemm(
                 &mut scratch,
                 GemmBlocking::default(),
                 m,
@@ -822,7 +998,7 @@ mod tests {
         let b = seeded(k * n, 2);
         let mut scratch = GemmScratch::new();
         let mut reference = vec![0.0f32; m * n];
-        gemm_f32(
+        gemm(
             &mut scratch,
             GemmBlocking::default(),
             m,
@@ -850,7 +1026,7 @@ mod tests {
             },
         ] {
             let mut c = vec![0.0f32; m * n];
-            gemm_f32(
+            gemm(
                 &mut scratch,
                 blocking,
                 m,
@@ -873,7 +1049,7 @@ mod tests {
         let mut s1 = GemmScratch::new();
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![1.0f32; m * n]; // different initial garbage
-        gemm_f32(
+        gemm(
             &mut s1,
             GemmBlocking::default(),
             m,
@@ -884,7 +1060,7 @@ mod tests {
             &mut c1,
         );
         // Warm scratch + dirty output: C is fully overwritten.
-        gemm_f32(
+        gemm(
             &mut s1,
             GemmBlocking::default(),
             m,
@@ -912,7 +1088,7 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
-        gemm_f32(
+        gemm(
             &mut scratch,
             GemmBlocking::default(),
             m,
@@ -922,7 +1098,7 @@ mod tests {
             BOperand::row_major(&b_dense, n),
             &mut c1,
         );
-        gemm_f32(
+        gemm(
             &mut scratch,
             GemmBlocking::default(),
             m,
@@ -939,7 +1115,7 @@ mod tests {
     fn zero_k_writes_zeros() {
         let mut scratch = GemmScratch::new();
         let mut c = vec![f32::NAN; 6];
-        let bytes = gemm_f32(
+        let out = gemm(
             &mut scratch,
             GemmBlocking::default(),
             2,
@@ -949,35 +1125,90 @@ mod tests {
             BOperand::row_major(&[], 3),
             &mut c,
         );
-        assert_eq!(bytes, 0);
+        assert_eq!(out.bytes_packed, 0);
         assert!(c.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn reports_packed_bytes() {
         let mut scratch = GemmScratch::new();
-        let (m, k, n) = (MR, 5, NR);
+        let (m, k) = (MR, 5);
         let a = seeded(m * k, 5);
-        let b = seeded(k * n, 6);
-        let mut c = vec![0.0f32; m * n];
-        let bytes = gemm_f32(
-            &mut scratch,
-            GemmBlocking::default(),
-            m,
-            k,
-            n,
-            &a,
-            BOperand::row_major(&b, n),
-            &mut c,
-        );
-        // One full A panel + one full B panel, each k deep.
-        assert_eq!(bytes, ((MR * k + NR * k) * 4) as u64);
+        for n in [NR, NR + 1] {
+            let b = seeded(k * n, 6);
+            let mut c = vec![0.0f32; m * n];
+            let out = gemm(
+                &mut scratch,
+                GemmBlocking::default(),
+                m,
+                k,
+                n,
+                &a,
+                BOperand::row_major(&b, n),
+                &mut c,
+            );
+            // The B panels, k deep, ragged lanes included; A is packed once
+            // ahead of the call and not counted.
+            assert_eq!(out.bytes_packed, (n.div_ceil(NR) * NR * k * 4) as u64);
+        }
     }
 
     #[test]
-    fn prepacked_a_matches_on_the_fly_bitwise() {
-        // Same blocking ⇒ same panels ⇒ same accumulation order ⇒ same bits,
-        // across ragged shapes and every supported microkernel.
+    fn panel_layout_holds_each_element_once_and_zero_pads_ragged_lanes() {
+        // Every (k, n, kc) below leaves a ragged last panel; the KC split
+        // gives blocks of different depth.
+        for &(k, n, kc) in &[(5usize, 3usize, 2usize), (11, 21, 4), (300, 13, 256)] {
+            let layout = BPanels::new(k, n, kc);
+            let b = seeded(k * n, (k + n) as u64);
+            let mut buf = vec![f32::NAN; layout.len()];
+            pack_b(&mut buf, BOperand::row_major(&b, n), layout);
+            let mut seen = vec![false; layout.len()];
+            for r in 0..k {
+                for j in 0..n {
+                    let pc = r - r % kc;
+                    let kb = kc.min(k - pc);
+                    let want =
+                        pc * n.div_ceil(NR) * NR + (j / NR) * kb * NR + (r - pc) * NR + j % NR;
+                    assert_eq!(
+                        layout.at(r, j),
+                        (want, kb * NR),
+                        "({r}, {j}) of {k}x{n}/{kc}"
+                    );
+                    assert_eq!(buf[want].to_bits(), b[r * n + j].to_bits());
+                    seen[want] = true;
+                }
+            }
+            for (at, v) in buf.iter().enumerate().filter(|&(at, _)| !seen[at]) {
+                assert_eq!(
+                    v.to_bits(),
+                    0.0f32.to_bits(),
+                    "ragged lane {at} of {k}x{n}/{kc}"
+                );
+            }
+
+            // A row written in pieces that end mid-panel lands in the same
+            // places.
+            let mut pieces = vec![f32::NAN; layout.len()];
+            for r in 0..k {
+                let src = &b[r * n..(r + 1) * n];
+                let mut row = layout.row(&mut pieces, r);
+                let head = 3.min(n);
+                row.copy(&src[..head]);
+                row.push(n - head, |run, q| {
+                    run.copy_from_slice(&src[head + q..][..run.len()]);
+                });
+                row.finish();
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pieces), bits(&buf), "{k}x{n}/{kc} written in pieces");
+        }
+    }
+
+    #[test]
+    fn one_block_loop_matches_per_block_packing_bitwise() {
+        // Same panels ⇒ same accumulation order ⇒ same bits, across ragged
+        // shapes, blockings (an NC that is not a whole number of panels
+        // included) and every supported microkernel, for both C sinks.
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (17, 31, 23), (64, 300, 40)] {
             let a = seeded(m * k, (m + k) as u64);
             let b = seeded(k * n, (k + n) as u64);
@@ -988,36 +1219,31 @@ mod tests {
                     kc: 16,
                     nc: 8,
                 },
+                GemmBlocking {
+                    mc: 5,
+                    kc: 7,
+                    nc: 3,
+                },
             ] {
                 let packed = PackedA::pack(&a, m, k, blocking);
                 assert!(packed.bytes() > 0);
                 for kernel in crate::microkernel::KernelChoice::all_supported() {
-                    let mut s1 = GemmScratch::with_kernel(kernel);
-                    let mut c1 = vec![f32::NAN; m * n];
-                    let fly = gemm_f32_profiled(
-                        &mut s1,
-                        blocking,
-                        m,
-                        k,
-                        n,
-                        &a,
-                        BOperand::row_major(&b, n),
-                        &mut c1,
-                        false,
-                    );
-                    let mut c2 = vec![f32::NAN; m * n];
-                    let pre = gemm_f32_prepacked(
-                        &mut s1,
-                        &packed,
-                        n,
-                        BOperand::row_major(&b, n),
-                        &mut c2,
-                        false,
-                    );
-                    assert_eq!(c1, c2, "{m}x{k}x{n} {blocking:?} {}", kernel.name());
-                    assert_eq!(pre.flops, fly.flops);
-                    // The prepacked call packs only B panels.
-                    assert!(pre.bytes_packed < fly.bytes_packed);
+                    let case = format!("{m}x{k}x{n} {blocking:?} {}", kernel.name());
+                    let mut want = vec![f32::NAN; m * n];
+                    let b_op = BOperand::row_major(&b, n);
+                    per_block_packing_gemm(kernel, blocking, m, k, n, &a, b_op, &mut want);
+                    let mut s = GemmScratch::with_kernel(kernel);
+                    let mut dense = vec![f32::NAN; m * n];
+                    let out = gemm_f32_prepacked(&mut s, &packed, n, b_op, &mut dense, false);
+                    assert_eq!(dense, want, "{case}");
+                    assert_eq!(out.flops, 2 * (m * k * n) as u64);
+
+                    let mut rows_buf = vec![f32::NAN; m * n];
+                    let mut rows: Vec<&mut [f32]> = rows_buf.chunks_exact_mut(n).collect();
+                    let layout = packed.b_layout(n);
+                    let b_pack = &s.b_pack[..layout.len()];
+                    gemm_packed(kernel, &packed, n, b_pack, CRows::Rows(&mut rows), false);
+                    assert_eq!(rows_buf, want, "{case}, row sink");
                 }
             }
         }
@@ -1030,7 +1256,7 @@ mod tests {
         let b = seeded(k * n, 72);
         let mut auto = GemmScratch::new();
         let mut c_auto = vec![0.0f32; m * n];
-        gemm_f32(
+        gemm(
             &mut auto,
             GemmBlocking::default(),
             m,
@@ -1044,7 +1270,7 @@ mod tests {
             let mut s = GemmScratch::with_kernel(kernel);
             assert_eq!(s.kernel(), kernel);
             let mut c = vec![0.0f32; m * n];
-            gemm_f32(
+            gemm(
                 &mut s,
                 GemmBlocking::default(),
                 m,
@@ -1073,32 +1299,14 @@ mod tests {
         let (m, k, n) = (13, 17, 19);
         let a = seeded(m * k, 9);
         let b = seeded(k * n, 10);
+        let packed = PackedA::pack(&a, m, k, GemmBlocking::default());
+        let b_op = BOperand::row_major(&b, n);
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
-        let untimed = gemm_f32_profiled(
-            &mut scratch,
-            GemmBlocking::default(),
-            m,
-            k,
-            n,
-            &a,
-            BOperand::row_major(&b, n),
-            &mut c1,
-            false,
-        );
+        let untimed = gemm_f32_prepacked(&mut scratch, &packed, n, b_op, &mut c1, false);
         assert_eq!(untimed.flops, 2 * (m * k * n) as u64);
         assert_eq!((untimed.pack_ns, untimed.kernel_ns), (0, 0));
-        let timed = gemm_f32_profiled(
-            &mut scratch,
-            GemmBlocking::default(),
-            m,
-            k,
-            n,
-            &a,
-            BOperand::row_major(&b, n),
-            &mut c2,
-            true,
-        );
+        let timed = gemm_f32_prepacked(&mut scratch, &packed, n, b_op, &mut c2, true);
         // Timing never changes results or the deterministic fields.
         assert_eq!(c1, c2);
         assert_eq!(timed.bytes_packed, untimed.bytes_packed);

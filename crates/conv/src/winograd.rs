@@ -7,7 +7,10 @@
 //! conventional algorithm otherwise, exactly as the paper does.
 
 use crate::cook_toom::{f43, WinogradTransform};
-use crate::gemm::{panels, BOperand, ConvPhase, ConvStats, GemmBlocking, GemmScratch, PackedA, MR};
+use crate::gemm::{
+    gemm_packed, panels, BPanels, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, PanelRow, MR,
+    NR,
+};
 use crate::matrix::Mat;
 use crate::microkernel::KernelChoice;
 use crate::sparse::{prune_plane_with, sparse_keep_count, DENSITY_SCALE};
@@ -262,8 +265,10 @@ pub fn conv2d_f43(
 
 /// Input tiles scattered per job in the barrier (transform-point) path,
 /// and tiles per output-transform call in its gather (sizes the phase-1
-/// write regions; results never depend on it).
+/// write regions; results never depend on it). A whole number of `B`
+/// panels, so each scatter job owns whole panels.
 const TILE_CHUNK: usize = 32;
+const _: () = assert!(TILE_CHUNK.is_multiple_of(NR));
 /// Output channels per gather job in the barrier path.
 const GATHER_K_BLOCK: usize = 16;
 /// Tiles owned by one worker job under the tile-block schedule: each job
@@ -277,6 +282,7 @@ pub const WINO_TILE_BLOCK: usize = 32;
 /// spatially small layers like VGG conv5), and the transform-point
 /// schedule's 36-way GEMM parallelism wins.
 const TILE_BLOCK_MIN_JOBS: usize = 4;
+const _: () = assert!(WINO_TILE_BLOCK.is_multiple_of(NR));
 
 /// How the batched Winograd layer is partitioned into parallel jobs.
 ///
@@ -421,19 +427,25 @@ impl BatchedFilters {
         self.alpha
     }
 
-    /// Runs the transform point `uv`'s GEMM `C[out_c × n] = A_uv · B`
-    /// into `c`.
+    /// The packed layout of a transform point's `B` operand `V_uv`
+    /// (`in_c × n`), the same for every point.
+    fn v_layout(&self, n: usize) -> BPanels {
+        self.packed[0].b_layout(n)
+    }
+
+    /// Runs the transform point `uv`'s GEMM `C[out_c × n] = A_uv · V_uv`
+    /// into `c`, with `v` already in [`BatchedFilters::v_layout`].
     fn gemm_plane(
         &self,
-        scratch: &mut GemmScratch,
+        kernel: KernelChoice,
         uv: usize,
         n: usize,
-        b: BOperand<'_>,
+        v: &[f32],
         c: &mut [f32],
         stats: Option<&ConvStats>,
     ) {
         let timed = stats.is_some();
-        let outcome = crate::gemm::gemm_f32_prepacked(scratch, &self.packed[uv], n, b, c, timed);
+        let outcome = gemm_packed(kernel, &self.packed[uv], n, v, CRows::Dense(c), timed);
         if let Some(s) = stats {
             s.add_gemm(1, outcome.bytes_packed);
             s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
@@ -545,29 +557,52 @@ fn transform_into_panels(
     }
 }
 
-/// Lane-major working buffers of the two transforms for runs of up to
+/// Lane-major working buffers of the input transform for runs of up to
 /// `lanes` tiles: element `e` of the `t`-th tile of a run of `n` sits at
 /// `[e·n + t]`.
-struct LaneScratch {
+struct InputLanes {
     /// Input tiles `d`, `α²` rows.
     d: Vec<f32>,
     /// `Bᵀ·d`, `α²` rows.
     bd: Vec<f32>,
+}
+
+impl InputLanes {
+    fn new(alpha: usize, lanes: usize) -> Self {
+        InputLanes {
+            d: vec![0.0; alpha * alpha * lanes],
+            bd: vec![0.0; alpha * alpha * lanes],
+        }
+    }
+}
+
+/// Lane-major working buffers of the output transform, laid out as
+/// [`InputLanes`].
+struct OutputLanes {
     /// `Aᵀ·M`, `m·α` rows.
     am: Vec<f32>,
     /// `Y = Aᵀ·M·A`, `m²` rows.
     y: Vec<f32>,
 }
 
-impl LaneScratch {
+impl OutputLanes {
     fn new(m: usize, alpha: usize, lanes: usize) -> Self {
-        LaneScratch {
-            d: vec![0.0; alpha * alpha * lanes],
-            bd: vec![0.0; alpha * alpha * lanes],
+        OutputLanes {
             am: vec![0.0; m * alpha * lanes],
             y: vec![0.0; m * m * lanes],
         }
     }
+}
+
+/// Stores one transform point's run of `V` — row `c` of `V_uv` for a run
+/// of tiles starting on a panel — in panel order: `dst` starts at the
+/// row's place in the run's first panel and `stride` is the operand's
+/// panel stride on that row ([`BPanels::at`]). The ragged lanes after a
+/// run that ends mid-panel are zeroed.
+fn store_run(dst: &mut [f32], stride: usize, run: &[f32]) {
+    let mut row = PanelRow::new(dst, stride);
+    row.copy(run);
+    row.finish();
 }
 
 /// Shape-derived state shared by both schedules, resolved once after
@@ -633,22 +668,23 @@ impl<'a> WinoCtx<'a> {
 
     /// Input transform `V = Bᵀ·d·B` of channel `c` for the `lanes`
     /// consecutive tiles from tile `p0`, numbered across the batch (a run
-    /// may cross into the next image). Row `uv` of the run's `V` goes to
-    /// `out[uv·stride..][..lanes]`, tile index innermost. Tiles are read
-    /// from the channel plane directly; only a tile that crosses the
-    /// padded edge takes the zero-filling path.
+    /// may cross into the next image). Row `uv` of the run's `V`, tile
+    /// index innermost, goes to `store(uv, run)`; both schedules copy it
+    /// into row `c` of the transform point's GEMM operand `V_uv`, in panel
+    /// order ([`store_run`]). Tiles are read from the channel plane
+    /// directly; only a tile that crosses the padded edge takes the
+    /// zero-filling path.
     fn input_transform(
         &self,
         c: usize,
         p0: usize,
         lanes: usize,
-        s: &mut LaneScratch,
-        out: &mut [f32],
-        stride: usize,
+        s: &mut InputLanes,
+        mut store: impl FnMut(usize, &[f32]),
     ) {
         let (m, alpha) = (self.m, self.alpha);
         let (h, w) = (self.input.h(), self.input.w());
-        let LaneScratch { d, bd, .. } = s;
+        let InputLanes { d, bd } = s;
         let d = &mut d[..self.aa * lanes];
         for t in 0..lanes {
             let (bn, tile) = ((p0 + t) / self.tiles_per_img, (p0 + t) % self.tiles_per_img);
@@ -676,7 +712,6 @@ impl<'a> WinoCtx<'a> {
                 }
             }
         }
-        let d = &*d;
         let bd = &mut bd[..self.aa * lanes];
         for (i, taps) in self.b_t.iter().enumerate() {
             for j in 0..alpha {
@@ -684,11 +719,13 @@ impl<'a> WinoCtx<'a> {
                 lane_dot(dst, taps, |l| &d[(l * alpha + j) * lanes..][..lanes]);
             }
         }
-        let bd = &*bd;
+        // Each transform point's run is computed whole in `d`'s first row
+        // (the tiles are no longer needed), then stored.
+        let (bd, v_run) = (&*bd, &mut d[..lanes]);
         for i in 0..alpha {
             for (j, taps) in self.b_t.iter().enumerate() {
-                let dst = &mut out[(i * alpha + j) * stride..][..lanes];
-                lane_dot(dst, taps, |l| &bd[(i * alpha + l) * lanes..][..lanes]);
+                lane_dot(v_run, taps, |l| &bd[(i * alpha + l) * lanes..][..lanes]);
+                store(i * alpha + j, v_run);
             }
         }
     }
@@ -703,10 +740,10 @@ impl<'a> WinoCtx<'a> {
         rows: &[f32],
         stride: usize,
         lanes: usize,
-        s: &'s mut LaneScratch,
+        s: &'s mut OutputLanes,
     ) -> &'s [f32] {
         let (m, alpha) = (self.m, self.alpha);
-        let LaneScratch { am, y, .. } = s;
+        let OutputLanes { am, y } = s;
         let am = &mut am[..m * alpha * lanes];
         for (i, taps) in self.a_t.iter().enumerate() {
             for j in 0..alpha {
@@ -857,32 +894,42 @@ fn run_transform_point(
     let (tiles_w, tiles_per_img, p_total) = (cx.tiles_w, cx.tiles_per_img, cx.p_total);
     let threads = cx.threads;
 
-    // Phase 1 — scatter: V[p][u·α+v][c] = (Bᵀ·d·B)[u][v] for tile p,
-    // channel c. The [p][uv][c] layout makes each tile chunk a contiguous
-    // write region.
-    let mut v_buf = vec![0.0f32; p_total * aa * in_c];
+    // Phase 1 — scatter: V_uv[c][p] = (Bᵀ·d·B)[u][v] for tile p, channel
+    // c, with uv = u·α + v: α² GEMM B operands in panel order, back to
+    // back. Each scatter job owns TILE_CHUNK tiles — whole panels — of
+    // every (uv, KC block), one contiguous span each.
+    let layout = cx.bank.v_layout(p_total);
+    let mut v_buf = vec![0.0f32; aa * layout.len()];
     {
         let t_phase = stats.map(|_| Instant::now());
-        let slices = winofuse_runtime::split_chunks(&mut v_buf, TILE_CHUNK * aa * in_c);
+        let n_jobs = p_total.div_ceil(TILE_CHUNK);
+        let mut spans = Vec::with_capacity(aa * layout.blocks() * n_jobs);
+        for _uv in 0..aa {
+            for pc in (0..in_c).step_by(layout.kc()) {
+                let block_row = layout.at(pc, 0).1;
+                for job in 0..n_jobs {
+                    let tiles = TILE_CHUNK.min(p_total - job * TILE_CHUNK);
+                    spans.push((job, tiles.div_ceil(NR) * block_row));
+                }
+            }
+        }
+        let groups = winofuse_runtime::split_spans(&mut v_buf, &spans, n_jobs);
         winofuse_runtime::run_jobs(
             threads,
-            slices,
+            groups,
             &prof.scoped("wino.scatter"),
-            || {
-                (
-                    LaneScratch::new(m, alpha, TILE_CHUNK),
-                    vec![0.0f32; aa * TILE_CHUNK],
-                )
-            },
-            |(lanes, v_run), job, slice| {
-                let nt = slice.len() / (aa * in_c);
+            || InputLanes::new(alpha, TILE_CHUNK),
+            |lanes, job, mut frags| {
+                let nt = TILE_CHUNK.min(p_total - job * TILE_CHUNK);
+                // frags[uv·blocks + c/KC] holds this job's panels of V_uv's
+                // KC block of channel c; the channel's row starts at
+                // (c mod KC)·NR in each of them.
+                let (kc, blocks) = (layout.kc(), layout.blocks());
                 for c in 0..in_c {
-                    cx.input_transform(c, job * TILE_CHUNK, nt, lanes, v_run, nt);
-                    for (uv, row) in v_run[..aa * nt].chunks_exact(nt).enumerate() {
-                        for (t, &x) in row.iter().enumerate() {
-                            slice[(t * aa + uv) * in_c + c] = x;
-                        }
-                    }
+                    let (frag, at, stride) = (c / kc, (c % kc) * NR, layout.at(c, 0).1);
+                    cx.input_transform(c, job * TILE_CHUNK, nt, lanes, |uv, run| {
+                        store_run(&mut frags[uv * blocks + frag][at..], stride, run);
+                    });
                 }
             },
         )?;
@@ -893,24 +940,22 @@ fn run_transform_point(
 
     // Phase 2 — α² GEMMs: M[uv][k][p] = Σ_c U_uv[k][c] · V_uv[c][p].
     // One job per transform point over the full output-channel range, so
-    // each job runs exactly one prepacked GEMM; the [uv][k][p] layout
-    // makes each job's rows a contiguous write region.
+    // each job runs exactly one prepacked GEMM, reading V_uv in place; the
+    // [uv][k][p] layout makes each job's rows a contiguous write region.
     let mut m_buf = vec![0.0f32; aa * out_c * p_total];
     {
         let slices = winofuse_runtime::split_chunks(&mut m_buf, out_c * p_total);
         let v_ref = &v_buf;
         let t_phase = stats.map(|_| Instant::now());
-        let kernel = cx.kernel;
         winofuse_runtime::run_jobs(
             threads,
             slices,
             &prof.scoped("wino.gemm"),
-            move || GemmScratch::with_kernel(kernel),
-            |scratch, uv, slice| {
-                // B operand: V_uv is [in_c × p_total] with element (c, p)
-                // at V[p·α²·in_c + uv·in_c + c].
-                let b_op = BOperand::strided(&v_ref[uv * in_c..], 1, aa * in_c);
-                cx.bank.gemm_plane(scratch, uv, p_total, b_op, slice, stats);
+            || (),
+            |(), uv, slice| {
+                let v_uv = &v_ref[uv * layout.len()..(uv + 1) * layout.len()];
+                cx.bank
+                    .gemm_plane(cx.kernel, uv, p_total, v_uv, slice, stats);
             },
         )?;
         if let (Some(s), Some(t0)) = (stats, t_phase) {
@@ -938,7 +983,7 @@ fn run_transform_point(
             threads,
             slices,
             &prof.scoped("wino.gather"),
-            || LaneScratch::new(m, alpha, TILE_CHUNK),
+            || OutputLanes::new(m, alpha, TILE_CHUNK),
             |lanes, job, slice| {
                 let bn = job / k_blocks.len();
                 let (k0, kb) = k_blocks[job % k_blocks.len()];
@@ -969,16 +1014,16 @@ fn run_transform_point(
     Ok(out)
 }
 
-/// Thread-local working set for one tile-block worker: GEMM scratch plus
-/// every transform buffer, sized once for the largest block so the fused
+/// Thread-local working set for one tile-block worker: every transform
+/// buffer, sized once for the largest block so the fused
 /// scatter → GEMM → gather loop never allocates.
 struct TileBlockScratch {
-    gemm: GemmScratch,
-    lanes: LaneScratch,
-    /// Transformed tiles, `[uv][c][t]` with stride = this block's tile
-    /// count — the GEMM `B` operand is a contiguous row-major slice per uv.
+    input: InputLanes,
+    output: OutputLanes,
+    /// Transformed tiles: the α² GEMM `B` operands `V_uv` of this block's
+    /// tiles, in panel order, back to back.
     v: Vec<f32>,
-    /// GEMM results, `[uv][k][t]` with the same stride.
+    /// GEMM results, `[uv][k][t]` with stride = this block's tile count.
     mbuf: Vec<f32>,
 }
 
@@ -1027,21 +1072,20 @@ fn run_tile_block(
     }
     let groups = winofuse_runtime::split_spans(out.as_mut_slice(), &spans, n_jobs);
 
-    let kernel = cx.kernel;
     winofuse_runtime::run_jobs(
         threads,
         groups,
         &prof.scoped("wino.tileblock"),
-        move || TileBlockScratch {
-            gemm: GemmScratch::with_kernel(kernel),
-            lanes: LaneScratch::new(m, alpha, tb),
-            v: vec![0.0; aa * in_c * tb],
+        || TileBlockScratch {
+            input: InputLanes::new(alpha, tb),
+            output: OutputLanes::new(m, alpha, tb),
+            v: vec![0.0; aa * cx.bank.v_layout(tb).len()],
             mbuf: vec![0.0; aa * out_c * tb],
         },
         |st, job, mut frags| {
             let TileBlockScratch {
-                gemm,
-                lanes,
+                input,
+                output,
                 v,
                 mbuf,
             } = st;
@@ -1050,28 +1094,25 @@ fn run_tile_block(
             let p_lo = blk * tb;
             let p_hi = (p_lo + tb).min(tiles_per_img);
             let nt = p_hi - p_lo;
-            let v = &mut v[..aa * in_c * nt];
+            let layout = cx.bank.v_layout(nt);
+            let v = &mut v[..aa * layout.len()];
             let mbuf = &mut mbuf[..aa * out_c * nt];
             let t_job = stats.map(|_| Instant::now());
 
-            // Scatter this block's tiles into the thread-local V.
+            // Scatter this block's tiles into the thread-local V panels.
             let p0 = bn * tiles_per_img + p_lo;
             for c in 0..in_c {
-                cx.input_transform(c, p0, nt, lanes, &mut v[c * nt..], in_c * nt);
+                let (at, stride) = layout.at(c, 0);
+                cx.input_transform(c, p0, nt, input, |uv, run| {
+                    store_run(&mut v[uv * layout.len() + at..], stride, run);
+                });
             }
             let t_scattered = stats.map(|_| Instant::now());
 
             // α² prepacked GEMMs over this block's tiles only.
-            for uv in 0..aa {
-                let b_op = BOperand::row_major(&v[uv * in_c * nt..(uv + 1) * in_c * nt], nt);
-                cx.bank.gemm_plane(
-                    gemm,
-                    uv,
-                    nt,
-                    b_op,
-                    &mut mbuf[uv * out_c * nt..(uv + 1) * out_c * nt],
-                    stats,
-                );
+            for (uv, v_uv) in v.chunks_exact(layout.len()).enumerate() {
+                let m_uv = &mut mbuf[uv * out_c * nt..(uv + 1) * out_c * nt];
+                cx.bank.gemm_plane(cx.kernel, uv, nt, v_uv, m_uv, stats);
             }
             let t_gemmed = stats.map(|_| Instant::now());
 
@@ -1081,7 +1122,7 @@ fn run_tile_block(
             let th_last = (p_hi - 1) / tiles_w;
             let rows_covered: usize = (th_first..=th_last).map(|th| m.min(oh - th * m)).sum();
             for k in 0..out_c {
-                let y = cx.output_transform(&mbuf[k * nt..], out_c * nt, nt, lanes);
+                let y = cx.output_transform(&mbuf[k * nt..], out_c * nt, nt, output);
                 let mut row_base = 0usize;
                 for th in th_first..=th_last {
                     let rows_here = m.min(oh - th * m);
@@ -1299,14 +1340,21 @@ mod tests {
             let (mut d, mut t1, mut t2) = (vec![0.0; aa], vec![0.0; aa], vec![0.0; aa]);
             let (mut g1, mut y1) = (vec![0.0; m * alpha], vec![0.0; m * m]);
             for lanes in [1usize, 7, 32] {
-                let mut s = LaneScratch::new(m, alpha, lanes);
-                // Row strides wider than the run, as in both schedules.
-                let stride = lanes + 3;
-                let mut v = vec![f32::NAN; aa * stride];
+                let (mut s, mut so) = (
+                    InputLanes::new(alpha, lanes),
+                    OutputLanes::new(m, alpha, lanes),
+                );
+                // V in panel order; NaN where nothing was written.
+                let layout = bank.v_layout(lanes);
+                let mut v = vec![f32::NAN; aa * layout.len()];
                 for p0 in (0..cx.p_total).step_by(lanes) {
                     let p0 = p0.min(cx.p_total - lanes);
                     for c in 0..2 {
-                        cx.input_transform(c, p0, lanes, &mut s, &mut v, stride);
+                        let (at, stride) = layout.at(c, 0);
+                        cx.input_transform(c, p0, lanes, &mut s, |uv, run| {
+                            store_run(&mut v[uv * layout.len() + at..], stride, run);
+                        });
+                        let at = |uv: usize, l: usize| uv * layout.len() + layout.at(c, l).0;
                         for l in 0..lanes {
                             let (bn, h0, w0) = origin(p0 + l);
                             for (e, slot) in d.iter_mut().enumerate() {
@@ -1317,21 +1365,32 @@ mod tests {
                             matmul_flat(&t1, b.as_slice(), &mut t2, alpha, alpha, alpha);
                             for (uv, want) in t2.iter().enumerate() {
                                 assert_eq!(
-                                    v[uv * stride + l].to_bits(),
+                                    v[at(uv, l)].to_bits(),
                                     want.to_bits(),
                                     "F({m},{r}) input, {lanes} lanes, tile {}, c {c}, point {uv}",
                                     p0 + l
                                 );
                             }
                         }
+                        for uv in 0..aa {
+                            for l in lanes..lanes.div_ceil(NR) * NR {
+                                assert_eq!(
+                                    v[at(uv, l)].to_bits(),
+                                    0,
+                                    "ragged lane {l}, point {uv}"
+                                );
+                            }
+                        }
                     }
                 }
 
+                // Row strides wider than the run, as in both schedules' M.
+                let stride = lanes + 3;
                 let mut rows = random_tensor(1, 1, aa, stride, (lanes * 100 + m) as u64);
                 with_signed_zeros(rows.as_mut_slice());
                 rows.as_mut_slice()[..stride].fill(-0.0);
                 let rows = rows.as_slice();
-                let y = cx.output_transform(rows, stride, lanes, &mut s);
+                let y = cx.output_transform(rows, stride, lanes, &mut so);
                 for l in 0..lanes {
                     let m_tile: Vec<f32> = (0..aa).map(|uv| rows[uv * stride + l]).collect();
                     matmul_flat(a_t.as_slice(), &m_tile, &mut g1, m, alpha, alpha);
@@ -1644,6 +1703,116 @@ mod tests {
         assert_eq!(tiles, 9);
         assert_eq!(gemm_calls, 36);
         assert!(bytes > 0);
+    }
+
+    /// The Winograd layer on a row-major `V`, the oracle of both
+    /// schedules: per-tile `Bᵀ·d·B` ([`matmul_flat`]) stored as row-major
+    /// `V_uv` (`in_c × tiles`), multiplied through `gemm_f32_prepacked`'s
+    /// `BOperand` entry point, then per-tile `Aᵀ·M·A` clipped into the
+    /// output.
+    fn row_major_v_winograd(
+        x: &Tensor<f32>,
+        bank: &BatchedFilters,
+        geom: ConvGeometry,
+        t: &WinogradTransform,
+        kernel: KernelChoice,
+    ) -> Tensor<f32> {
+        let (m, alpha) = (t.m(), t.alpha());
+        let aa = alpha * alpha;
+        let (batch, in_c, _, _) = x.shape();
+        let (oh, ow, out_c) = (geom.output_height(), geom.output_width(), bank.out_c());
+        let (tiles_w, pad) = (ow.div_ceil(m), geom.pad() as isize);
+        let tiles_per_img = oh.div_ceil(m) * tiles_w;
+        let p_total = batch * tiles_per_img;
+        let (b_t, a_t) = (t.b_t_f32(), t.a_t_f32());
+        let (b, a) = (b_t.transpose(), a_t.transpose());
+        let mut v = vec![0.0f32; aa * in_c * p_total];
+        let (mut d, mut t1, mut t2) = (vec![0.0; aa], vec![0.0; aa], vec![0.0; aa]);
+        for p in 0..p_total {
+            let (bn, tile) = (p / tiles_per_img, p % tiles_per_img);
+            let h0 = ((tile / tiles_w) * m) as isize - pad;
+            let w0 = ((tile % tiles_w) * m) as isize - pad;
+            for c in 0..in_c {
+                for (e, slot) in d.iter_mut().enumerate() {
+                    let (u, vv) = ((e / alpha) as isize, (e % alpha) as isize);
+                    *slot = x.get_padded(bn, c, h0 + u, w0 + vv);
+                }
+                matmul_flat(b_t.as_slice(), &d, &mut t1, alpha, alpha, alpha);
+                matmul_flat(&t1, b.as_slice(), &mut t2, alpha, alpha, alpha);
+                for (uv, &val) in t2.iter().enumerate() {
+                    v[(uv * in_c + c) * p_total + p] = val;
+                }
+            }
+        }
+        let mut mm = vec![0.0f32; aa * out_c * p_total];
+        let mut scratch = crate::gemm::GemmScratch::with_kernel(kernel);
+        for uv in 0..aa {
+            let v_uv = crate::gemm::BOperand::row_major(
+                &v[uv * in_c * p_total..][..in_c * p_total],
+                p_total,
+            );
+            let c = &mut mm[uv * out_c * p_total..][..out_c * p_total];
+            let plane = bank.packed_plane(uv);
+            crate::gemm::gemm_f32_prepacked(&mut scratch, plane, p_total, v_uv, c, false);
+        }
+        let mut out = Tensor::zeros(batch, out_c, oh, ow);
+        let (mut g1, mut y1) = (vec![0.0; m * alpha], vec![0.0; m * m]);
+        for k in 0..out_c {
+            for p in 0..p_total {
+                let (bn, tile) = (p / tiles_per_img, p % tiles_per_img);
+                let (th, tw) = (tile / tiles_w, tile % tiles_w);
+                let m_tile: Vec<f32> = (0..aa)
+                    .map(|uv| mm[(uv * out_c + k) * p_total + p])
+                    .collect();
+                matmul_flat(a_t.as_slice(), &m_tile, &mut g1, m, alpha, alpha);
+                matmul_flat(&g1, a.as_slice(), &mut y1, m, alpha, m);
+                for (e, &val) in y1.iter().enumerate() {
+                    let (i, j) = (th * m + e / m, tw * m + e % m);
+                    if i < oh && j < ow {
+                        out.set(bn, k, i, j, val);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn panel_order_v_matches_a_row_major_v_bitwise() {
+        // (h, w, in_c, out_c, batch): 18 tiles with in_c > KC (one ragged
+        // panel per GEMM and a second, shallow KC block), and 49 tiles a
+        // batch — a transform-point scatter job of 17 and tile blocks of
+        // 32 and 17.
+        let t = f43();
+        let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &(h, w, in_c, out_c, batch) in &[
+            (9usize, 9usize, 300usize, 5usize, 2usize),
+            (27, 25, 6, 7, 1),
+        ] {
+            let geom = ConvGeometry::rect(h, w, 3, 1, 1).unwrap();
+            let mut x = random_tensor(batch, in_c, h, w, (h * 17 + in_c) as u64);
+            with_signed_zeros(x.as_mut_slice());
+            let bank = BatchedFilters::new(&random_tensor(out_c, in_c, 3, 3, 3), &t).unwrap();
+            for kernel in KernelChoice::all_supported() {
+                let want = bits(&row_major_v_winograd(&x, &bank, geom, &t, kernel));
+                for schedule in [WinoSchedule::TileBlock, WinoSchedule::TransformPoint] {
+                    let opts = BatchedOptions {
+                        schedule,
+                        kernel: Some(kernel),
+                    };
+                    for threads in [1usize, 2, 4, 8] {
+                        let prof = PoolProfiler::disabled();
+                        let y = conv2d_batched_ext(&x, &bank, geom, &t, threads, None, &prof, opts)
+                            .unwrap();
+                        assert!(
+                            bits(&y) == want,
+                            "{h}x{w} c{in_c}: {schedule:?} {} @{threads}t differs",
+                            kernel.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

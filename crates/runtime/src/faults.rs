@@ -30,6 +30,12 @@
 //! every fused group's DRAM meter; `sat@exec.conv3#s7` reports a Winograd
 //! -domain saturation at layer `conv3` on an occurrence derived from seed 7.
 //!
+//! A rule whose site pattern can only reach sites that never apply its
+//! kind is rejected at parse time: pool jobs apply only `panic`, executor
+//! layers and fused groups `panic` and `sat`, fused DRAM meters `panic`
+//! and `dram`, and `plan.build` only `panic`. A site name that matches no
+//! known site is accepted as written.
+//!
 //! The disabled injector (the default) costs one branch per check — the
 //! same contract as the disabled [`crate::PoolProfiler`].
 
@@ -54,6 +60,65 @@ pub enum FaultKind {
     /// Perturb a DRAM byte meter by the given signed delta. Exercised
     /// recovery path: lenient-mode downgrade of the fused group.
     DramDelta(i64),
+}
+
+impl FaultKind {
+    /// The kind's name in a spec.
+    fn name(self) -> &'static str {
+        match self {
+            FaultKind::Panic => "panic",
+            FaultKind::Saturate => "sat",
+            FaultKind::DramDelta(_) => "dram",
+        }
+    }
+}
+
+/// The sites the execution stack checks, as site patterns, with the kinds
+/// each applies: the pool before every job, the executor per layer, the
+/// fused runner per group and per DRAM meter, and the plan cache per
+/// build.
+const SITE_CLASSES: [(&str, &[&str]); 5] = [
+    ("pool.*", &["panic"]),
+    ("exec.*", &["panic", "sat"]),
+    ("fused.group*", &["panic", "sat"]),
+    ("fused.dram*", &["panic", "dram"]),
+    ("plan.build", &["panic"]),
+];
+
+/// Whether some site name matches both patterns (a trailing `*` makes a
+/// pattern a prefix match).
+fn patterns_overlap(a: &str, b: &str) -> bool {
+    match (a.strip_suffix('*'), b.strip_suffix('*')) {
+        (Some(pa), Some(pb)) => pa.starts_with(pb) || pb.starts_with(pa),
+        (Some(pa), None) => b.starts_with(pa),
+        (None, Some(pb)) => a.starts_with(pb),
+        (None, None) => a == b,
+    }
+}
+
+/// Rejects a rule whose pattern reaches known sites, none of which
+/// applies its kind; a pattern that reaches no known site is accepted.
+fn check_applies(raw: &str, kind: FaultKind, site: &str) -> Result<(), String> {
+    let reached: Vec<&(&str, &[&str])> = SITE_CLASSES
+        .iter()
+        .filter(|(class, _)| patterns_overlap(site, class))
+        .collect();
+    if reached.is_empty()
+        || reached
+            .iter()
+            .any(|(_, kinds)| kinds.contains(&kind.name()))
+    {
+        return Ok(());
+    }
+    let classes: Vec<String> = reached
+        .iter()
+        .map(|(class, kinds)| format!("`{class}` (applies {})", kinds.join(", ")))
+        .collect();
+    Err(format!(
+        "fault rule `{raw}`: no site it can match applies `{}` faults: {}",
+        kind.name(),
+        classes.join("; ")
+    ))
 }
 
 /// When a rule fires relative to its own occurrence counter.
@@ -159,7 +224,9 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending rule on any syntax error.
+    /// Returns a message naming the offending rule on any syntax error, or
+    /// naming the site class when no site the rule's pattern can match
+    /// applies its kind (`sat@pool.*`, `dram:8@exec.*`).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut rules = Vec::new();
         for raw in spec.split(',') {
@@ -269,6 +336,7 @@ fn parse_rule(raw: &str) -> Result<FaultRule, String> {
             }
         }
     };
+    check_applies(raw, kind, site)?;
     Ok(FaultRule {
         kind,
         site: site.to_string(),
@@ -449,6 +517,67 @@ mod tests {
             "panic:3@site",
         ] {
             assert!(FaultInjector::parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    /// Asserts `spec` is rejected with a message naming `class`.
+    fn assert_never_applies(spec: &str, class: &str) {
+        let err = FaultInjector::parse(spec).expect_err(spec);
+        assert!(err.contains(&format!("`{class}`")), "`{spec}`: {err}");
+    }
+
+    #[test]
+    fn rejects_sat_at_pool_sites() {
+        assert_never_applies("sat@pool.*", "pool.*");
+        assert_never_applies("sat@pool.conv2/wino.gemm#1", "pool.*");
+    }
+
+    #[test]
+    fn rejects_sat_at_fused_dram_sites() {
+        assert_never_applies("sat@fused.dram*", "fused.dram*");
+        assert_never_applies("sat@fused.dram0#*", "fused.dram*");
+    }
+
+    #[test]
+    fn rejects_dram_at_exec_sites() {
+        assert_never_applies("dram:64@exec.*", "exec.*");
+        assert_never_applies("dram:-8@exec.conv3#2", "exec.*");
+    }
+
+    #[test]
+    fn rejects_dram_at_pool_sites() {
+        assert_never_applies("dram:64@pool.*#*", "pool.*");
+    }
+
+    #[test]
+    fn rejects_dram_at_fused_group_sites() {
+        assert_never_applies("dram:64@fused.group*", "fused.group*");
+        assert_never_applies("dram:64@fused.group0", "fused.group*");
+    }
+
+    #[test]
+    fn rejects_dram_at_plan_build() {
+        assert_never_applies("dram:64@plan.build", "plan.build");
+    }
+
+    #[test]
+    fn accepts_kinds_some_reachable_site_applies() {
+        for spec in [
+            "panic@pool.*",
+            "panic@plan.build#1",
+            "sat@exec.conv3",
+            "sat@fused.group0",
+            "dram:4096@fused.dram*#*",
+            // `fused.*` reaches the groups (sat) and the DRAM meters (dram).
+            "sat@fused.*",
+            "dram:8@fused.*",
+            "sat@*",
+            // Names no known site has are taken as written.
+            "panic@here",
+            "sat@here",
+            "dram:1@elsewhere",
+        ] {
+            assert!(FaultInjector::parse(spec).is_ok(), "rejected `{spec}`");
         }
     }
 

@@ -273,6 +273,9 @@ mod tests {
                 q.push(1).unwrap();
                 std::thread::sleep(Duration::from_millis(5));
                 q.push(2).unwrap();
+                // Ends the window once both items are in, so the test
+                // does not wait out the rest of it.
+                q.close();
             })
         };
         // A generous window: both items coalesce into one batch even
@@ -384,6 +387,9 @@ mod tests {
             })
         };
         assert!(poisoner.join().is_err());
+        // Closing ends the consumer's batch window now instead of after
+        // its 30 s; the item it woke for is still in the batch.
+        q.close();
         assert_eq!(consumer.join().unwrap(), Some(vec![7]));
     }
 

@@ -334,6 +334,20 @@ fn inject_flag_misuse_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --inject spec"));
 
+    // A rule no site it can match would ever apply.
+    let out = bin()
+        .arg("run")
+        .arg(&p)
+        .args(["--inject", "sat@pool.*"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("bad --inject spec") && err.contains("`pool.*`"),
+        "{err}"
+    );
+
     // Injection on a command that never executes kernels.
     let out = bin()
         .arg("info")

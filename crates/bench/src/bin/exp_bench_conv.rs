@@ -194,16 +194,17 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
                         bank,
                         geom,
                         &transform,
+                        false,
                         threads,
                         None,
                         &prof,
                         BatchedOptions::default(),
                     )
                     .expect("batched winograd"),
-                    Bank::Direct(packed) => {
-                        direct::conv2d_fast_packed_ext(xs, packed, geom, threads, None, &prof, None)
-                            .expect("fast direct")
-                    }
+                    Bank::Direct(packed) => direct::conv2d_fast_packed_ext(
+                        xs, packed, geom, false, threads, None, &prof, None,
+                    )
+                    .expect("fast direct"),
                 }
             })
         })

@@ -11,6 +11,7 @@
 use crate::fixed::{Accumulator, Fix16};
 use crate::gemm::{gemm_packed, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, PanelRow};
 use crate::microkernel::KernelChoice;
+use crate::ops::relu_in_place;
 use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
 use std::ops::Range;
@@ -335,9 +336,13 @@ impl PackedKernels {
 /// runs one GEMM over all output channels against the shared packed
 /// panels, which stores each channel's rows straight into the output
 /// tensor — one pool invocation total, no im2col/GEMM barrier, no packing
-/// or result copy per job. Every output element accumulates its `C·K²`
-/// products in ascending `(channel, ku, kv)` order under the same `KC`
-/// blocking, so results are bit-identical at any thread count.
+/// or result copy per job. With `relu` set, the job then applies the
+/// layer's folded ReLU to its row band while the band is still in cache
+/// (`v < 0` becomes `+0.0`; `-0.0` and NaN stay, as [`relu_in_place`]
+/// leaves them), so the returned tensor is finished. Every output element
+/// accumulates its `C·K²` products in ascending `(channel, ku, kv)` order
+/// under the same `KC` blocking, so results are bit-identical at any
+/// thread count.
 ///
 /// Jobs are emitted as Chrome-trace slices on per-worker lanes via `prof`
 /// (scoped to `direct.rowblock`), and when `stats` is supplied, per-phase
@@ -355,6 +360,7 @@ pub fn conv2d_fast_packed_ext(
     input: &Tensor<f32>,
     packed: &PackedKernels,
     geom: ConvGeometry,
+    relu: bool,
     threads: usize,
     stats: Option<&ConvStats>,
     prof: &PoolProfiler,
@@ -431,8 +437,11 @@ pub fn conv2d_fast_packed_ext(
             let t_lowered = stats.map(|_| Instant::now());
 
             // One GEMM over every output channel for this row band, each
-            // channel's rows stored in place.
+            // channel's rows stored in place, then rectified there.
             let outcome = gemm_packed(micro, packed_k, bc, panels, CRows::Rows(&mut frags), timed);
+            if relu {
+                frags.iter_mut().for_each(|rows| relu_in_place(rows));
+            }
             if let (Some(s), Some(t0), Some(tl)) = (stats, t_job, t_lowered) {
                 s.add_gemm(1, outcome.bytes_packed);
                 s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
@@ -549,6 +558,7 @@ mod tests {
             x,
             &packed,
             geom,
+            false,
             threads,
             stats,
             &PoolProfiler::disabled(),
@@ -728,6 +738,7 @@ mod tests {
                         &x,
                         &packed,
                         geom,
+                        false,
                         threads,
                         None,
                         &prof,

@@ -7,10 +7,12 @@
 //! three-level blocking (Goto/BLIS): `A` is packed once into `MR`-tall row
 //! panels of `MC × KC` cache blocks ([`PackedA`]), `B` arrives in
 //! `NR`-wide column panels of `KC`-deep blocks (the `BPanels` layout,
-//! written once by the code that produces `B`), and an `MR×NR`
+//! written once by the code that produces `B`), and an `MR×NR` = 4×16
 //! register-tiled microkernel runs over the panels with a fixed-size
-//! accumulator array the compiler can keep in vector registers. One block
-//! loop (`gemm_packed`) runs every product.
+//! accumulator array kept in vector registers: two 8-lane registers per
+//! tile row, eight accumulators in all. One block loop (`gemm_packed`)
+//! runs every product and stores `C` through a row sink: one matrix with
+//! any row stride, or one slice per row.
 //!
 //! Determinism: for every output element the `k`-dimension is accumulated
 //! in one fixed serial order (`KC` blocks ascending, elements ascending
@@ -24,8 +26,9 @@ use std::time::Instant;
 
 /// Rows of the microkernel register tile.
 pub const MR: usize = 4;
-/// Columns of the microkernel register tile.
-pub const NR: usize = 8;
+/// Columns of the microkernel register tile: two 8-lane vector registers
+/// per row.
+pub const NR: usize = 16;
 
 /// Cache-blocking parameters, in elements.
 ///
@@ -445,8 +448,10 @@ impl<'a> PanelRow<'a> {
 
 /// Where [`gemm_packed`] stores `C` (`m × n`).
 pub(crate) enum CRows<'a, 'b> {
-    /// One dense row-major `m × n` matrix.
-    Dense(&'a mut [f32]),
+    /// Row `i` at `[i·stride..][..n]` of one buffer: a dense row-major
+    /// matrix when `stride == n`, or every `stride`-th run of `n`, such as
+    /// one transform point's rows of a transform-major Winograd `M`.
+    Strided(&'a mut [f32], usize),
     /// One slice of `n` per row, such as the rows a direct job owns in
     /// each output-channel plane.
     Rows(&'a mut [&'b mut [f32]]),
@@ -457,7 +462,7 @@ impl CRows<'_, '_> {
     #[inline]
     fn row(&mut self, i: usize, n: usize) -> &mut [f32] {
         match self {
-            CRows::Dense(c) => &mut c[i * n..(i + 1) * n],
+            CRows::Strided(c, stride) => &mut c[i * *stride..][..n],
             CRows::Rows(rows) => &mut rows[i][..n],
         }
     }
@@ -465,7 +470,10 @@ impl CRows<'_, '_> {
     /// Checks the sink holds `m` rows of `n`.
     fn check(&self, m: usize, n: usize) {
         match self {
-            CRows::Dense(c) => assert_eq!(c.len(), m * n, "C must be m×n row-major"),
+            CRows::Strided(c, stride) => assert!(
+                *stride >= n && (m == 0 || c.len() >= (m - 1) * stride + n),
+                "C must be m rows of n, {stride} apart"
+            ),
             CRows::Rows(rows) => assert!(
                 rows.len() == m && rows.iter().all(|r| r.len() == n),
                 "C must be m rows of n"
@@ -853,7 +861,7 @@ pub fn gemm_f32_prepacked(
     pack_b(&mut scratch.b_pack, b, layout);
     let pack_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
     let b = &scratch.b_pack[..layout.len()];
-    let out = gemm_packed(scratch.kernel, packed_a, n, b, CRows::Dense(c), timed);
+    let out = gemm_packed(scratch.kernel, packed_a, n, b, CRows::Strided(c, n), timed);
     GemmOutcome { pack_ns, ..out }
 }
 
@@ -1208,7 +1216,7 @@ mod tests {
     fn one_block_loop_matches_per_block_packing_bitwise() {
         // Same panels ⇒ same accumulation order ⇒ same bits, across ragged
         // shapes, blockings (an NC that is not a whole number of panels
-        // included) and every supported microkernel, for both C sinks.
+        // included) and every supported microkernel, for every C sink.
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (17, 31, 23), (64, 300, 40)] {
             let a = seeded(m * k, (m + k) as u64);
             let b = seeded(k * n, (k + n) as u64);
@@ -1244,6 +1252,17 @@ mod tests {
                     let b_pack = &s.b_pack[..layout.len()];
                     gemm_packed(kernel, &packed, n, b_pack, CRows::Rows(&mut rows), false);
                     assert_eq!(rows_buf, want, "{case}, row sink");
+
+                    // Rows three runs apart; the gaps stay untouched.
+                    let mut wide = vec![f32::NAN; 3 * m * n];
+                    let c = CRows::Strided(&mut wide[n..], 3 * n);
+                    gemm_packed(kernel, &packed, n, b_pack, c, false);
+                    for (i, run) in wide.chunks_exact(n).enumerate() {
+                        match i % 3 {
+                            1 => assert_eq!(run, &want[i / 3 * n..][..n], "{case}, strided"),
+                            _ => assert!(run.iter().all(|v| v.is_nan()), "{case}, gap {i}"),
+                        }
+                    }
                 }
             }
         }

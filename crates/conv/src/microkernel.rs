@@ -1,5 +1,5 @@
 //! Explicitly vectorized GEMM microkernels behind the [`MicroKernel`]
-//! trait, with the scalar 4×8 register tile as the bit-exactness oracle.
+//! trait, with the scalar 4×16 register tile as the bit-exactness oracle.
 //!
 //! Rust stable has no `std::simd`, so the vector path uses `std::arch`
 //! x86-64 AVX2 intrinsics gated by `is_x86_feature_detected!` at runtime
@@ -8,10 +8,12 @@
 //!
 //! * **f32 tile** — the scalar kernel performs, per `k` step and output
 //!   element, one multiply followed by one add (never an FMA), with `k`
-//!   ascending. The AVX2 kernel maps the `NR = 8` output columns onto one
-//!   256-bit lane register and issues `_mm256_mul_ps` + `_mm256_add_ps` in
-//!   the same ascending-`k` order — IEEE-754 lane arithmetic is identical
-//!   to the scalar sequence, so every output bit matches.
+//!   ascending. The AVX2 kernel maps each row's `NR = 16` output columns
+//!   onto two 256-bit lane registers — eight accumulators for the
+//!   `MR = 4` rows, enough independent adds to hide the add latency — and
+//!   issues `_mm256_mul_ps` + `_mm256_add_ps` in the same ascending-`k`
+//!   order. IEEE-754 lane arithmetic is identical to the scalar sequence,
+//!   so every output bit matches.
 //! * **fix16 span** — products of raw Q8.8 values accumulate exactly in
 //!   64-bit integers; integer addition is associative, so *any* lane
 //!   arrangement is exact. The AVX2 span widens `i16 → i32` products into
@@ -48,7 +50,7 @@ pub trait MicroKernel {
     fn mac_span_fix16(&self, acc: &mut [i64], data: &[Fix16], coeff: Fix16);
 }
 
-/// The reference 4×8 scalar kernel — the bit-exactness oracle every other
+/// The reference 4×16 scalar kernel — the bit-exactness oracle every other
 /// implementation is tested against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarKernel;
@@ -87,9 +89,9 @@ impl MicroKernel for ScalarKernel {
     }
 }
 
-/// AVX2 lane kernel: 8-wide f32 mul+add (no FMA) and widened integer
-/// fix16 spans. Only compiled on x86-64; [`MicroKernel::supported`] gates
-/// on runtime CPUID detection.
+/// AVX2 lane kernel: two 8-wide f32 mul+add registers per tile row (no
+/// FMA) and widened integer fix16 spans. Only compiled on x86-64;
+/// [`MicroKernel::supported`] gates on runtime CPUID detection.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Avx2Kernel;
@@ -122,7 +124,8 @@ impl MicroKernel for Avx2Kernel {
     }
 }
 
-/// The 4×8 tile with the B panel held in one 256-bit register.
+/// The 4×16 tile with each row's accumulators in two 256-bit registers
+/// and the `B` panel row in two more.
 ///
 /// Per `k` step the scalar oracle computes `acc[i][j] += a[i] * b[j]` for
 /// ascending `k`; `_mm256_mul_ps` + `_mm256_add_ps` perform exactly the
@@ -131,21 +134,27 @@ impl MicroKernel for Avx2Kernel {
 #[target_feature(enable = "avx2")]
 unsafe fn tile_f32_avx2(ap: &[f32], bp: &[f32], kb: usize) -> [[f32; NR]; MR] {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); MR];
+    const _: () = assert!(NR == 16, "two 8-lane registers per tile row");
+    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
     for p in 0..kb {
         // SAFETY: p < kb, and the safe wrapper checked ap/bp hold kb panels.
         unsafe {
-            let bv = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
-            for (i, lane) in acc.iter_mut().enumerate() {
+            let b = bp.as_ptr().add(p * NR);
+            let (b0, b1) = (_mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
+            for (i, row) in acc.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*ap.get_unchecked(p * MR + i));
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(av, bv));
+                row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(av, b0));
+                row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(av, b1));
             }
         }
     }
     let mut out = [[0.0f32; NR]; MR];
-    for (row, lane) in out.iter_mut().zip(acc.iter()) {
-        // SAFETY: row is NR = 8 f32s, exactly one 256-bit store.
-        unsafe { _mm256_storeu_ps(row.as_mut_ptr(), *lane) };
+    for (dst, row) in out.iter_mut().zip(acc.iter()) {
+        // SAFETY: dst is NR = 16 f32s, exactly two 256-bit stores.
+        unsafe {
+            _mm256_storeu_ps(dst.as_mut_ptr(), row[0]);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(8), row[1]);
+        }
     }
     out
 }
@@ -192,7 +201,7 @@ unsafe fn mac_span_fix16_avx2(acc: &mut [i64], data: &[Fix16], coeff: Fix16) {
 /// worker, and constructible explicitly so tests can pin a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
-    /// The scalar 4×8 oracle (always available).
+    /// The scalar 4×16 oracle (always available).
     Scalar,
     /// Runtime-detected AVX2 lanes (x86-64 only).
     #[cfg(target_arch = "x86_64")]

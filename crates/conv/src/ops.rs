@@ -197,11 +197,15 @@ pub fn relu<T: Scalar + PartialOrd>(input: &Tensor<T>) -> Tensor<T> {
 
 /// ReLU in place: every `v < 0` becomes zero; everything else, `-0.0`
 /// and NaN included, is left as it is.
+///
+/// Every element is stored, as a select between `0` and itself, rather
+/// than only the negative ones: a store that does not depend on the
+/// comparison lets the loop vectorize without branches. The conv kernels
+/// apply their folded ReLU with this same pass on the output they have
+/// just written.
 pub fn relu_in_place<T: Scalar + PartialOrd>(values: &mut [T]) {
     for v in values {
-        if *v < T::zero() {
-            *v = T::zero();
-        }
+        *v = if *v < T::zero() { T::zero() } else { *v };
     }
 }
 
@@ -434,6 +438,36 @@ mod tests {
         let x = Tensor::from_vec(1, 1, 1, 4, vec![-1.0f32, 0.0, 0.5, -0.1]).unwrap();
         let y = relu(&x);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 0.5, 0.0]);
+    }
+
+    #[test]
+    fn relu_select_keeps_signed_zeros_nan_and_infinities() {
+        let x = [
+            -1.0f32,
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            -1e-45,
+            2.5,
+        ];
+        let want = [
+            0.0f32,
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            f32::INFINITY,
+            0.0,
+            2.5,
+        ];
+        let mut y = x;
+        relu_in_place(&mut y);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&want));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 
 use crate::cook_toom::{f43, WinogradTransform};
 use crate::gemm::{
-    gemm_packed, panels, BPanels, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, PanelRow, MR,
-    NR,
+    gemm_packed, panels, BPanels, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, MR, NR,
 };
 use crate::matrix::Mat;
 use crate::microkernel::KernelChoice;
+use crate::ops::relu_in_place;
 use crate::sparse::{prune_plane_with, sparse_keep_count, DENSITY_SCALE};
 use crate::tensor::Tensor;
 use crate::{ConvError, ConvGeometry};
@@ -434,18 +434,19 @@ impl BatchedFilters {
     }
 
     /// Runs the transform point `uv`'s GEMM `C[out_c × n] = A_uv · V_uv`
-    /// into `c`, with `v` already in [`BatchedFilters::v_layout`].
+    /// into the row sink `c`, with `v` already in
+    /// [`BatchedFilters::v_layout`].
     fn gemm_plane(
         &self,
         kernel: KernelChoice,
         uv: usize,
         n: usize,
         v: &[f32],
-        c: &mut [f32],
+        c: CRows<'_, '_>,
         stats: Option<&ConvStats>,
     ) {
         let timed = stats.is_some();
-        let outcome = gemm_packed(kernel, &self.packed[uv], n, v, CRows::Dense(c), timed);
+        let outcome = gemm_packed(kernel, &self.packed[uv], n, v, c, timed);
         if let Some(s) = stats {
             s.add_gemm(1, outcome.bytes_packed);
             s.add_gemm_split(outcome.pack_ns, outcome.kernel_ns);
@@ -594,17 +595,6 @@ impl OutputLanes {
     }
 }
 
-/// Stores one transform point's run of `V` — row `c` of `V_uv` for a run
-/// of tiles starting on a panel — in panel order: `dst` starts at the
-/// row's place in the run's first panel and `stride` is the operand's
-/// panel stride on that row ([`BPanels::at`]). The ragged lanes after a
-/// run that ends mid-panel are zeroed.
-fn store_run(dst: &mut [f32], stride: usize, run: &[f32]) {
-    let mut row = PanelRow::new(dst, stride);
-    row.copy(run);
-    row.finish();
-}
-
 /// Shape-derived state shared by both schedules, resolved once after
 /// validation.
 struct WinoCtx<'a> {
@@ -666,22 +656,21 @@ impl<'a> WinoCtx<'a> {
         }
     }
 
-    /// Input transform `V = Bᵀ·d·B` of channel `c` for the `lanes`
-    /// consecutive tiles from tile `p0`, numbered across the batch (a run
-    /// may cross into the next image). Row `uv` of the run's `V`, tile
-    /// index innermost, goes to `store(uv, run)`; both schedules copy it
-    /// into row `c` of the transform point's GEMM operand `V_uv`, in panel
-    /// order ([`store_run`]). Tiles are read from the channel plane
+    /// First half of the input transform `V = Bᵀ·d·B` of channel `c` for
+    /// the `lanes` consecutive tiles from tile `p0`, numbered across the
+    /// batch (a run may cross into the next image): returns `Bᵀ·d`
+    /// lane-major, element `(i, j)` of the run's tile `t` at
+    /// `[(i·α + j)·lanes + t]`. [`WinoCtx::v_point`] finishes each
+    /// transform point from it. Tiles are read from the channel plane
     /// directly; only a tile that crosses the padded edge takes the
     /// zero-filling path.
-    fn input_transform(
+    fn input_transform<'s>(
         &self,
         c: usize,
         p0: usize,
         lanes: usize,
-        s: &mut InputLanes,
-        mut store: impl FnMut(usize, &[f32]),
-    ) {
+        s: &'s mut InputLanes,
+    ) -> &'s [f32] {
         let (m, alpha) = (self.m, self.alpha);
         let (h, w) = (self.input.h(), self.input.w());
         let InputLanes { d, bd } = s;
@@ -719,13 +708,30 @@ impl<'a> WinoCtx<'a> {
                 lane_dot(dst, taps, |l| &d[(l * alpha + j) * lanes..][..lanes]);
             }
         }
-        // Each transform point's run is computed whole in `d`'s first row
-        // (the tiles are no longer needed), then stored.
-        let (bd, v_run) = (&*bd, &mut d[..lanes]);
-        for i in 0..alpha {
-            for (j, taps) in self.b_t.iter().enumerate() {
-                lane_dot(v_run, taps, |l| &bd[(i * alpha + l) * lanes..][..lanes]);
-                store(i * alpha + j, v_run);
+        bd
+    }
+
+    /// Finishes transform point `uv` of a run from its `Bᵀ·d` (`bd`, as
+    /// [`WinoCtx::input_transform`] returns it for `lanes` tiles) and
+    /// writes it as the run's row of `V_uv`, in panel order: each
+    /// `NR`-lane part lands in its panel slot, the first at `dst[0..]` and
+    /// the next `stride` further on ([`BPanels::at`]), so the run must
+    /// start on a panel. The ragged lanes after a run that ends mid-panel
+    /// are zeroed.
+    fn v_point(&self, bd: &[f32], uv: usize, lanes: usize, dst: &mut [f32], stride: usize) {
+        let alpha = self.alpha;
+        let (i, taps) = (uv / alpha, &self.b_t[uv % alpha]);
+        for (panel, q) in (0..lanes).step_by(NR).enumerate() {
+            let slot = &mut dst[panel * stride..][..NR];
+            let len = NR.min(lanes - q);
+            let row = |l: usize| &bd[(i * alpha + l) * lanes + q..][..len];
+            if len == NR {
+                // A whole panel slot: a fixed length the compiler can
+                // unroll the lane loop for.
+                lane_dot(slot, taps, row);
+            } else {
+                lane_dot(&mut slot[..len], taps, row);
+                slot[len..].fill(0.0);
             }
         }
     }
@@ -734,12 +740,15 @@ impl<'a> WinoCtx<'a> {
     /// whose GEMM results start `rows`: row `uv` of `M` is
     /// `rows[uv·stride..][..lanes]`, which both schedules' GEMM outputs
     /// already hold contiguous in the tile index. Returns `Y` lane-major:
-    /// element `(u, v)` of the run's tile `t` at `[(u·m + v)·lanes + t]`.
+    /// element `(u, v)` of the run's tile `t` at `[(u·m + v)·lanes + t]`,
+    /// with the layer's folded ReLU applied when `relu` is set, so the
+    /// gather stores finished values.
     fn output_transform<'s>(
         &self,
         rows: &[f32],
         stride: usize,
         lanes: usize,
+        relu: bool,
         s: &'s mut OutputLanes,
     ) -> &'s [f32] {
         let (m, alpha) = (self.m, self.alpha);
@@ -758,6 +767,9 @@ impl<'a> WinoCtx<'a> {
                 let dst = &mut y[(i * m + j) * lanes..][..lanes];
                 lane_dot(dst, taps, |l| &am[(i * alpha + l) * lanes..][..lanes]);
             }
+        }
+        if relu {
+            relu_in_place(y);
         }
         y
     }
@@ -791,11 +803,14 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
 
 /// Batched Winograd convolution: scatter (input transforms), α² GEMMs
 /// against the bank's pre-packed transform-point planes, then gather
-/// (output transforms with edge clipping). `threads == 0` means
-/// auto-detect, `1` runs inline; `opts` pins the schedule and microkernel
-/// (both auto by default). A pruned bank ([`BatchedFilters::pruned`])
-/// runs the same way; its output carries the pruning error of the zeroed
-/// coefficients.
+/// (output transforms with edge clipping). With `relu` set the gather
+/// applies the layer's folded ReLU (`v < 0` becomes `+0.0`; `-0.0` and
+/// NaN stay) as it stores each output tile, so the returned tensor is
+/// finished, bit-identical to the unrectified result passed through
+/// [`relu_in_place`]. `threads == 0` means auto-detect, `1` runs inline;
+/// `opts` pins the schedule and microkernel (both auto by default). A
+/// pruned bank ([`BatchedFilters::pruned`]) runs the same way; its output
+/// carries the pruning error of the zeroed coefficients.
 ///
 /// Results are bit-identical for any thread count **and any schedule**:
 /// jobs partition the tile/channel space in fixed-size blocks whose
@@ -820,6 +835,7 @@ pub fn conv2d_batched_ext(
     bank: &BatchedFilters,
     geom: ConvGeometry,
     transform: &WinogradTransform,
+    relu: bool,
     threads: usize,
     stats: Option<&ConvStats>,
     prof: &PoolProfiler,
@@ -871,8 +887,8 @@ pub fn conv2d_batched_ext(
         pinned => pinned,
     };
     let out = match schedule {
-        WinoSchedule::TileBlock => run_tile_block(&cx, stats, prof)?,
-        _ => run_transform_point(&cx, stats, prof)?,
+        WinoSchedule::TileBlock => run_tile_block(&cx, relu, stats, prof)?,
+        _ => run_transform_point(&cx, relu, stats, prof)?,
     };
     if let Some(s) = stats {
         add_phase_totals(&cx, s);
@@ -882,9 +898,11 @@ pub fn conv2d_batched_ext(
 
 /// The barrier schedule: three pool invocations (scatter / GEMM / gather)
 /// with one GEMM job per transform point. GEMMs run against the bank's
-/// pre-packed `A` panels, so no job re-packs filter coefficients.
+/// pre-packed `A` panels, so no job re-packs filter coefficients; the
+/// gather applies the folded ReLU when `relu` is set.
 fn run_transform_point(
     cx: &WinoCtx<'_>,
+    relu: bool,
     stats: Option<&ConvStats>,
     prof: &PoolProfiler,
 ) -> Result<Tensor<f32>, ConvError> {
@@ -927,9 +945,11 @@ fn run_transform_point(
                 let (kc, blocks) = (layout.kc(), layout.blocks());
                 for c in 0..in_c {
                     let (frag, at, stride) = (c / kc, (c % kc) * NR, layout.at(c, 0).1);
-                    cx.input_transform(c, job * TILE_CHUNK, nt, lanes, |uv, run| {
-                        store_run(&mut frags[uv * blocks + frag][at..], stride, run);
-                    });
+                    let bd = cx.input_transform(c, job * TILE_CHUNK, nt, lanes);
+                    for uv in 0..aa {
+                        let dst = &mut frags[uv * blocks + frag][at..];
+                        cx.v_point(bd, uv, nt, dst, stride);
+                    }
                 }
             },
         )?;
@@ -954,8 +974,9 @@ fn run_transform_point(
             || (),
             |(), uv, slice| {
                 let v_uv = &v_ref[uv * layout.len()..(uv + 1) * layout.len()];
+                let m_uv = CRows::Strided(slice, p_total);
                 cx.bank
-                    .gemm_plane(cx.kernel, uv, p_total, v_uv, slice, stats);
+                    .gemm_plane(cx.kernel, uv, p_total, v_uv, m_uv, stats);
             },
         )?;
         if let (Some(s), Some(t0)) = (stats, t_phase) {
@@ -993,7 +1014,7 @@ fn run_transform_point(
                     for t0 in (0..tiles_per_img).step_by(TILE_CHUNK) {
                         let nt = TILE_CHUNK.min(tiles_per_img - t0);
                         let rows = &m_ref[k * p_total + bn * tiles_per_img + t0..];
-                        let y = cx.output_transform(rows, out_c * p_total, nt, lanes);
+                        let y = cx.output_transform(rows, out_c * p_total, nt, relu, lanes);
                         for t in 0..nt {
                             let (th, tw) = ((t0 + t) / tiles_w, (t0 + t) % tiles_w);
                             for u in 0..m.min(oh - th * m) {
@@ -1023,7 +1044,8 @@ struct TileBlockScratch {
     /// Transformed tiles: the α² GEMM `B` operands `V_uv` of this block's
     /// tiles, in panel order, back to back.
     v: Vec<f32>,
-    /// GEMM results, `[uv][k][t]` with stride = this block's tile count.
+    /// GEMM results, transform-major: `M[k][uv][t]`, so output channel
+    /// `k`'s results for the block are one contiguous `α²·nt` run.
     mbuf: Vec<f32>,
 }
 
@@ -1031,6 +1053,9 @@ struct TileBlockScratch {
 /// block of [`WINO_TILE_BLOCK`] tiles within one image and runs
 /// scatter → α² prepacked GEMMs → gather over its block with thread-local
 /// buffers. No barriers, no shared `V`/`M` round-trips through memory.
+/// Each GEMM stores its `M` rows transform-major, `α²·nt` apart, so the
+/// gather reads each output channel's block in one contiguous sweep, and
+/// it applies the folded ReLU when `relu` is set.
 ///
 /// Output ownership: a block's tiles are contiguous in `p`, so within any
 /// output row the block owns exactly one contiguous column span —
@@ -1038,6 +1063,7 @@ struct TileBlockScratch {
 /// row fragments, ordered (channel-major, row-minor) in NCHW memory order.
 fn run_tile_block(
     cx: &WinoCtx<'_>,
+    relu: bool,
     stats: Option<&ConvStats>,
     prof: &PoolProfiler,
 ) -> Result<Tensor<f32>, ConvError> {
@@ -1103,15 +1129,17 @@ fn run_tile_block(
             let p0 = bn * tiles_per_img + p_lo;
             for c in 0..in_c {
                 let (at, stride) = layout.at(c, 0);
-                cx.input_transform(c, p0, nt, input, |uv, run| {
-                    store_run(&mut v[uv * layout.len() + at..], stride, run);
-                });
+                let bd = cx.input_transform(c, p0, nt, input);
+                for uv in 0..aa {
+                    cx.v_point(bd, uv, nt, &mut v[uv * layout.len() + at..], stride);
+                }
             }
             let t_scattered = stats.map(|_| Instant::now());
 
-            // α² prepacked GEMMs over this block's tiles only.
+            // α² prepacked GEMMs over this block's tiles only, storing
+            // M[k][uv][t]: row k of point uv's result lands α²·nt apart.
             for (uv, v_uv) in v.chunks_exact(layout.len()).enumerate() {
-                let m_uv = &mut mbuf[uv * out_c * nt..(uv + 1) * out_c * nt];
+                let m_uv = CRows::Strided(&mut mbuf[uv * nt..], aa * nt);
                 cx.bank.gemm_plane(cx.kernel, uv, nt, v_uv, m_uv, stats);
             }
             let t_gemmed = stats.map(|_| Instant::now());
@@ -1121,8 +1149,8 @@ fn run_tile_block(
             let th_first = p_lo / tiles_w;
             let th_last = (p_hi - 1) / tiles_w;
             let rows_covered: usize = (th_first..=th_last).map(|th| m.min(oh - th * m)).sum();
-            for k in 0..out_c {
-                let y = cx.output_transform(&mbuf[k * nt..], out_c * nt, nt, output);
+            for (k, m_k) in mbuf.chunks_exact(aa * nt).enumerate() {
+                let y = cx.output_transform(m_k, nt, nt, relu, output);
                 let mut row_base = 0usize;
                 for th in th_first..=th_last {
                     let rows_here = m.min(oh - th * m);
@@ -1351,9 +1379,10 @@ mod tests {
                     let p0 = p0.min(cx.p_total - lanes);
                     for c in 0..2 {
                         let (at, stride) = layout.at(c, 0);
-                        cx.input_transform(c, p0, lanes, &mut s, |uv, run| {
-                            store_run(&mut v[uv * layout.len() + at..], stride, run);
-                        });
+                        let bd = cx.input_transform(c, p0, lanes, &mut s);
+                        for uv in 0..aa {
+                            cx.v_point(bd, uv, lanes, &mut v[uv * layout.len() + at..], stride);
+                        }
                         let at = |uv: usize, l: usize| uv * layout.len() + layout.at(c, l).0;
                         for l in 0..lanes {
                             let (bn, h0, w0) = origin(p0 + l);
@@ -1390,7 +1419,7 @@ mod tests {
                 with_signed_zeros(rows.as_mut_slice());
                 rows.as_mut_slice()[..stride].fill(-0.0);
                 let rows = rows.as_slice();
-                let y = cx.output_transform(rows, stride, lanes, &mut so);
+                let y = cx.output_transform(rows, stride, lanes, false, &mut so);
                 for l in 0..lanes {
                     let m_tile: Vec<f32> = (0..aa).map(|uv| rows[uv * stride + l]).collect();
                     matmul_flat(a_t.as_slice(), &m_tile, &mut g1, m, alpha, alpha);
@@ -1422,6 +1451,7 @@ mod tests {
             filters,
             geom,
             t,
+            false,
             threads,
             stats,
             &prof,
@@ -1802,8 +1832,10 @@ mod tests {
                     };
                     for threads in [1usize, 2, 4, 8] {
                         let prof = PoolProfiler::disabled();
-                        let y = conv2d_batched_ext(&x, &bank, geom, &t, threads, None, &prof, opts)
-                            .unwrap();
+                        let y = conv2d_batched_ext(
+                            &x, &bank, geom, &t, false, threads, None, &prof, opts,
+                        )
+                        .unwrap();
                         assert!(
                             bits(&y) == want,
                             "{h}x{w} c{in_c}: {schedule:?} {} @{threads}t differs",
@@ -1833,9 +1865,10 @@ mod tests {
             kernel: None,
         };
         let prof = PoolProfiler::disabled();
-        let base = conv2d_batched_ext(&x, &filters, geom, &t, 1, None, &prof, tp).unwrap();
+        let base = conv2d_batched_ext(&x, &filters, geom, &t, false, 1, None, &prof, tp).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let y = conv2d_batched_ext(&x, &filters, geom, &t, threads, None, &prof, tb).unwrap();
+            let y = conv2d_batched_ext(&x, &filters, geom, &t, false, threads, None, &prof, tb)
+                .unwrap();
             assert_eq!(y, base, "tile-block @ {threads} threads differs");
         }
     }
@@ -1853,7 +1886,7 @@ mod tests {
             kernel: None,
         };
         let prof = PoolProfiler::disabled();
-        let y = conv2d_batched_ext(&x, &filters, geom, &t, 2, None, &prof, tb).unwrap();
+        let y = conv2d_batched_ext(&x, &filters, geom, &t, false, 2, None, &prof, tb).unwrap();
         let reference = direct::conv2d(&x, &k, geom).unwrap();
         assert!(reference.approx_eq(&y, 1e-3));
     }
@@ -1888,7 +1921,8 @@ mod tests {
                 schedule,
                 kernel: None,
             };
-            conv2d_batched_ext(&x, &filters, geom, &t, 2, Some(&stats), &prof, opts).unwrap();
+            conv2d_batched_ext(&x, &filters, geom, &t, false, 2, Some(&stats), &prof, opts)
+                .unwrap();
             stats.profile()
         };
         let a = snap(WinoSchedule::TransformPoint);

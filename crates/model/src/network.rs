@@ -7,6 +7,18 @@ use crate::layer::{Layer, LayerKind};
 use crate::shape::{DataType, FmShape};
 use crate::ModelError;
 
+/// `shape`, or a [`ModelError::ShapeInference`] naming `layer` when the
+/// map's element count or `f32` byte count overflows `usize`.
+fn addressable(shape: FmShape, layer: &str) -> Result<FmShape, ModelError> {
+    match shape.checked_bytes(DataType::Float32) {
+        Some(_) => Ok(shape),
+        None => Err(ModelError::ShapeInference {
+            layer: layer.to_string(),
+            reason: format!("feature map {shape} overflows usize in f32 bytes"),
+        }),
+    }
+}
+
 /// A sequential CNN: an input shape followed by a chain of layers, where
 /// "the output feature maps of one layer are the input feature maps of the
 /// following layer" (§1 of the paper).
@@ -59,7 +71,7 @@ impl Network {
             input,
             layers,
         };
-        net.output_shape()?; // validate the whole chain
+        net.walk_shapes(|_| ())?; // validate the whole chain
         Ok(net)
     }
 
@@ -143,16 +155,28 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates shape-inference failures.
+    /// Propagates shape-inference failures, and returns
+    /// [`ModelError::ShapeInference`] for a feature map whose element
+    /// count or `f32` byte count overflows `usize` — a map no tensor can
+    /// hold, so nothing downstream sizes a buffer from it.
     pub fn shapes(&self) -> Result<Vec<FmShape>, ModelError> {
         let mut out = Vec::with_capacity(self.layers.len() + 1);
-        let mut shape = self.input;
-        out.push(shape);
-        for layer in &self.layers {
-            shape = layer.output_shape(shape)?;
-            out.push(shape);
-        }
+        self.walk_shapes(|shape| out.push(shape))?;
         Ok(out)
+    }
+
+    /// Hands every feature map of the chain to `visit` in order — the
+    /// input, then each layer's output — after checking it is
+    /// [`addressable`]: the one shape walk behind [`Network::shapes`] and
+    /// the validation in [`Network::new`], which allocates nothing.
+    fn walk_shapes(&self, mut visit: impl FnMut(FmShape)) -> Result<(), ModelError> {
+        let mut shape = addressable(self.input, "(network input)")?;
+        visit(shape);
+        for layer in &self.layers {
+            shape = addressable(layer.output_shape(shape)?, &layer.name)?;
+            visit(shape);
+        }
+        Ok(())
     }
 
     /// Indices of convolutional layers.
@@ -523,6 +547,28 @@ mod tests {
         assert_eq!(shapes[2], FmShape::new(8, 8, 8));
         assert_eq!(shapes[3], FmShape::new(16, 8, 8));
         assert_eq!(net.output_shape().unwrap(), shapes[3]);
+    }
+
+    #[test]
+    fn feature_maps_past_usize_are_rejected() {
+        let huge = 4_294_967_295;
+        let err = Network::builder("huge", FmShape::new(huge, huge, huge))
+            .conv("c", ConvParams::vgg3x3(4))
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, ModelError::ShapeInference { layer, .. } if layer == "(network input)"),
+            "{err}"
+        );
+        // 2⁶² elements fit in usize; their f32 bytes do not.
+        let err = Network::builder("wide", FmShape::new(1, 1 << 20, 1 << 20))
+            .conv("c", ConvParams::vgg3x3(1 << 22))
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, ModelError::ShapeInference { layer, .. } if layer == "c"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -398,8 +398,10 @@ impl LayerProfile {
 /// Runs convolution layer `c` on `x` one channel group at a time and
 /// applies its folded ReLU in place: `conv(g, x_g)` convolves group `g`'s
 /// input-channel slice (all of `x` for an ungrouped layer), and the group
-/// outputs stack along the channel axis. The executor and both datapaths
-/// of the fused runner share this group and ReLU handling.
+/// outputs stack along the channel axis. The reference loop and the fused
+/// runner's fixed-point datapath run their kernels through it;
+/// [`PreparedConv::run`] stacks its groups the same way, but its `f32`
+/// kernels apply the ReLU as they store their output.
 ///
 /// # Errors
 ///
@@ -408,27 +410,40 @@ pub fn conv_grouped<T, E>(
     c: &ConvParams,
     x: &Tensor<T>,
     geom: ConvGeometry,
-    mut conv: impl FnMut(usize, &Tensor<T>) -> Result<Tensor<T>, E>,
+    conv: impl FnMut(usize, &Tensor<T>) -> Result<Tensor<T>, E>,
 ) -> Result<Tensor<T>, E>
 where
     T: Scalar + PartialOrd,
 {
-    let mut y = if c.groups <= 1 {
-        conv(0, x)?
-    } else {
-        let cg = c.channels_per_group(x.c());
-        let ng = c.num_output / c.groups;
-        let (oh, ow) = (geom.output_height(), geom.output_width());
-        let mut out = Tensor::zeros(x.n(), c.num_output, oh, ow);
-        for g in 0..c.groups {
-            out.write_channels(g * ng, &conv(g, &x.slice_channels(g * cg, (g + 1) * cg))?);
-        }
-        out
-    };
+    let mut y = stack_groups(c, x, geom, conv)?;
     if c.relu {
         ops::relu_in_place(y.as_mut_slice());
     }
     Ok(y)
+}
+
+/// [`conv_grouped`] without the ReLU: the group outputs of layer `c`,
+/// stacked along the channel axis.
+fn stack_groups<T, E>(
+    c: &ConvParams,
+    x: &Tensor<T>,
+    geom: ConvGeometry,
+    mut conv: impl FnMut(usize, &Tensor<T>) -> Result<Tensor<T>, E>,
+) -> Result<Tensor<T>, E>
+where
+    T: Scalar,
+{
+    if c.groups <= 1 {
+        return conv(0, x);
+    }
+    let cg = c.channels_per_group(x.c());
+    let ng = c.num_output / c.groups;
+    let (oh, ow) = (geom.output_height(), geom.output_width());
+    let mut out = Tensor::zeros(x.n(), c.num_output, oh, ow);
+    for g in 0..c.groups {
+        out.write_channels(g * ng, &conv(g, &x.slice_channels(g * cg, (g + 1) * cg))?);
+    }
+    Ok(out)
 }
 
 /// One convolution layer prepared for repeated execution — the single
@@ -534,8 +549,11 @@ impl PreparedConv {
 
     /// Convolves `x` (`geom` describes it, padding included) with every
     /// group on its bank — or on the packed direct operand when the layer
-    /// has none or `force_direct` pins the fallback rung — then applies
-    /// the folded ReLU. `stats` and `prof` attribute the kernels' work.
+    /// has none or `force_direct` pins the fallback rung. The kernels
+    /// apply the folded ReLU ([`ConvParams::relu`]) as they store their
+    /// output, so the result is finished: bit-identical to the layer
+    /// without ReLU followed by [`ops::relu_in_place`]. `stats` and `prof`
+    /// attribute the kernels' work.
     ///
     /// # Errors
     ///
@@ -550,7 +568,8 @@ impl PreparedConv {
         prof: &PoolProfiler,
         force_direct: bool,
     ) -> Result<Tensor<f32>, ConvError> {
-        conv_grouped(&self.params, x, geom, |g, xg| {
+        let relu = self.params.relu;
+        stack_groups(&self.params, x, geom, |g, xg| {
             let banks = &self.groups[g];
             match banks.winograd.as_ref().filter(|_| !force_direct) {
                 Some(bank) => winograd::conv2d_batched_ext(
@@ -558,6 +577,7 @@ impl PreparedConv {
                     bank,
                     geom,
                     &self.transform,
+                    relu,
                     threads,
                     stats,
                     prof,
@@ -567,6 +587,7 @@ impl PreparedConv {
                     xg,
                     &banks.direct,
                     geom,
+                    relu,
                     threads,
                     stats,
                     prof,

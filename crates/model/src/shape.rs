@@ -76,6 +76,15 @@ impl FmShape {
         self.elements() * dtype.bytes()
     }
 
+    /// [`FmShape::bytes`], or `None` when the element count or the byte
+    /// count overflows `usize`.
+    pub fn checked_bytes(&self, dtype: DataType) -> Option<usize> {
+        self.channels
+            .checked_mul(self.height)?
+            .checked_mul(self.width)?
+            .checked_mul(dtype.bytes())
+    }
+
     /// Bytes of one spatial row across all channels (the granularity the
     /// line-buffer architecture loads at).
     pub fn row_bytes(&self, dtype: DataType) -> usize {
@@ -99,6 +108,25 @@ mod tests {
         assert_eq!(s.elements(), 3 * 227 * 227);
         assert_eq!(s.bytes(DataType::Fixed16), s.elements() * 2);
         assert_eq!(s.bytes(DataType::Float32), s.elements() * 4);
+    }
+
+    #[test]
+    fn checked_bytes_reports_overflow() {
+        let s = FmShape::new(3, 227, 227);
+        assert_eq!(
+            s.checked_bytes(DataType::Float32),
+            Some(s.bytes(DataType::Float32))
+        );
+        let huge = FmShape::new(4_294_967_295, 4_294_967_295, 4_294_967_295);
+        assert_eq!(huge.checked_bytes(DataType::Fixed16), None);
+        // 2⁶² elements: their Q8.8 bytes fit in usize, their f32 bytes do not.
+        let wide = FmShape::new(1 << 22, 1 << 20, 1 << 20);
+        assert_eq!(wide.checked_bytes(DataType::Fixed16), Some(1 << 63));
+        assert_eq!(wide.checked_bytes(DataType::Float32), None);
+        assert_eq!(
+            FmShape::new(1 << 21, 1 << 20, 1 << 20).checked_bytes(DataType::Fixed16),
+            Some(1 << 62)
+        );
     }
 
     #[test]

@@ -303,8 +303,9 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///
 /// Workers claim jobs in ascending index order, so earlier jobs start no
 /// later than later ones — pair with [`longest_first_order`] for
-/// longest-job-first scheduling. With one worker everything runs inline
-/// on the caller's thread.
+/// longest-job-first scheduling. Worker 0 is the caller's own thread, so
+/// a run spawns `workers − 1` threads, and with one worker everything
+/// runs inline.
 ///
 /// Every job runs inside `catch_unwind`: a panicking job is *collected*
 /// instead of unwinding through the pool — one bad job never poisons its
@@ -378,10 +379,11 @@ pub fn run_jobs<J: Send, S>(
         worker(0);
     } else {
         std::thread::scope(|scope| {
-            for w in 0..workers {
+            for w in 1..workers {
                 let worker = &worker;
                 scope.spawn(move || worker(w));
             }
+            worker(0);
         });
     }
     let mut panics = panics
@@ -416,7 +418,13 @@ pub fn split_spans<'a, T>(
     spans: &[(usize, usize)],
     owners: usize,
 ) -> Vec<Vec<&'a mut [T]>> {
-    let mut groups: Vec<Vec<&'a mut [T]>> = (0..owners).map(|_| Vec::new()).collect();
+    // Count each owner's fragments first, so each list is allocated once
+    // at its final size.
+    let mut counts = vec![0usize; owners];
+    for &(owner, _) in spans {
+        counts[owner] += 1;
+    }
+    let mut groups: Vec<Vec<&'a mut [T]>> = counts.into_iter().map(Vec::with_capacity).collect();
     for &(owner, len) in spans {
         let (head, tail) = data.split_at_mut(len);
         groups[owner].push(head);
@@ -568,6 +576,40 @@ mod tests {
             .unwrap();
             assert!(used >= 1 && used <= threads.max(1));
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn worker_zero_is_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 4] {
+            let inits = Mutex::new(Vec::new());
+            let used = run_jobs(
+                threads,
+                vec![(); 16],
+                &PoolProfiler::disabled(),
+                || {
+                    let me = std::thread::current().id();
+                    inits.lock().unwrap().push(me);
+                    me
+                },
+                |me, _, ()| assert_eq!(*me, std::thread::current().id()),
+            )
+            .unwrap();
+            let inits = inits.into_inner().unwrap();
+            assert_eq!(
+                inits.len(),
+                used,
+                "one init per worker at {threads} threads"
+            );
+            let on_caller = inits.iter().filter(|&&id| id == caller).count();
+            assert_eq!(on_caller, 1, "{threads} threads: one worker is the caller");
+            let distinct: std::collections::HashSet<_> = inits.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                used,
+                "{threads} threads: one worker per thread"
+            );
         }
     }
 

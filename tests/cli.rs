@@ -199,6 +199,26 @@ fn oversized_integer_field_is_a_model_error() {
 }
 
 #[test]
+fn feature_map_past_usize_is_a_model_error() {
+    // A C×H×W input of 2³²−1 each holds more f32 bytes than usize can
+    // count: shape inference rejects it with a typed model error (exit
+    // 3) before `info` reports a wrapped MAC count or `run` sizes a
+    // tensor from it.
+    let huge = DEMO.replace(
+        "input_shape { channels: 3 height: 24 width: 24 }",
+        "input_dim: 1\ninput_dim: 4294967295\ninput_dim: 4294967295\ninput_dim: 4294967295",
+    );
+    let p = model_path("overflow", &huge);
+    for cmd in ["info", "run"] {
+        let out = bin().arg(cmd).arg(&p).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{cmd}: {err}");
+        assert!(err.contains("overflows usize"), "{cmd}: {err}");
+    }
+    let _ = std::fs::remove_file(p);
+}
+
+#[test]
 fn simulate_emits_trace_and_telemetry_json() {
     use winofuse::telemetry::json::parse;
     use winofuse::telemetry::JsonValue;

@@ -12,9 +12,12 @@ use proptest::prelude::*;
 use winofuse::conv::cook_toom::f43;
 use winofuse::conv::fixed::Fix16;
 use winofuse::conv::microkernel::KernelChoice;
+use winofuse::conv::ops::relu_in_place;
 use winofuse::conv::tensor::{random_tensor, Tensor};
 use winofuse::conv::winograd::{self, BatchedFilters, BatchedOptions, WinoSchedule};
 use winofuse::conv::{direct, ConvGeometry};
+use winofuse::model::layer::ConvParams;
+use winofuse::model::runtime::{ExecAlgo, PreparedConv};
 use winofuse::runtime::PoolProfiler;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -32,10 +35,12 @@ fn batched_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) ->
     let filters = BatchedFilters::new(kr, &t).unwrap();
     let prof = PoolProfiler::disabled();
     let opts = BatchedOptions::default();
-    let base = winograd::conv2d_batched_ext(x, &filters, geom, &t, 1, None, &prof, opts).unwrap();
+    let base =
+        winograd::conv2d_batched_ext(x, &filters, geom, &t, false, 1, None, &prof, opts).unwrap();
     for threads in &THREADS[1..] {
-        let y = winograd::conv2d_batched_ext(x, &filters, geom, &t, *threads, None, &prof, opts)
-            .unwrap();
+        let y =
+            winograd::conv2d_batched_ext(x, &filters, geom, &t, false, *threads, None, &prof, opts)
+                .unwrap();
         assert_eq!(base, y, "batched Winograd differs at {threads} threads");
     }
     base
@@ -45,10 +50,12 @@ fn batched_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) ->
 fn direct_fast_all_threads(x: &Tensor<f32>, kr: &Tensor<f32>, geom: ConvGeometry) -> Tensor<f32> {
     let packed = direct::PackedKernels::new(kr);
     let prof = PoolProfiler::disabled();
-    let base = direct::conv2d_fast_packed_ext(x, &packed, geom, 1, None, &prof, None).unwrap();
+    let base =
+        direct::conv2d_fast_packed_ext(x, &packed, geom, false, 1, None, &prof, None).unwrap();
     for threads in &THREADS[1..] {
         let y =
-            direct::conv2d_fast_packed_ext(x, &packed, geom, *threads, None, &prof, None).unwrap();
+            direct::conv2d_fast_packed_ext(x, &packed, geom, false, *threads, None, &prof, None)
+                .unwrap();
         assert_eq!(base, y, "fast direct differs at {threads} threads");
     }
     base
@@ -173,14 +180,14 @@ proptest! {
         let filters = BatchedFilters::new(&kr, &t).unwrap();
         let prof = PoolProfiler::disabled();
         let oracle = winograd::conv2d_batched_ext(
-            &x, &filters, geom, &t, 1, None, &prof,
+            &x, &filters, geom, &t, false, 1, None, &prof,
             BatchedOptions { schedule: WinoSchedule::TransformPoint, kernel: Some(KernelChoice::Scalar) },
         ).unwrap();
         for kernel in KernelChoice::all_supported() {
             for schedule in [WinoSchedule::TransformPoint, WinoSchedule::TileBlock] {
                 for threads in [1usize, 4] {
                     let y = winograd::conv2d_batched_ext(
-                        &x, &filters, geom, &t, threads, None, &prof,
+                        &x, &filters, geom, &t, false, threads, None, &prof,
                         BatchedOptions { schedule, kernel: Some(kernel) },
                     ).unwrap();
                     prop_assert_eq!(
@@ -213,12 +220,12 @@ proptest! {
         let prof = PoolProfiler::disabled();
         let packed = direct::PackedKernels::new(&kr);
         let oracle = direct::conv2d_fast_packed_ext(
-            &x, &packed, geom, 1, None, &prof, Some(KernelChoice::Scalar),
+            &x, &packed, geom, false, 1, None, &prof, Some(KernelChoice::Scalar),
         ).unwrap();
         for kernel in KernelChoice::all_supported() {
             for threads in [1usize, 4] {
                 let y = direct::conv2d_fast_packed_ext(
-                    &x, &packed, geom, threads, None, &prof, Some(kernel),
+                    &x, &packed, geom, false, threads, None, &prof, Some(kernel),
                 ).unwrap();
                 prop_assert_eq!(
                     &y, &oracle,
@@ -284,4 +291,161 @@ fn odd_geometries_batched_winograd() {
             fast.max_abs_diff(&naive).unwrap()
         );
     }
+}
+
+/// `[-1, 1)` data with every 61st element replaced, in turn, by NaN, ±inf,
+/// ±3e38 (whose sums overflow) and `-0.0`, so the conv outputs in their
+/// receptive fields reach NaN and both infinities.
+fn hostile_input(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor<f32> {
+    const SPECIAL: [f32; 6] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        3e38,
+        -3e38,
+        -0.0,
+    ];
+    let mut x = random_tensor(n, c, h, w, seed);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate().step_by(61) {
+        *v = SPECIAL[i / 61 % SPECIAL.len()];
+    }
+    x
+}
+
+/// Which kinds of value the unrectified outputs reached.
+#[derive(Default)]
+struct Reached {
+    negative: bool,
+    nan: bool,
+    pos_inf: bool,
+    neg_inf: bool,
+}
+
+/// Asserts `fused` (a kernel's output with the folded ReLU) equals
+/// `plain` (the same kernel without it) after a separate
+/// [`relu_in_place`] pass, bit for bit, and notes what `plain` reached.
+fn assert_epilogue(plain: Tensor<f32>, fused: &Tensor<f32>, reached: &mut Reached, case: &str) {
+    for &v in plain.as_slice() {
+        reached.negative |= v < 0.0 && v.is_finite();
+        reached.nan |= v.is_nan();
+        reached.pos_inf |= v == f32::INFINITY;
+        reached.neg_inf |= v == f32::NEG_INFINITY;
+    }
+    let mut want = plain;
+    relu_in_place(want.as_mut_slice());
+    let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(bits(fused) == bits(&want), "{case}: folded ReLU differs");
+}
+
+/// The ReLU the conv kernels apply in their output stores is exactly the
+/// separate pass it replaced: with and without a folded ReLU, every
+/// Winograd schedule, the direct kernel and every microkernel, at 1, 2,
+/// 4 and 8 threads; then the same for `PreparedConv::run` on grouped and
+/// ungrouped Winograd and direct layers, its fallback rung included.
+///
+/// The kernels' sums start from `+0.0`, so no output is `-0.0` (only a
+/// `-0.0` addend to a `-0.0` sum stays negative zero); the select's
+/// handling of `-0.0` is pinned on `relu_in_place` itself in `ops`.
+#[test]
+fn relu_epilogue_matches_a_separate_relu_pass() {
+    let t = f43();
+    let prof = PoolProfiler::disabled();
+    let mut reached = Reached::default();
+
+    // Kernel level. (27, 25) at batch 2 is 98 tiles, enough tile blocks
+    // for either schedule; (9, 11) is a ragged 3×3 tile grid.
+    for &(h, w, batch) in &[(27usize, 25usize, 2usize), (9, 11, 1)] {
+        let geom = ConvGeometry::rect(h, w, 3, 1, 1).unwrap();
+        let x = hostile_input(batch, 6, h, w, (h * w) as u64);
+        let kr = random_tensor(7, 6, 3, 3, h as u64);
+        let bank = BatchedFilters::new(&kr, &t).unwrap();
+        let packed = direct::PackedKernels::new(&kr);
+        for kernel in KernelChoice::all_supported() {
+            for threads in THREADS {
+                for schedule in [WinoSchedule::TileBlock, WinoSchedule::TransformPoint] {
+                    let opts = BatchedOptions {
+                        schedule,
+                        kernel: Some(kernel),
+                    };
+                    let run = |relu| {
+                        winograd::conv2d_batched_ext(
+                            &x, &bank, geom, &t, relu, threads, None, &prof, opts,
+                        )
+                        .unwrap()
+                    };
+                    let case = format!("{h}x{w} {schedule:?} {} @{threads}t", kernel.name());
+                    assert_epilogue(run(false), &run(true), &mut reached, &case);
+                }
+                let run = |relu| {
+                    direct::conv2d_fast_packed_ext(
+                        &x,
+                        &packed,
+                        geom,
+                        relu,
+                        threads,
+                        None,
+                        &prof,
+                        Some(kernel),
+                    )
+                    .unwrap()
+                };
+                let case = format!("{h}x{w} direct {} @{threads}t", kernel.name());
+                assert_epilogue(run(false), &run(true), &mut reached, &case);
+            }
+        }
+    }
+
+    // Layer level: (params, input channels, side, algorithm).
+    let layers = [
+        (ConvParams::vgg3x3(8), 4, 30, ExecAlgo::Auto),
+        (ConvParams::vgg3x3(8), 4, 9, ExecAlgo::Auto),
+        (ConvParams::vgg3x3(8).with_groups(2), 4, 30, ExecAlgo::Auto),
+        (
+            ConvParams::new(6, 5, 2, 2, true).with_groups(2),
+            4,
+            19,
+            ExecAlgo::Auto,
+        ),
+        (ConvParams::vgg3x3(8), 4, 17, ExecAlgo::Direct),
+    ];
+    for (i, &(params, in_c, side, algo)) in layers.iter().enumerate() {
+        let geom = ConvGeometry::new(side, side, params.kernel, params.stride, params.pad).unwrap();
+        let x = hostile_input(2, in_c, side, side, 40 + i as u64);
+        let kr = random_tensor(
+            params.num_output,
+            in_c / params.groups,
+            params.kernel,
+            params.kernel,
+            50 + i as u64,
+        );
+        let plain = ConvParams {
+            relu: false,
+            ..params
+        };
+        let folded = PreparedConv::new(&params, &kr, algo).unwrap();
+        let unfolded = PreparedConv::new(&plain, &kr, algo).unwrap();
+        for threads in THREADS {
+            for force_direct in [false, true] {
+                let run = |conv: &PreparedConv| {
+                    conv.run(&x, geom, threads, None, &prof, force_direct)
+                        .unwrap()
+                };
+                let case = format!(
+                    "layer {i} ({}) @{threads}t force_direct={force_direct}",
+                    folded.algo()
+                );
+                assert_epilogue(run(&unfolded), &run(&folded), &mut reached, &case);
+            }
+        }
+    }
+    let Reached {
+        negative,
+        nan,
+        pos_inf,
+        neg_inf,
+    } = reached;
+    assert!(
+        negative && nan && pos_inf && neg_inf,
+        "outputs reached negative {negative}, NaN {nan}, +inf {pos_inf}, -inf {neg_inf}"
+    );
 }

@@ -235,6 +235,7 @@ fn winograd_schedules_agree_on_profile_and_output() {
             &filters,
             geom,
             &t,
+            false,
             threads,
             Some(&stats),
             &prof,

@@ -35,10 +35,12 @@ fn sparse_all_threads(
 ) -> Tensor<f32> {
     let t = f43();
     let (prof, opts) = (PoolProfiler::disabled(), BatchedOptions::default());
-    let base = winograd::conv2d_batched_ext(x, filters, geom, &t, 1, None, &prof, opts).unwrap();
+    let base =
+        winograd::conv2d_batched_ext(x, filters, geom, &t, false, 1, None, &prof, opts).unwrap();
     for threads in &THREADS[1..] {
-        let y = winograd::conv2d_batched_ext(x, filters, geom, &t, *threads, None, &prof, opts)
-            .unwrap();
+        let y =
+            winograd::conv2d_batched_ext(x, filters, geom, &t, false, *threads, None, &prof, opts)
+                .unwrap();
         assert_eq!(base, y, "sparse Winograd differs at {threads} threads");
     }
     base
@@ -106,7 +108,7 @@ proptest! {
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
         let dense_bank = BatchedFilters::new(&kr, &t).unwrap();
         let dense = winograd::conv2d_batched_ext(
-            &x, &dense_bank, geom, &t, 1, None, &PoolProfiler::disabled(),
+            &x, &dense_bank, geom, &t, false, 1, None, &PoolProfiler::disabled(),
             BatchedOptions::default(),
         ).unwrap();
         let sparse_bank = BatchedFilters::pruned(&kr, &t, 1000).unwrap();
@@ -132,7 +134,7 @@ proptest! {
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
         let dense_bank = BatchedFilters::new(&kr, &t).unwrap();
         let dense = winograd::conv2d_batched_ext(
-            &x, &dense_bank, geom, &t, 1, None, &PoolProfiler::disabled(),
+            &x, &dense_bank, geom, &t, false, 1, None, &PoolProfiler::disabled(),
             BatchedOptions::default(),
         ).unwrap();
         let sparse_bank = BatchedFilters::pruned(&kr, &t, density_pm).unwrap();

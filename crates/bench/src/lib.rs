@@ -19,6 +19,8 @@
 //! transform generation, the optimizer ("returns the optimal solutions
 //! within seconds", §7.1) and the timing simulator.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_model::network::Network;
 
@@ -79,32 +81,30 @@ pub fn parse_bench_args(bin: &str, args: impl Iterator<Item = String>) -> BenchO
     opts
 }
 
-/// Wall-clock sample recorder backed by the telemetry histogram, so the
-/// `exp_bench_*` binaries report medians and tail percentiles through
-/// the same log-linear buckets as the serving engine (no per-binary
-/// sort-and-index math). Microsecond samples; ≤12.5% bucket-relative
-/// error, exact for repeated identical values.
+/// Wall-clock sample recorder for the `exp_bench_*` binaries, in
+/// microseconds. Every sample is kept, and the median and tail
+/// percentiles are nearest-rank order statistics of the sorted samples,
+/// so a reported value is always one of the measured ones, never a
+/// histogram bucket edge. Samples may be recorded from several threads.
+#[derive(Default)]
 pub struct LatencySamples {
-    hist: winofuse_telemetry::Histogram,
-}
-
-impl Default for LatencySamples {
-    fn default() -> Self {
-        Self::new()
-    }
+    samples: Mutex<Vec<u64>>,
 }
 
 impl LatencySamples {
-    /// An empty recorder with its own private histogram.
+    /// An empty recorder.
     pub fn new() -> Self {
-        LatencySamples {
-            hist: winofuse_telemetry::Telemetry::enabled().histogram("bench.sample_us"),
-        }
+        Self::default()
+    }
+
+    /// The samples, whatever a panicking recorder left behind.
+    fn samples(&self) -> MutexGuard<'_, Vec<u64>> {
+        self.samples.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records one sample in microseconds.
     pub fn record_us(&self, us: u64) {
-        self.hist.record(us);
+        self.samples().push(us);
     }
 
     /// Times one invocation of `f`, records it, returns its result.
@@ -117,22 +117,34 @@ impl LatencySamples {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.hist.snapshot().count
+        self.samples().len() as u64
     }
 
-    /// Median of the recorded samples, in milliseconds.
+    /// Nearest-rank percentile in milliseconds: the smallest sample such
+    /// that at least `pct` percent of all samples are less than or equal
+    /// to it; 0 with no samples.
+    fn percentile_ms(&self, pct: usize) -> f64 {
+        let mut sorted = self.samples().clone();
+        sorted.sort_unstable();
+        // Integer ceil(pct·n / 100): no floating-point rounding in the rank.
+        let rank = (pct * sorted.len()).div_ceil(100).max(1);
+        sorted.get(rank - 1).map_or(0.0, |&us| us as f64 / 1e3)
+    }
+
+    /// Median of the recorded samples (the lower middle sample for an
+    /// even count), in milliseconds.
     pub fn median_ms(&self) -> f64 {
-        self.hist.snapshot().p50() as f64 / 1e3
+        self.percentile_ms(50)
     }
 
     /// 95th percentile, in milliseconds.
     pub fn p95_ms(&self) -> f64 {
-        self.hist.snapshot().p95() as f64 / 1e3
+        self.percentile_ms(95)
     }
 
     /// 99th percentile, in milliseconds.
     pub fn p99_ms(&self) -> f64 {
-        self.hist.snapshot().p99() as f64 / 1e3
+        self.percentile_ms(99)
     }
 }
 
@@ -255,9 +267,18 @@ mod tests {
             s.record_us(v);
         }
         assert_eq!(s.count(), 3);
-        let m = s.median_ms();
-        assert!((2.0..=2.25).contains(&m), "median {m} outside bucket bound");
-        assert!(s.p99_ms() >= s.median_ms());
+        assert_eq!(s.median_ms(), 2.0);
+        assert_eq!(s.p95_ms(), 3.0);
+        assert_eq!(s.p99_ms(), 3.0);
+        // Close samples that would share a histogram bucket: the median
+        // is the middle sample itself.
+        let close = LatencySamples::new();
+        for v in [3931, 3933, 3932, 3934] {
+            close.record_us(v);
+        }
+        assert_eq!(close.median_ms(), 3.932);
+        assert_eq!(close.p95_ms(), 3.934);
+        assert_eq!(LatencySamples::new().median_ms(), 0.0);
     }
 
     #[test]

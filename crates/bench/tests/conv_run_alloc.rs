@@ -117,7 +117,7 @@ fn warm_conv_runs_allocate_a_pinned_count() {
         },
     ];
     let counts: Vec<(&str, u64)> = cases.iter().map(|c| (c.name, warm_run_allocs(c))).collect();
-    let pinned = [9, 21, 31, 30];
+    let pinned = [9, 21, 17, 16];
     let want: Vec<(&str, u64)> = cases.iter().map(|c| c.name).zip(pinned).collect();
     assert_eq!(counts, want, "allocations of one warm run per layer");
 }

@@ -19,9 +19,17 @@
 //!   arrangement is exact. The AVX2 span widens `i16 → i32` products into
 //!   `i64` lanes.
 //!
+//! The same choice compiles the Winograd activation transforms
+//! ([`crate::winograd`]'s input and output transforms):
+//! `KernelChoice::run_lanes` runs one plain-Rust lane body, built for
+//! baseline x86-64 under [`KernelChoice::Scalar`] (the oracle) and under
+//! `#[target_feature(enable = "avx2")]` under `KernelChoice::Avx2`, both
+//! without FMA, so the two agree bit for bit.
+//!
 //! `tests/conv_equiv.rs` holds the oracle contract down with a proptest
 //! matrix that runs every supported kernel explicitly against
-//! [`ScalarKernel`].
+//! [`ScalarKernel`], and the Winograd unit tests run the transforms under
+//! every kernel against per-tile products.
 
 use crate::fixed::Fix16;
 use crate::gemm::{MR, NR};
@@ -196,14 +204,18 @@ unsafe fn mac_span_fix16_avx2(acc: &mut [i64], data: &[Fix16], coeff: Fix16) {
     }
 }
 
-/// Which microkernel a GEMM call dispatches to. Carried by
-/// [`crate::gemm::GemmScratch`] so every fast path resolves it once per
-/// worker, and constructible explicitly so tests can pin a kernel.
+/// Which microkernel a GEMM call dispatches to, and which build of the
+/// Winograd activation transforms runs (`KernelChoice::run_lanes`).
+/// Carried by [`crate::gemm::GemmScratch`] so every fast path resolves it
+/// once per worker, and constructible explicitly so tests can pin a
+/// kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
-    /// The scalar 4×16 oracle (always available).
+    /// The scalar 4×16 oracle, and the transforms built for baseline
+    /// x86-64 (always available).
     Scalar,
-    /// Runtime-detected AVX2 lanes (x86-64 only).
+    /// Runtime-detected AVX2 lanes, for the tile and the transforms
+    /// (x86-64 only).
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -266,6 +278,48 @@ impl KernelChoice {
             KernelChoice::Avx2 => Avx2Kernel.mac_span_fix16(acc, data, coeff),
         }
     }
+
+    /// Runs a lane body compiled for this kernel: for baseline x86-64
+    /// under `Scalar` (the oracle), under
+    /// `#[target_feature(enable = "avx2")]` under `Avx2`. The body is one
+    /// piece of plain Rust; only the instructions it compiles to differ.
+    /// Neither enables FMA, so both run the same IEEE-754 multiplies and
+    /// adds per lane and agree bit for bit.
+    #[inline]
+    pub(crate) fn run_lanes<B: LaneBody>(self, body: B) {
+        match self {
+            KernelChoice::Scalar => body.run(),
+            #[cfg(target_arch = "x86_64")]
+            KernelChoice::Avx2 => {
+                debug_assert!(Avx2Kernel.supported(), "AVX2 kernel selected without CPUID");
+                // SAFETY: kernel selection only picks `Avx2` when
+                // `supported()` is true.
+                unsafe { run_lanes_avx2(body) }
+            }
+        }
+    }
+}
+
+/// Lane arithmetic that [`KernelChoice::run_lanes`] compiles once per
+/// kernel: the Winograd activation transforms.
+///
+/// `run` and everything it calls must be `#[inline(always)]`, so the
+/// whole body is inlined into, and compiled for, each kernel's entry.
+pub(crate) trait LaneBody {
+    /// Runs the body.
+    fn run(self);
+}
+
+/// The AVX2 entry of [`KernelChoice::run_lanes`]: the body inlined here
+/// is compiled with 256-bit lanes.
+///
+/// # Safety
+///
+/// The host must support AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_lanes_avx2<B: LaneBody>(body: B) {
+    body.run()
 }
 
 /// Identifier of the kernel auto-selection resolves to on this host —

@@ -11,8 +11,7 @@ use crate::gemm::{
     gemm_packed, panels, BPanels, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, MR, NR,
 };
 use crate::matrix::Mat;
-use crate::microkernel::KernelChoice;
-use crate::ops::relu_in_place;
+use crate::microkernel::{KernelChoice, LaneBody};
 use crate::sparse::{prune_plane_with, sparse_keep_count, DENSITY_SCALE};
 use crate::tensor::Tensor;
 use crate::{ConvError, ConvGeometry};
@@ -454,9 +453,8 @@ impl BatchedFilters {
     }
 }
 
-/// A transform matrix (`Bᵀ` or `Aᵀ`) as rows of its nonzero coefficients,
-/// `(column, value)` in ascending column order. `F(4,3)` has 14 zeros
-/// among the 36 entries of `Bᵀ` and 6 among the 24 of `Aᵀ`.
+/// The filter transform `G` as rows of its nonzero coefficients,
+/// `(column, value)` in ascending column order.
 type Taps = Vec<Vec<(usize, f32)>>;
 
 fn nonzero_taps(mat: &Mat<f32>) -> Taps {
@@ -471,9 +469,9 @@ fn nonzero_taps(mat: &Mat<f32>) -> Taps {
 }
 
 /// `dst[t] = Σ c·row(l)[t]` over the `(l, c)` taps, for every lane `t`:
-/// one element of a transform product for a run of tiles at once, with
-/// the tile index innermost and contiguous so the loop vectorizes across
-/// tiles.
+/// one element of a filter transform product for a run of channel pairs
+/// at once, with the pair index innermost and contiguous so the loop
+/// vectorizes across pairs.
 ///
 /// Each lane keeps the scalar product's arithmetic: terms in ascending
 /// `l`, a separate multiply then add, starting from `+0.0`. Only the zero
@@ -558,27 +556,210 @@ fn transform_into_panels(
     }
 }
 
-/// Lane-major working buffers of the input transform for runs of up to
-/// `lanes` tiles: element `e` of the `t`-th tile of a run of `n` sits at
-/// `[e·n + t]`.
+/// Lanes per register chunk of the activation transforms: two 8-lane
+/// AVX2 registers, and the width of one `B` panel slot.
+const CHUNK: usize = NR;
+
+/// Coefficients of a transform matrix of up to 8×8 (`Bᵀ` or `Aᵀ`), zero
+/// outside it. The values are read from the [`WinogradTransform`] once
+/// per call; which of them are nonzero is compiled into the lane kernels.
+type Coefs = [[f32; 8]; 8];
+
+fn coefs(mat: &Mat<f32>) -> Coefs {
+    let mut c = [[0.0; 8]; 8];
+    for (i, row) in c.iter_mut().enumerate().take(mat.rows()) {
+        for (l, v) in row.iter_mut().enumerate().take(mat.cols()) {
+            *v = mat.get(i, l);
+        }
+    }
+    c
+}
+
+/// The nonzero pattern of a transform matrix of up to 8×8: bit `i·8 + l`
+/// is set where entry `(i, l)` is nonzero.
+fn nonzero_mask(mat: &Mat<f32>) -> u64 {
+    let mut mask = 0u64;
+    for i in 0..mat.rows().min(8) {
+        for l in 0..mat.cols().min(8) {
+            if mat.get(i, l) != 0.0 {
+                mask |= 1 << (i * 8 + l);
+            }
+        }
+    }
+    mask
+}
+
+/// The transform shapes whose activation transforms are compiled in, as
+/// `(m, α, Bᵀ pattern, Aᵀ pattern)` ([`nonzero_mask`]): F(2,3), F(4,3),
+/// F(6,3) and F(4,5). `F(4,3)`'s `Bᵀ` has 22 nonzeros of 36 and its `Aᵀ`
+/// 18 of 24. A transform whose shape and patterns match no entry is
+/// rejected with [`ConvError::UnsupportedTransform`].
+const SHAPES: [(usize, usize, u64, u64); 4] = [
+    (2, 4, 0x0A06_0605, 0x0E07),
+    (4, 6, 0x2A1E_1E1E_1E15, 0x3E1E_1E1F),
+    (6, 8, 0xAA7E_7E7E_7E7E_7E55, 0xFE7E_7E7E_7E7F),
+    (4, 8, 0xAA7E_7E7E_7E7E_7E55, 0xFE7E_7E7F),
+];
+
+/// Evaluates `$body` for compiled-in shape `$shape`, an index into
+/// [`SHAPES`], with the shape's `(m, α, Bᵀ pattern, Aᵀ pattern)` bound to
+/// the constants `$m`, `$a`, `$bt` and `$at`.
+macro_rules! per_shape {
+    ($shape:expr, |$m:ident, $a:ident, $bt:ident, $at:ident| $body:expr) => {
+        per_shape!(@ $shape, $m, $a, $bt, $at, $body; 0 1 2 3)
+    };
+    (@ $shape:expr, $m:ident, $a:ident, $bt:ident, $at:ident, $body:expr; $($n:literal)*) => {{
+        const _: () = assert!(SHAPES.len() == [$($n),*].len(), "one arm per shape");
+        match $shape {
+            $($n => {
+                const $m: usize = SHAPES[$n].0;
+                const $a: usize = SHAPES[$n].1;
+                const $bt: u64 = SHAPES[$n].2;
+                const $at: u64 = SHAPES[$n].3;
+                $body
+            })*
+            _ => unreachable!("shape indices come from SHAPES"),
+        }
+    }};
+}
+
+/// The compiled-in shape of `transform`, an index into [`SHAPES`], with
+/// its `Bᵀ` and `Aᵀ` coefficients.
+fn shape_of(transform: &WinogradTransform) -> Result<(usize, Coefs, Coefs), ConvError> {
+    let (b_t, a_t) = (transform.b_t_f32(), transform.a_t_f32());
+    let key = (
+        transform.m(),
+        transform.alpha(),
+        nonzero_mask(&b_t),
+        nonzero_mask(&a_t),
+    );
+    let shape = SHAPES.iter().position(|&s| s == key).ok_or_else(|| {
+        ConvError::UnsupportedTransform(format!(
+            "no compiled-in activation transforms for F({},{}); \
+             the batched path covers F(2,3), F(4,3), F(6,3) and F(4,5)",
+            transform.m(),
+            transform.r()
+        ))
+    })?;
+    Ok((shape, coefs(&b_t), coefs(&a_t)))
+}
+
+/// Expands `$body` eight times, with `$i` bound to a constant `0..8`
+/// each time, so a tap test on a const-generic pattern folds away at
+/// compile time and only the nonzero taps emit code.
+macro_rules! unroll8 {
+    ($i:ident, $body:block) => {
+        unroll8!(@ $i, $body; 0 1 2 3 4 5 6 7)
+    };
+    (@ $i:ident, $body:block; $($n:literal)*) => {{
+        $({
+            const $i: usize = $n;
+            $body
+        })*
+    }};
+}
+
+/// One `N`-lane chunk of a transform product `C·src`, the lanes starting
+/// at `at` in every source row: row `i < ROWS` of the result, `Σ_l
+/// C[i][l]·src[l]` over the taps set in `MASK` (bit `i·8 + l`), is
+/// accumulated in registers and handed to `out(i, …)` once.
+///
+/// Each lane keeps the scalar product's arithmetic: terms in ascending
+/// `l`, a separate multiply then add, starting from `+0.0`. Only the
+/// exact-zero coefficients are left out, so `0·∞` never enters a sum. A
+/// left-out term would be a `±0` addend on finite data, and an
+/// accumulator that starts at `+0.0` never becomes `-0.0` (round to
+/// nearest gives `+0.0` for `+0 + -0` and for exact cancellation), so
+/// adding it would not change the sum: every lane is bit-identical to
+/// the full product.
+#[inline(always)]
+fn lane_chunk<const MASK: u64, const ROWS: usize, const N: usize>(
+    coef: &Coefs,
+    src: &[&[f32]; 8],
+    at: usize,
+    mut out: impl FnMut(usize, &[f32; N]),
+) {
+    unroll8!(I, {
+        if I < ROWS {
+            let mut acc = [0.0f32; N];
+            unroll8!(L, {
+                if (MASK >> (I * 8 + L)) & 1 == 1 {
+                    let c = coef[I][L];
+                    let x: &[f32; N] = src[L][at..at + N].try_into().expect("N lanes");
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a += c * x;
+                    }
+                }
+            });
+            out(I, &acc);
+        }
+    });
+}
+
+/// The transform product `C·src` over `n` lanes of every source row, in
+/// [`CHUNK`]-lane chunks: `out(i, q, …)` receives row `i`'s values for
+/// the lanes from `q` on. A last, partial chunk runs whole on zero-padded
+/// copies of its lanes, so a short run (a 13-wide row, say) still fills
+/// the registers; the padding lanes are dropped.
+#[inline(always)]
+fn lane_rows<const MASK: u64, const ROWS: usize>(
+    coef: &Coefs,
+    src: &[&[f32]; 8],
+    n: usize,
+    mut out: impl FnMut(usize, usize, &[f32]),
+) {
+    let mut q = 0;
+    while q + CHUNK <= n {
+        lane_chunk::<MASK, ROWS, CHUNK>(coef, src, q, |i, v| out(i, q, v));
+        q += CHUNK;
+    }
+    if q < n {
+        let len = n - q;
+        let mut pad = [[0.0f32; CHUNK]; 8];
+        for (p, s) in pad.iter_mut().zip(src).filter(|(_, s)| !s.is_empty()) {
+            p[..len].copy_from_slice(&s[q..n]);
+        }
+        let pad: [&[f32]; 8] = std::array::from_fn(|l| &pad[l][..]);
+        lane_chunk::<MASK, ROWS, CHUNK>(coef, &pad, 0, |i, v| out(i, q, &v[..len]));
+    }
+}
+
+/// The `A` tap rows `buf[first + l·step..][..n]` of a lane kernel.
+#[inline(always)]
+fn tap_rows<const A: usize>(buf: &[f32], first: usize, step: usize, n: usize) -> [&[f32]; 8] {
+    std::array::from_fn(|l| {
+        if l < A {
+            &buf[first + l * step..][..n]
+        } else {
+            &[]
+        }
+    })
+}
+
+/// Working buffers of the input transform for runs of up to `lanes`
+/// tiles.
 struct InputLanes {
-    /// Input tiles `d`, `α²` rows.
-    d: Vec<f32>,
-    /// `Bᵀ·d`, `α²` rows.
+    /// `Bᵀ·d` of one tile row's run of input columns, `α` rows of up to
+    /// `lanes·m + α − m` columns, then one row of as many zeros that
+    /// stands in for the input rows above and below the image.
+    rows: Vec<f32>,
+    /// `Bᵀ·d` lane-major: element `(i, j)` of the run's tile `t` at
+    /// `[(i·α + j)·lp + t]`, `lp` the run rounded up to whole panels.
     bd: Vec<f32>,
 }
 
 impl InputLanes {
-    fn new(alpha: usize, lanes: usize) -> Self {
+    fn new(m: usize, alpha: usize, lanes: usize) -> Self {
         InputLanes {
-            d: vec![0.0; alpha * alpha * lanes],
-            bd: vec![0.0; alpha * alpha * lanes],
+            rows: vec![0.0; (alpha + 1) * (lanes * m + alpha - m)],
+            bd: vec![0.0; alpha * alpha * lanes.div_ceil(NR) * NR],
         }
     }
 }
 
-/// Lane-major working buffers of the output transform, laid out as
-/// [`InputLanes`].
+/// Lane-major working buffers of the output transform for runs of up to
+/// `lanes` tiles: element `e` of the `t`-th tile of a run of `n` sits at
+/// `[e·n + t]`.
 struct OutputLanes {
     /// `Aᵀ·M`, `m·α` rows.
     am: Vec<f32>,
@@ -595,6 +776,55 @@ impl OutputLanes {
     }
 }
 
+/// The tiles of a run that share one tile row of one image: `n` tiles
+/// from column `tw` of tile row `th` in image `bn`, lanes `lane..lane + n`
+/// of the run.
+struct Segment {
+    bn: usize,
+    th: usize,
+    tw: usize,
+    lane: usize,
+    n: usize,
+}
+
+/// Where an output transform stores its rows.
+trait OutRows {
+    /// Output row `u` of tile row `th`, from the first column of tile
+    /// `tw` on.
+    fn row(&mut self, th: usize, tw: usize, u: usize) -> &mut [f32];
+}
+
+/// One output channel's plane of one image, as the transform-point
+/// gather writes it.
+struct PlaneRows<'p> {
+    plane: &'p mut [f32],
+    m: usize,
+    ow: usize,
+}
+
+impl OutRows for PlaneRows<'_> {
+    fn row(&mut self, th: usize, tw: usize, u: usize) -> &mut [f32] {
+        &mut self.plane[(th * self.m + u) * self.ow + tw * self.m..]
+    }
+}
+
+/// One output channel's row fragments of a tile block, top row first:
+/// the first tile row's fragments start at the block's first tile `tw0`
+/// of tile row `th0`, every later one at column 0.
+struct BlockRows<'a, 'f> {
+    frags: &'a mut [&'f mut [f32]],
+    m: usize,
+    th0: usize,
+    tw0: usize,
+}
+
+impl OutRows for BlockRows<'_, '_> {
+    fn row(&mut self, th: usize, tw: usize, u: usize) -> &mut [f32] {
+        let first = if th == self.th0 { self.tw0 } else { 0 };
+        &mut self.frags[(th - self.th0) * self.m + u][(tw - first) * self.m..]
+    }
+}
+
 /// Shape-derived state shared by both schedules, resolved once after
 /// validation.
 struct WinoCtx<'a> {
@@ -602,11 +832,13 @@ struct WinoCtx<'a> {
     bank: &'a BatchedFilters,
     threads: usize,
     kernel: KernelChoice,
+    /// Index of the transform's compiled-in shape in [`SHAPES`].
+    shape: usize,
     m: usize,
     alpha: usize,
     aa: usize,
-    b_t: Taps,
-    a_t: Taps,
+    b_t: Coefs,
+    a_t: Coefs,
     batch: usize,
     in_c: usize,
     out_c: usize,
@@ -620,6 +852,11 @@ struct WinoCtx<'a> {
 
 impl<'a> WinoCtx<'a> {
     /// Resolves the state of one call whose shapes have been validated.
+    ///
+    /// # Errors
+    ///
+    /// [`ConvError::UnsupportedTransform`] when `transform` has no
+    /// compiled-in activation transforms.
     fn new(
         input: &'a Tensor<f32>,
         bank: &'a BatchedFilters,
@@ -627,23 +864,25 @@ impl<'a> WinoCtx<'a> {
         transform: &WinogradTransform,
         threads: usize,
         kernel: KernelChoice,
-    ) -> Self {
+    ) -> Result<Self, ConvError> {
         let m = transform.m();
         let alpha = transform.alpha();
         let (batch, in_c, _, _) = input.shape();
         let (oh, ow) = (geom.output_height(), geom.output_width());
         let tiles_w = ow.div_ceil(m);
         let tiles_per_img = oh.div_ceil(m) * tiles_w;
-        WinoCtx {
+        let (shape, b_t, a_t) = shape_of(transform)?;
+        Ok(WinoCtx {
             input,
             bank,
             threads: winofuse_runtime::resolve_threads(threads),
             kernel,
+            shape,
             m,
             alpha,
             aa: alpha * alpha,
-            b_t: nonzero_taps(&transform.b_t_f32()),
-            a_t: nonzero_taps(&transform.a_t_f32()),
+            b_t,
+            a_t,
             batch,
             in_c,
             out_c: bank.out_c,
@@ -653,125 +892,276 @@ impl<'a> WinoCtx<'a> {
             tiles_w,
             tiles_per_img,
             p_total: batch * tiles_per_img,
-        }
+        })
     }
 
-    /// First half of the input transform `V = Bᵀ·d·B` of channel `c` for
-    /// the `lanes` consecutive tiles from tile `p0`, numbered across the
-    /// batch (a run may cross into the next image): returns `Bᵀ·d`
-    /// lane-major, element `(i, j)` of the run's tile `t` at
-    /// `[(i·α + j)·lanes + t]`. [`WinoCtx::v_point`] finishes each
-    /// transform point from it. Tiles are read from the channel plane
-    /// directly; only a tile that crosses the padded edge takes the
-    /// zero-filling path.
-    fn input_transform<'s>(
+    /// The run of `nt` tiles from tile `p0` (numbered across the batch)
+    /// split where it crosses a tile row or an image.
+    fn segments(&self, p0: usize, nt: usize) -> impl Iterator<Item = Segment> + '_ {
+        let mut lane = 0;
+        std::iter::from_fn(move || {
+            (lane < nt).then(|| {
+                let p = p0 + lane;
+                let (bn, tile) = (p / self.tiles_per_img, p % self.tiles_per_img);
+                let (th, tw) = (tile / self.tiles_w, tile % self.tiles_w);
+                let n = (self.tiles_w - tw).min(nt - lane);
+                let seg = Segment {
+                    bn,
+                    th,
+                    tw,
+                    lane,
+                    n,
+                };
+                lane += n;
+                seg
+            })
+        })
+    }
+
+    /// Input transform `V = Bᵀ·d·B` of channel `c` for the `nt`
+    /// consecutive tiles from tile `p0`, numbered across the batch (a run
+    /// may cross tile rows and images). `slots` yields the run's row of
+    /// each `V_uv` in point order, in panel order: each `NR`-lane part
+    /// lands in its panel slot, the first at `slot[0..]` and the next
+    /// `stride` further on ([`BPanels::at`]), so the run must start on a
+    /// panel. The ragged lanes after a run that ends mid-panel are
+    /// zeroed.
+    fn input_transform<'v>(
         &self,
         c: usize,
         p0: usize,
-        lanes: usize,
-        s: &'s mut InputLanes,
-    ) -> &'s [f32] {
-        let (m, alpha) = (self.m, self.alpha);
-        let (h, w) = (self.input.h(), self.input.w());
-        let InputLanes { d, bd } = s;
-        let d = &mut d[..self.aa * lanes];
-        for t in 0..lanes {
-            let (bn, tile) = ((p0 + t) / self.tiles_per_img, (p0 + t) % self.tiles_per_img);
-            let plane = &self.input.as_slice()[(bn * self.in_c + c) * h * w..][..h * w];
-            let h0 = ((tile / self.tiles_w) * m) as isize - self.pad;
-            let w0 = ((tile % self.tiles_w) * m) as isize - self.pad;
-            let inside = h0 >= 0 && w0 >= 0 && h0 as usize + alpha <= h && w0 as usize + alpha <= w;
-            for u in 0..alpha {
-                let hi = h0 + u as isize;
-                if inside {
-                    let row = &plane[hi as usize * w + w0 as usize..][..alpha];
-                    for (v, &x) in row.iter().enumerate() {
-                        d[(u * alpha + v) * lanes + t] = x;
-                    }
-                } else {
-                    for v in 0..alpha {
-                        let wi = w0 + v as isize;
-                        let inb = (0..h as isize).contains(&hi) && (0..w as isize).contains(&wi);
-                        d[(u * alpha + v) * lanes + t] = if inb {
-                            plane[hi as usize * w + wi as usize]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            }
-        }
-        let bd = &mut bd[..self.aa * lanes];
-        for (i, taps) in self.b_t.iter().enumerate() {
-            for j in 0..alpha {
-                let dst = &mut bd[(i * alpha + j) * lanes..][..lanes];
-                lane_dot(dst, taps, |l| &d[(l * alpha + j) * lanes..][..lanes]);
-            }
-        }
-        bd
+        nt: usize,
+        s: &mut InputLanes,
+        slots: impl Iterator<Item = &'v mut [f32]>,
+        stride: usize,
+    ) {
+        per_shape!(self.shape, |M, A, BT, _AT| {
+            self.kernel.run_lanes(InputRun::<_, M, A, BT> {
+                cx: self,
+                c,
+                p0,
+                nt,
+                s,
+                slots,
+                stride,
+            })
+        });
     }
 
-    /// Finishes transform point `uv` of a run from its `Bᵀ·d` (`bd`, as
-    /// [`WinoCtx::input_transform`] returns it for `lanes` tiles) and
-    /// writes it as the run's row of `V_uv`, in panel order: each
-    /// `NR`-lane part lands in its panel slot, the first at `dst[0..]` and
-    /// the next `stride` further on ([`BPanels::at`]), so the run must
-    /// start on a panel. The ragged lanes after a run that ends mid-panel
-    /// are zeroed.
-    fn v_point(&self, bd: &[f32], uv: usize, lanes: usize, dst: &mut [f32], stride: usize) {
-        let alpha = self.alpha;
-        let (i, taps) = (uv / alpha, &self.b_t[uv % alpha]);
-        for (panel, q) in (0..lanes).step_by(NR).enumerate() {
-            let slot = &mut dst[panel * stride..][..NR];
-            let len = NR.min(lanes - q);
-            let row = |l: usize| &bd[(i * alpha + l) * lanes + q..][..len];
-            if len == NR {
-                // A whole panel slot: a fixed length the compiler can
-                // unroll the lane loop for.
-                lane_dot(slot, taps, row);
-            } else {
-                lane_dot(&mut slot[..len], taps, row);
-                slot[len..].fill(0.0);
-            }
-        }
-    }
-
-    /// Output transform `Y = Aᵀ·M·A` for the `lanes` consecutive tiles
-    /// whose GEMM results start `rows`: row `uv` of `M` is
-    /// `rows[uv·stride..][..lanes]`, which both schedules' GEMM outputs
-    /// already hold contiguous in the tile index. Returns `Y` lane-major:
-    /// element `(u, v)` of the run's tile `t` at `[(u·m + v)·lanes + t]`,
-    /// with the layer's folded ReLU applied when `relu` is set, so the
-    /// gather stores finished values.
-    fn output_transform<'s>(
+    /// Output transform `Y = Aᵀ·M·A` of one output channel for the `nt`
+    /// consecutive tiles from tile `p0`, all in one image, whose GEMM
+    /// results start `rows`: row `uv` of `M` is
+    /// `rows[uv·stride..][..nt]`, which both schedules' GEMM outputs hold
+    /// contiguous in the tile index. Stores `Y`, with the layer's folded
+    /// ReLU applied when `relu` is set, clipped at the output's edges,
+    /// through `sink`.
+    #[allow(clippy::too_many_arguments)] // a run, its results and its sink
+    fn output_transform(
         &self,
         rows: &[f32],
         stride: usize,
-        lanes: usize,
+        p0: usize,
+        nt: usize,
         relu: bool,
-        s: &'s mut OutputLanes,
-    ) -> &'s [f32] {
-        let (m, alpha) = (self.m, self.alpha);
+        s: &mut OutputLanes,
+        sink: impl OutRows,
+    ) {
+        per_shape!(self.shape, |M, A, _BT, AT| {
+            self.kernel.run_lanes(OutputRun::<_, M, A, AT> {
+                cx: self,
+                rows,
+                stride,
+                p0,
+                nt,
+                relu,
+                s,
+                sink,
+            })
+        });
+    }
+}
+
+/// The arguments of one [`WinoCtx::input_transform`] call, run as a
+/// [`LaneBody`].
+struct InputRun<'c, 't, 's, D, const M: usize, const A: usize, const BT: u64> {
+    cx: &'c WinoCtx<'t>,
+    c: usize,
+    p0: usize,
+    nt: usize,
+    s: &'s mut InputLanes,
+    slots: D,
+    stride: usize,
+}
+
+impl<'v, D, const M: usize, const A: usize, const BT: u64> LaneBody
+    for InputRun<'_, '_, '_, D, M, A, BT>
+where
+    D: Iterator<Item = &'v mut [f32]>,
+{
+    #[inline(always)]
+    fn run(self) {
+        let InputRun {
+            cx,
+            c,
+            p0,
+            nt,
+            s,
+            mut slots,
+            stride,
+        } = self;
+        let coef = &cx.b_t;
+        let (h, w) = (cx.input.h(), cx.input.w());
+        let lp = nt.div_ceil(NR) * NR;
+        let bd = &mut s.bd[..A * A * lp];
+        let span_max = s.rows.len() / (A + 1);
+        let (rows, zeros) = s.rows.split_at_mut(A * span_max);
+        let zeros = &*zeros;
+        for seg in cx.segments(p0, nt) {
+            let plane = &cx.input.as_slice()[(seg.bn * cx.in_c + c) * h * w..][..h * w];
+            // Bᵀ·d down the tile row's input columns, each column once:
+            // `α` rows of `span` columns from `x0`, the image's own `len`
+            // columns from `off` on, zeros in the padding either side.
+            let span = seg.n * M + A - M;
+            let x0 = (seg.tw * M) as isize - cx.pad;
+            let xa = x0.clamp(0, w as isize);
+            let len = (x0 + span as isize).clamp(xa, w as isize) - xa;
+            let off = (xa - x0).clamp(0, span as isize - len) as usize;
+            let (xa, len) = (xa as usize, len as usize);
+            let src: [&[f32]; 8] = std::array::from_fn(|l| {
+                let hi = (seg.th * M + l) as isize - cx.pad;
+                if l < A && (0..h as isize).contains(&hi) {
+                    &plane[hi as usize * w + xa..][..len]
+                } else {
+                    &zeros[..len]
+                }
+            });
+            lane_rows::<BT, A>(coef, &src, len, |i, q, v| {
+                rows[i * span + off + q..][..v.len()].copy_from_slice(v)
+            });
+            for r in rows[..A * span].chunks_exact_mut(span) {
+                r[..off].fill(0.0);
+                r[off + len..].fill(0.0);
+            }
+            // Lane-major: element (i, j) of the segment's tile t is
+            // column t·m + j of row i. Rows j < m de-interleave the
+            // columns m ways; row j ≥ m is row j − m one tile on.
+            let n = seg.n;
+            for (i, r) in rows[..A * span].chunks_exact(span).enumerate() {
+                let bd_i = &mut bd[i * A * lp..][..A * lp];
+                {
+                    let mut dst = bd_i.chunks_exact_mut(lp).map(|d| &mut d[seg.lane..][..n]);
+                    let mut dst: [&mut [f32]; M] =
+                        std::array::from_fn(|_| dst.next().expect("m lane rows"));
+                    for (t, col) in r.chunks_exact(M).take(n).enumerate() {
+                        for (d, &x) in dst.iter_mut().zip(col) {
+                            d[t] = x;
+                        }
+                    }
+                }
+                for j in M..A {
+                    let (done, row) = bd_i.split_at_mut(j * lp);
+                    let row = &mut row[seg.lane..][..n];
+                    row[..n - 1].copy_from_slice(&done[(j - M) * lp + seg.lane + 1..][..n - 1]);
+                    row[n - 1] = r[(n - 1) * M + j];
+                }
+            }
+        }
+        if nt < lp {
+            for r in bd.chunks_exact_mut(lp) {
+                r[nt..].fill(0.0);
+            }
+        }
+        // (Bᵀ·d)·B: point (i, v) of every tile from row i of Bᵀ·d, whole
+        // panels at a time, straight into the point's panel slots.
+        for i in 0..A {
+            let src = tap_rows::<A>(bd, i * A * lp, lp, lp);
+            let mut out: [&mut [f32]; 8] = std::array::from_fn(|v| {
+                if v < A {
+                    slots.next().expect("one slot per transform point")
+                } else {
+                    &mut []
+                }
+            });
+            lane_rows::<BT, A>(coef, &src, lp, |v, q, x| {
+                out[v][q / NR * stride + q % NR..][..x.len()].copy_from_slice(x)
+            });
+        }
+    }
+}
+
+/// The arguments of one [`WinoCtx::output_transform`] call, run as a
+/// [`LaneBody`].
+struct OutputRun<'c, 't, 'r, 's, S, const M: usize, const A: usize, const AT: u64> {
+    cx: &'c WinoCtx<'t>,
+    rows: &'r [f32],
+    stride: usize,
+    p0: usize,
+    nt: usize,
+    relu: bool,
+    s: &'s mut OutputLanes,
+    sink: S,
+}
+
+impl<S: OutRows, const M: usize, const A: usize, const AT: u64> LaneBody
+    for OutputRun<'_, '_, '_, '_, S, M, A, AT>
+{
+    #[inline(always)]
+    fn run(self) {
+        let OutputRun {
+            cx,
+            rows,
+            stride,
+            p0,
+            nt,
+            relu,
+            s,
+            mut sink,
+        } = self;
+        let coef = &cx.a_t;
         let OutputLanes { am, y } = s;
-        let am = &mut am[..m * alpha * lanes];
-        for (i, taps) in self.a_t.iter().enumerate() {
-            for j in 0..alpha {
-                let dst = &mut am[(i * alpha + j) * lanes..][..lanes];
-                lane_dot(dst, taps, |l| &rows[(l * alpha + j) * stride..][..lanes]);
+        let am = &mut am[..M * A * nt];
+        let y = &mut y[..M * M * nt];
+        // Aᵀ·M, one column j of every tile's M at a time.
+        for j in 0..A {
+            let src = tap_rows::<A>(rows, j * stride, A * stride, nt);
+            lane_rows::<AT, M>(coef, &src, nt, |i, q, v| {
+                am[(i * A + j) * nt + q..][..v.len()].copy_from_slice(v)
+            });
+        }
+        // (Aᵀ·M)·A, one row i of every tile's Y at a time, rectified as
+        // it is stored when the layer folds a ReLU.
+        for i in 0..M {
+            let src = tap_rows::<A>(am, i * A * nt, nt, nt);
+            lane_rows::<AT, M>(coef, &src, nt, |j, q, v| {
+                let dst = &mut y[(i * M + j) * nt + q..][..v.len()];
+                if relu {
+                    for (o, &x) in dst.iter_mut().zip(v) {
+                        *o = if x < 0.0 { 0.0 } else { x };
+                    }
+                } else {
+                    dst.copy_from_slice(v);
+                }
+            });
+        }
+        // Each output row of a tile row is the m-way interleave of the
+        // row's m lane rows of Y, clipped at the output's right edge.
+        for seg in cx.segments(p0, nt) {
+            let width = (seg.n * M).min(cx.ow - seg.tw * M);
+            for u in 0..M.min(cx.oh - seg.th * M) {
+                let ys: [&[f32]; M] =
+                    std::array::from_fn(|j| &y[(u * M + j) * nt + seg.lane..][..seg.n]);
+                let dst = &mut sink.row(seg.th, seg.tw, u)[..width];
+                let (whole, part) = dst.split_at_mut(width / M * M);
+                for (t, o) in whole.chunks_exact_mut(M).enumerate() {
+                    for (o, yj) in o.iter_mut().zip(&ys) {
+                        *o = yj[t];
+                    }
+                }
+                for (o, yj) in part.iter_mut().zip(&ys) {
+                    *o = yj[width / M];
+                }
             }
         }
-        let am = &*am;
-        let y = &mut y[..m * m * lanes];
-        for i in 0..m {
-            for (j, taps) in self.a_t.iter().enumerate() {
-                let dst = &mut y[(i * m + j) * lanes..][..lanes];
-                lane_dot(dst, taps, |l| &am[(i * alpha + l) * lanes..][..lanes]);
-            }
-        }
-        if relu {
-            relu_in_place(y);
-        }
-        y
     }
 }
 
@@ -807,7 +1197,7 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
 /// applies the layer's folded ReLU (`v < 0` becomes `+0.0`; `-0.0` and
 /// NaN stay) as it stores each output tile, so the returned tensor is
 /// finished, bit-identical to the unrectified result passed through
-/// [`relu_in_place`]. `threads == 0` means auto-detect, `1` runs inline;
+/// [`relu_in_place`](crate::ops::relu_in_place). `threads == 0` means auto-detect, `1` runs inline;
 /// `opts` pins the schedule and microkernel (both auto by default). A
 /// pruned bank ([`BatchedFilters::pruned`]) runs the same way; its output
 /// carries the pruning error of the zeroed coefficients.
@@ -872,7 +1262,7 @@ pub fn conv2d_batched_ext(
     }
 
     let kernel = opts.kernel.unwrap_or_else(KernelChoice::auto);
-    let cx = WinoCtx::new(input, bank, geom, transform, threads, kernel);
+    let cx = WinoCtx::new(input, bank, geom, transform, threads, kernel)?;
 
     // Resolve `Auto` on shape alone (never on thread count — the schedule
     // must be deterministic for a given layer so profiles reproduce).
@@ -909,7 +1299,7 @@ fn run_transform_point(
     let (m, alpha, aa) = (cx.m, cx.alpha, cx.aa);
     let (batch, in_c, out_c) = (cx.batch, cx.in_c, cx.out_c);
     let (oh, ow) = (cx.oh, cx.ow);
-    let (tiles_w, tiles_per_img, p_total) = (cx.tiles_w, cx.tiles_per_img, cx.p_total);
+    let (tiles_per_img, p_total) = (cx.tiles_per_img, cx.p_total);
     let threads = cx.threads;
 
     // Phase 1 — scatter: V_uv[c][p] = (Bᵀ·d·B)[u][v] for tile p, channel
@@ -936,7 +1326,7 @@ fn run_transform_point(
             threads,
             groups,
             &prof.scoped("wino.scatter"),
-            || InputLanes::new(alpha, TILE_CHUNK),
+            || InputLanes::new(m, alpha, TILE_CHUNK),
             |lanes, job, mut frags| {
                 let nt = TILE_CHUNK.min(p_total - job * TILE_CHUNK);
                 // frags[uv·blocks + c/KC] holds this job's panels of V_uv's
@@ -945,11 +1335,9 @@ fn run_transform_point(
                 let (kc, blocks) = (layout.kc(), layout.blocks());
                 for c in 0..in_c {
                     let (frag, at, stride) = (c / kc, (c % kc) * NR, layout.at(c, 0).1);
-                    let bd = cx.input_transform(c, job * TILE_CHUNK, nt, lanes);
-                    for uv in 0..aa {
-                        let dst = &mut frags[uv * blocks + frag][at..];
-                        cx.v_point(bd, uv, nt, dst, stride);
-                    }
+                    let slots = frags.iter_mut().skip(frag).step_by(blocks);
+                    let slots = slots.map(|f| &mut f[at..]);
+                    cx.input_transform(c, job * TILE_CHUNK, nt, lanes, slots, stride);
                 }
             },
         )?;
@@ -1013,17 +1401,10 @@ fn run_transform_point(
                     // Runs of TILE_CHUNK tiles; M_uv rows are [k][p] in m_buf.
                     for t0 in (0..tiles_per_img).step_by(TILE_CHUNK) {
                         let nt = TILE_CHUNK.min(tiles_per_img - t0);
-                        let rows = &m_ref[k * p_total + bn * tiles_per_img + t0..];
-                        let y = cx.output_transform(rows, out_c * p_total, nt, relu, lanes);
-                        for t in 0..nt {
-                            let (th, tw) = ((t0 + t) / tiles_w, (t0 + t) % tiles_w);
-                            for u in 0..m.min(oh - th * m) {
-                                let dst = &mut plane[(th * m + u) * ow + tw * m..];
-                                for (v, o) in dst[..m.min(ow - tw * m)].iter_mut().enumerate() {
-                                    *o = y[(u * m + v) * nt + t];
-                                }
-                            }
-                        }
+                        let p0 = bn * tiles_per_img + t0;
+                        let rows = &m_ref[k * p_total + p0..];
+                        let sink = PlaneRows { plane, m, ow };
+                        cx.output_transform(rows, out_c * p_total, p0, nt, relu, lanes, sink);
                     }
                 }
             },
@@ -1103,7 +1484,7 @@ fn run_tile_block(
         groups,
         &prof.scoped("wino.tileblock"),
         || TileBlockScratch {
-            input: InputLanes::new(alpha, tb),
+            input: InputLanes::new(m, alpha, tb),
             output: OutputLanes::new(m, alpha, tb),
             v: vec![0.0; aa * cx.bank.v_layout(tb).len()],
             mbuf: vec![0.0; aa * out_c * tb],
@@ -1129,10 +1510,10 @@ fn run_tile_block(
             let p0 = bn * tiles_per_img + p_lo;
             for c in 0..in_c {
                 let (at, stride) = layout.at(c, 0);
-                let bd = cx.input_transform(c, p0, nt, input);
-                for uv in 0..aa {
-                    cx.v_point(bd, uv, nt, &mut v[uv * layout.len() + at..], stride);
-                }
+                let slots = v
+                    .chunks_exact_mut(layout.len())
+                    .map(|plane| &mut plane[at..]);
+                cx.input_transform(c, p0, nt, input, slots, stride);
             }
             let t_scattered = stats.map(|_| Instant::now());
 
@@ -1146,30 +1527,16 @@ fn run_tile_block(
 
             // Gather with edge clipping into this job's output fragments,
             // which arrive (k-major, row-minor): frags[k·rows + local_row].
-            let th_first = p_lo / tiles_w;
-            let th_last = (p_hi - 1) / tiles_w;
-            let rows_covered: usize = (th_first..=th_last).map(|th| m.min(oh - th * m)).sum();
-            for (k, m_k) in mbuf.chunks_exact(aa * nt).enumerate() {
-                let y = cx.output_transform(m_k, nt, nt, relu, output);
-                let mut row_base = 0usize;
-                for th in th_first..=th_last {
-                    let rows_here = m.min(oh - th * m);
-                    let p_row0 = th * tiles_w;
-                    let tw_lo = p_lo.max(p_row0) - p_row0;
-                    let tw_hi = p_hi.min(p_row0 + tiles_w) - p_row0;
-                    for tw in tw_lo..tw_hi {
-                        let t_local = p_row0 + tw - p_lo;
-                        let cols = m.min(ow - tw * m);
-                        let col0 = (tw - tw_lo) * m;
-                        for u in 0..rows_here {
-                            let frag = &mut frags[k * rows_covered + row_base + u];
-                            for (v, o) in frag[col0..col0 + cols].iter_mut().enumerate() {
-                                *o = y[(u * m + v) * nt + t_local];
-                            }
-                        }
-                    }
-                    row_base += rows_here;
-                }
+            let (th0, tw0) = (p_lo / tiles_w, p_lo % tiles_w);
+            let rows_covered: usize = (th0..=(p_hi - 1) / tiles_w)
+                .map(|th| m.min(oh - th * m))
+                .sum();
+            for (m_k, frags) in mbuf
+                .chunks_exact(aa * nt)
+                .zip(frags.chunks_exact_mut(rows_covered))
+            {
+                let sink = BlockRows { frags, m, th0, tw0 };
+                cx.output_transform(m_k, nt, p0, nt, relu, output, sink);
             }
             if let (Some(s), Some(t0), Some(ts), Some(tg)) = (stats, t_job, t_scattered, t_gemmed) {
                 s.add_phase_ns(ConvPhase::Scatter, (ts - t0).as_nanos() as u64);
@@ -1332,104 +1699,222 @@ mod tests {
     }
 
     #[test]
+    fn compiled_in_patterns_match_the_generated_transforms() {
+        let pattern = |mat: &Mat<f32>| -> u64 {
+            let mut bits = 0u64;
+            for i in 0..mat.rows() {
+                for l in 0..mat.cols() {
+                    if mat.get(i, l) != 0.0 {
+                        bits |= 1 << (i * 8 + l);
+                    }
+                }
+            }
+            bits
+        };
+        for (shape, &(m, alpha, b_t, a_t)) in SHAPES.iter().enumerate() {
+            let t = WinogradTransform::generate(m, alpha + 1 - m).unwrap();
+            assert_eq!(t.alpha(), alpha);
+            assert_eq!(b_t, pattern(&t.b_t_f32()), "F({m},{}) Bᵀ", t.r());
+            assert_eq!(a_t, pattern(&t.a_t_f32()), "F({m},{}) Aᵀ", t.r());
+            assert_eq!(shape_of(&t).map(|(s, ..)| s), Ok(shape));
+        }
+        // F(3,3) has a filter bank but no compiled-in activation transforms.
+        let t = WinogradTransform::generate(3, 3).unwrap();
+        let geom = ConvGeometry::new(9, 9, 3, 1, 1).unwrap();
+        let bank = BatchedFilters::new(&random_tensor(2, 2, 3, 3, 1), &t).unwrap();
+        let x = random_tensor(1, 2, 9, 9, 2);
+        assert!(matches!(
+            batched(&x, &bank, geom, &t, 1, None),
+            Err(ConvError::UnsupportedTransform(_))
+        ));
+    }
+
+    #[test]
     fn lane_transforms_match_per_tile_products_bitwise() {
+        let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
         for (m, r) in [(2usize, 3usize), (4, 3), (6, 3), (4, 5)] {
             let t = WinogradTransform::generate(m, r).unwrap();
             let (alpha, pad) = (t.alpha(), r / 2);
             let aa = alpha * alpha;
-            // Ragged 5×4-or-more tile grid over two images: edge tiles cross
+            // Ragged grid of 5 tile rows over two images: edge tiles cross
             // each padded edge, the middle ones lie inside.
             let (h, w) = (4 * m + 1, 3 * m + 3);
             let geom = ConvGeometry::rect(h, w, r, 1, pad).unwrap();
+            let (oh, ow) = (geom.output_height(), geom.output_width());
             let mut x = random_tensor(2, 2, h, w, (10 * m + r) as u64);
             with_signed_zeros(x.as_mut_slice());
             // Image 1, channel 1 is all -0.0.
             x.as_mut_slice()[3 * h * w..].fill(-0.0);
             let bank = BatchedFilters::new(&random_tensor(1, 2, r, r, 1), &t).unwrap();
-            let cx = WinoCtx::new(&x, &bank, geom, &t, 1, KernelChoice::auto());
-            let origin = |p: usize| {
-                let tile = p % cx.tiles_per_img;
-                let h0 = ((tile / cx.tiles_w) * m) as isize - cx.pad;
-                let w0 = ((tile % cx.tiles_w) * m) as isize - cx.pad;
-                (p / cx.tiles_per_img, h0, w0)
-            };
-            let (hi, wi, al) = (h as isize, w as isize, alpha as isize);
-            let crosses = |f: &dyn Fn(isize, isize) -> bool| {
-                (0..cx.p_total)
-                    .filter(|&p| f(origin(p).1, origin(p).2))
-                    .count()
-            };
-            assert!(crosses(&|h0, _| h0 < 0) > 0 && crosses(&|h0, _| h0 + al > hi) > 0);
-            assert!(crosses(&|_, w0| w0 < 0) > 0 && crosses(&|_, w0| w0 + al > wi) > 0);
-            assert!(crosses(&|h0, w0| h0 >= 0 && w0 >= 0 && h0 + al <= hi && w0 + al <= wi) > 0);
-
             let (b_t, a_t) = (t.b_t_f32(), t.a_t_f32());
             let (b, a) = (b_t.transpose(), a_t.transpose());
             let (mut d, mut t1, mut t2) = (vec![0.0; aa], vec![0.0; aa], vec![0.0; aa]);
             let (mut g1, mut y1) = (vec![0.0; m * alpha], vec![0.0; m * m]);
-            for lanes in [1usize, 7, 32] {
-                let (mut s, mut so) = (
-                    InputLanes::new(alpha, lanes),
-                    OutputLanes::new(m, alpha, lanes),
+            for kernel in KernelChoice::all_supported() {
+                let cx = WinoCtx::new(&x, &bank, geom, &t, 1, kernel).unwrap();
+                let (tpi, tiles_w) = (cx.tiles_per_img, cx.tiles_w);
+                let origin = |p: usize| {
+                    let tile = p % tpi;
+                    let h0 = ((tile / tiles_w) * m) as isize - cx.pad;
+                    let w0 = ((tile % tiles_w) * m) as isize - cx.pad;
+                    (p / tpi, h0, w0)
+                };
+                let (hi, wi, al) = (h as isize, w as isize, alpha as isize);
+                let crosses = |f: &dyn Fn(isize, isize) -> bool| {
+                    (0..cx.p_total)
+                        .filter(|&p| f(origin(p).1, origin(p).2))
+                        .count()
+                };
+                assert!(crosses(&|h0, _| h0 < 0) > 0 && crosses(&|h0, _| h0 + al > hi) > 0);
+                assert!(crosses(&|_, w0| w0 < 0) > 0 && crosses(&|_, w0| w0 + al > wi) > 0);
+                assert!(
+                    crosses(&|h0, w0| h0 >= 0 && w0 >= 0 && h0 + al <= hi && w0 + al <= wi) > 0
                 );
-                // V in panel order; NaN where nothing was written.
-                let layout = bank.v_layout(lanes);
-                let mut v = vec![f32::NAN; aa * layout.len()];
-                for p0 in (0..cx.p_total).step_by(lanes) {
-                    let p0 = p0.min(cx.p_total - lanes);
-                    for c in 0..2 {
-                        let (at, stride) = layout.at(c, 0);
-                        let bd = cx.input_transform(c, p0, lanes, &mut s);
-                        for uv in 0..aa {
-                            cx.v_point(bd, uv, lanes, &mut v[uv * layout.len() + at..], stride);
+                let name = kernel.name();
+                for lanes in [1usize, 7, 16, 32] {
+                    // Input: runs of `lanes` tiles across the batch, the
+                    // last one ending at its end, into V in panel order as
+                    // each schedule lays it out (NaN where nothing was
+                    // written).
+                    let runs: Vec<usize> = (0..cx.p_total)
+                        .step_by(lanes)
+                        .map(|p0| p0.min(cx.p_total - lanes))
+                        .collect();
+                    if lanes > 1 {
+                        let images = |p0: usize| (p0 + lanes - 1) / tpi - p0 / tpi + 1;
+                        let splits_a_row = |p0: usize| cx.segments(p0, lanes).count() > images(p0);
+                        assert!(runs.iter().any(|&p0| images(p0) == 2));
+                        assert!(runs.iter().any(|&p0| splits_a_row(p0)));
+                    }
+                    let mut s = InputLanes::new(m, alpha, lanes);
+                    let layout = bank.v_layout(lanes);
+                    for &p0 in &runs {
+                        // The tile-block's planes, then the transform-point
+                        // scatter's fragments (one KC block here).
+                        let mut v_block = vec![f32::NAN; aa * layout.len()];
+                        let mut v_chunk = vec![f32::NAN; aa * layout.len()];
+                        for c in 0..2 {
+                            let (at, stride) = layout.at(c, 0);
+                            let slots = v_block.chunks_exact_mut(layout.len());
+                            let slots = slots.map(|plane| &mut plane[at..]);
+                            cx.input_transform(c, p0, lanes, &mut s, slots, stride);
+                            let mut frags: Vec<&mut [f32]> =
+                                v_chunk.chunks_exact_mut(layout.len()).collect();
+                            let (frag, blocks) = (c / layout.kc(), layout.blocks());
+                            let slots = frags.iter_mut().skip(frag).step_by(blocks);
+                            let slots = slots.map(|f| &mut f[at..]);
+                            cx.input_transform(c, p0, lanes, &mut s, slots, stride);
                         }
-                        let at = |uv: usize, l: usize| uv * layout.len() + layout.at(c, l).0;
-                        for l in 0..lanes {
-                            let (bn, h0, w0) = origin(p0 + l);
-                            for (e, slot) in d.iter_mut().enumerate() {
-                                let (u, vv) = ((e / alpha) as isize, (e % alpha) as isize);
-                                *slot = x.get_padded(bn, c, h0 + u, w0 + vv);
-                            }
-                            matmul_flat(b_t.as_slice(), &d, &mut t1, alpha, alpha, alpha);
-                            matmul_flat(&t1, b.as_slice(), &mut t2, alpha, alpha, alpha);
-                            for (uv, want) in t2.iter().enumerate() {
-                                assert_eq!(
-                                    v[at(uv, l)].to_bits(),
-                                    want.to_bits(),
-                                    "F({m},{r}) input, {lanes} lanes, tile {}, c {c}, point {uv}",
-                                    p0 + l
-                                );
-                            }
-                        }
-                        for uv in 0..aa {
-                            for l in lanes..lanes.div_ceil(NR) * NR {
-                                assert_eq!(
-                                    v[at(uv, l)].to_bits(),
-                                    0,
-                                    "ragged lane {l}, point {uv}"
-                                );
+                        for (form, v) in [("tile-block", &v_block), ("transform-point", &v_chunk)] {
+                            for c in 0..2 {
+                                let at =
+                                    |uv: usize, l: usize| uv * layout.len() + layout.at(c, l).0;
+                                for l in 0..lanes {
+                                    let (bn, h0, w0) = origin(p0 + l);
+                                    for (e, slot) in d.iter_mut().enumerate() {
+                                        let (u, vv) = ((e / alpha) as isize, (e % alpha) as isize);
+                                        *slot = x.get_padded(bn, c, h0 + u, w0 + vv);
+                                    }
+                                    matmul_flat(b_t.as_slice(), &d, &mut t1, alpha, alpha, alpha);
+                                    matmul_flat(&t1, b.as_slice(), &mut t2, alpha, alpha, alpha);
+                                    for (uv, want) in t2.iter().enumerate() {
+                                        assert_eq!(
+                                            v[at(uv, l)].to_bits(),
+                                            want.to_bits(),
+                                            "F({m},{r}) {name} {form} input, {lanes} lanes from \
+                                             tile {p0}, lane {l}, c {c}, point {uv}"
+                                        );
+                                    }
+                                }
+                                for uv in 0..aa {
+                                    for l in lanes..lanes.div_ceil(NR) * NR {
+                                        assert_eq!(
+                                            v[at(uv, l)].to_bits(),
+                                            0,
+                                            "{name} {form} ragged lane {l}, point {uv}"
+                                        );
+                                    }
+                                }
                             }
                         }
                     }
-                }
 
-                // Row strides wider than the run, as in both schedules' M.
-                let stride = lanes + 3;
-                let mut rows = random_tensor(1, 1, aa, stride, (lanes * 100 + m) as u64);
-                with_signed_zeros(rows.as_mut_slice());
-                rows.as_mut_slice()[..stride].fill(-0.0);
-                let rows = rows.as_slice();
-                let y = cx.output_transform(rows, stride, lanes, false, &mut so);
-                for l in 0..lanes {
-                    let m_tile: Vec<f32> = (0..aa).map(|uv| rows[uv * stride + l]).collect();
-                    matmul_flat(a_t.as_slice(), &m_tile, &mut g1, m, alpha, alpha);
-                    matmul_flat(&g1, a.as_slice(), &mut y1, m, alpha, m);
-                    for (e, want) in y1.iter().enumerate() {
-                        assert_eq!(
-                            y[e * lanes + l].to_bits(),
-                            want.to_bits(),
-                            "F({m},{r}) output, {lanes} lanes, lane {l}, element {e}"
-                        );
+                    // Output: runs within one image, as both gathers make
+                    // them, from rows strided wider than the run, stored
+                    // through each schedule's sink (NaN where nothing was
+                    // stored).
+                    let stride = lanes + 3;
+                    let mut rows = random_tensor(1, 1, aa, stride, (lanes * 100 + m) as u64);
+                    with_signed_zeros(rows.as_mut_slice());
+                    rows.as_mut_slice()[..stride].fill(-0.0);
+                    let rows = rows.as_slice();
+                    let mut so = OutputLanes::new(m, alpha, lanes);
+                    for p0 in (0..cx.p_total).step_by(lanes) {
+                        let nt = lanes.min(tpi - p0 % tpi);
+                        // Every output pixel of the run's tiles: (row,
+                        // column, Y without ReLU).
+                        let mut want = Vec::new();
+                        for l in 0..nt {
+                            let m_tile: Vec<f32> =
+                                (0..aa).map(|uv| rows[uv * stride + l]).collect();
+                            matmul_flat(a_t.as_slice(), &m_tile, &mut g1, m, alpha, alpha);
+                            matmul_flat(&g1, a.as_slice(), &mut y1, m, alpha, m);
+                            let tile = (p0 + l) % tpi;
+                            let (th, tw) = (tile / tiles_w, tile % tiles_w);
+                            for (e, &val) in y1.iter().enumerate() {
+                                let (i, j) = (th * m + e / m, tw * m + e % m);
+                                if i < oh && j < ow {
+                                    want.push((i, j, val));
+                                }
+                            }
+                        }
+                        for fold in [false, true] {
+                            let f = |v: f32| if fold { relu(v) } else { v };
+                            let what = format!(
+                                "F({m},{r}) {name} output, {lanes} lanes from tile {p0}, relu {fold}"
+                            );
+                            // Transform-point: the channel's whole plane.
+                            let mut plane = vec![f32::NAN; oh * ow];
+                            let sink = PlaneRows {
+                                plane: &mut plane,
+                                m,
+                                ow,
+                            };
+                            cx.output_transform(rows, stride, p0, nt, fold, &mut so, sink);
+                            for &(i, j, val) in &want {
+                                assert_eq!(plane[i * ow + j].to_bits(), f(val).to_bits(), "{what}");
+                            }
+                            let stored = plane.iter().filter(|v| !v.is_nan()).count();
+                            assert_eq!(stored, want.len(), "{what}: stores outside the run");
+                            // Tile-block: one fragment per output row the
+                            // block covers, from the block's first column in
+                            // that row.
+                            let (th0, tw0) = ((p0 % tpi) / tiles_w, (p0 % tpi) % tiles_w);
+                            let mut frags = Vec::new();
+                            for seg in cx.segments(p0, nt) {
+                                let cols = ((seg.tw + seg.n) * m).min(ow) - seg.tw * m;
+                                for u in 0..m.min(oh - seg.th * m) {
+                                    frags.push((seg.th * m + u, seg.tw * m, vec![f32::NAN; cols]));
+                                }
+                            }
+                            let mut refs: Vec<&mut [f32]> =
+                                frags.iter_mut().map(|f| &mut f.2[..]).collect();
+                            let sink = BlockRows {
+                                frags: &mut refs,
+                                m,
+                                th0,
+                                tw0,
+                            };
+                            cx.output_transform(rows, stride, p0, nt, fold, &mut so, sink);
+                            let mut checked = 0;
+                            for &(i, j, val) in &want {
+                                let (_, col0, frag) = frags.iter().find(|f| f.0 == i).unwrap();
+                                assert_eq!(frag[j - col0].to_bits(), f(val).to_bits(), "{what}");
+                                checked += 1;
+                            }
+                            let cells: usize = frags.iter().map(|f| f.2.len()).sum();
+                            assert_eq!(checked, cells, "{what}: fragments past the run");
+                        }
                     }
                 }
             }
@@ -1809,17 +2294,19 @@ mod tests {
 
     #[test]
     fn panel_order_v_matches_a_row_major_v_bitwise() {
-        // (h, w, in_c, out_c, batch): 18 tiles with in_c > KC (one ragged
-        // panel per GEMM and a second, shallow KC block), and 49 tiles a
-        // batch — a transform-point scatter job of 17 and tile blocks of
-        // 32 and 17.
+        // (h, w, pad, in_c, out_c, batch): 18 tiles with in_c > KC (one
+        // ragged panel per GEMM and a second, shallow KC block); 49 tiles
+        // a batch — a transform-point scatter job of 17 and tile blocks of
+        // 32 and 17; and padding wider than the image, where a scatter job
+        // starts on a tile that lies wholly in the right padding.
         let t = f43();
         let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for &(h, w, in_c, out_c, batch) in &[
-            (9usize, 9usize, 300usize, 5usize, 2usize),
-            (27, 25, 6, 7, 1),
+        for &(h, w, pad, in_c, out_c, batch) in &[
+            (9usize, 9usize, 1usize, 300usize, 5usize, 2usize),
+            (27, 25, 1, 6, 7, 1),
+            (30, 2, 9, 3, 2, 2),
         ] {
-            let geom = ConvGeometry::rect(h, w, 3, 1, 1).unwrap();
+            let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
             let mut x = random_tensor(batch, in_c, h, w, (h * 17 + in_c) as u64);
             with_signed_zeros(x.as_mut_slice());
             let bank = BatchedFilters::new(&random_tensor(out_c, in_c, 3, 3, 3), &t).unwrap();

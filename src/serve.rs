@@ -25,9 +25,11 @@
 //! panicking plan build fails its own batch's tickets with an error while
 //! the engine keeps serving, and the next batch builds the plan again
 //! (the lenient-mode kernel fallback ladder underneath degrades
-//! Winograd → direct before anything panics out). Overload is a typed,
-//! synchronous rejection at [`ServeEngine::submit`] — no silent queue
-//! growth.
+//! Winograd → direct before anything panics out). Every ticket resolves:
+//! a request dropped unanswered fails its ticket, and a panic that
+//! escapes the worker itself closes admission and fails every queued
+//! ticket. Overload is a typed, synchronous rejection at
+//! [`ServeEngine::submit`] — no silent queue growth.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -142,11 +144,33 @@ impl Ticket {
     }
 }
 
+/// The worker's end of a [`ResponseSlot`]. [`Reply::send`] answers the
+/// ticket; a reply dropped unanswered (its request lost to a panic or a
+/// dying worker) fills the slot with an error instead, so every
+/// [`Ticket::wait`] returns.
+struct Reply(Option<Arc<ResponseSlot>>);
+
+impl Reply {
+    fn send(mut self, r: Result<Tensor<f32>, String>) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(r);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(Err("request dropped unanswered".into()));
+        }
+    }
+}
+
 /// One queued inference request.
 struct Request {
     input: Tensor<f32>,
     enqueued: Instant,
-    slot: Arc<ResponseSlot>,
+    reply: Reply,
 }
 
 /// Everything the worker thread needs, shared with the front end.
@@ -322,7 +346,7 @@ impl ServeEngine {
         let req = Request {
             input,
             enqueued: Instant::now(),
-            slot: Arc::clone(&slot),
+            reply: Reply(Some(Arc::clone(&slot))),
         };
         match self.queue.push(req) {
             Ok(_depth) => Ok(Ticket { slot }),
@@ -392,30 +416,48 @@ impl Drop for ServeEngine {
 /// The batching loop: block for a batch, answer it, repeat until the
 /// queue is closed and drained.
 fn worker_loop(queue: &ServeQueue<Request>, shared: &Shared) {
+    let _unwinding = FailQueuedOnUnwind(queue);
     while let Some(batch) = queue.pop_batch(shared.cfg.max_batch, shared.cfg.batch_window) {
         process_batch(shared, batch);
+    }
+}
+
+/// Guards the worker loop: if the worker unwinds (a panic outside
+/// [`Shared::contain`]), admission closes and every queued request is
+/// dropped, which fails its ticket ([`Reply`]) instead of leaving it to
+/// wait for a worker that is gone.
+struct FailQueuedOnUnwind<'q>(&'q ServeQueue<Request>);
+
+impl Drop for FailQueuedOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+            while self.0.pop_batch(usize::MAX, Duration::ZERO).is_some() {}
+        }
     }
 }
 
 fn process_batch(shared: &Shared, batch: Vec<Request>) {
     let t = &shared.telemetry;
     let started = Instant::now();
-    let slots: Vec<Arc<ResponseSlot>> = batch.iter().map(|r| Arc::clone(&r.slot)).collect();
+    // Each request splits into its frame and its reply. `Reply::send`
+    // empties the reply before it drops, so an answered ticket never sees
+    // the error an unanswered one gets.
+    let (frames, replies): (Vec<Tensor<f32>>, Vec<Reply>) = batch
+        .into_iter()
+        .map(|r| {
+            t.histogram("serve.queue_wait_us")
+                .record(started.duration_since(r.enqueued).as_micros() as u64);
+            (r.input, r.reply)
+        })
+        .unzip();
     // Panic isolation: a panic anywhere between the pop and the answers
     // (plan build, batch assembly, execution, split) fails this batch's
     // tickets, never the worker. (Kernel-level faults are already caught
     // below this by the lenient fallback ladder; this is the backstop.)
     let answered = shared.contain("batch", || {
         t.counter("serve.batches").incr();
-        t.histogram("serve.batch_size").record(batch.len() as u64);
-        let frames: Vec<Tensor<f32>> = batch
-            .into_iter()
-            .map(|r| {
-                t.histogram("serve.queue_wait_us")
-                    .record(started.duration_since(r.enqueued).as_micros() as u64);
-                r.input
-            })
-            .collect();
+        t.histogram("serve.batch_size").record(frames.len() as u64);
         shared
             .answer(&frames)
             .map_err(|e| crate::error::render_chain(&e))
@@ -424,15 +466,15 @@ fn process_batch(shared: &Shared, batch: Vec<Request>) {
         .record(started.elapsed().as_micros() as u64);
     match answered.and_then(|r| r) {
         Ok(outs) => {
-            t.counter("serve.completed").add(slots.len() as u64);
-            for (s, out) in slots.iter().zip(outs) {
-                s.fill(Ok(out));
+            t.counter("serve.completed").add(replies.len() as u64);
+            for (reply, out) in replies.into_iter().zip(outs) {
+                reply.send(Ok(out));
             }
         }
         Err(msg) => {
-            t.counter("serve.failed").add(slots.len() as u64);
-            for s in &slots {
-                s.fill(Err(msg.clone()));
+            t.counter("serve.failed").add(replies.len() as u64);
+            for reply in replies {
+                reply.send(Err(msg.clone()));
             }
         }
     }
@@ -551,6 +593,61 @@ mod tests {
         assert!(slot.result.is_poisoned(), "lock must actually be poisoned");
         slot.fill(Err("answer after poisoning".into()));
         assert_eq!(slot.wait(), Err("answer after poisoning".to_string()));
+    }
+
+    #[test]
+    fn a_request_dropped_unanswered_fails_its_ticket() {
+        let slot = Arc::new(ResponseSlot::new());
+        let request = Request {
+            input: frame(1),
+            enqueued: Instant::now(),
+            reply: Reply(Some(Arc::clone(&slot))),
+        };
+        let ticket = Ticket { slot };
+        drop(request);
+        let err = ticket
+            .wait()
+            .expect_err("a dropped request fails its ticket");
+        assert!(err.to_string().contains("dropped unanswered"), "{err}");
+
+        // An answered request's slot was taken before it dropped.
+        let slot = Arc::new(ResponseSlot::new());
+        Reply(Some(Arc::clone(&slot))).send(Ok(frame(2)));
+        assert_eq!(
+            Ticket { slot }.wait().unwrap().as_slice(),
+            frame(2).as_slice()
+        );
+    }
+
+    #[test]
+    fn a_dying_worker_fails_every_queued_ticket() {
+        let queue = ServeQueue::bounded(4);
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| {
+                let slot = Arc::new(ResponseSlot::new());
+                let request = Request {
+                    input: frame(i),
+                    enqueued: Instant::now(),
+                    reply: Reply(Some(Arc::clone(&slot))),
+                };
+                assert!(queue.push(request).is_ok());
+                Ticket { slot }
+            })
+            .collect();
+        // A worker that unwinds outside `contain`.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _unwinding = FailQueuedOnUnwind(&queue);
+                panic!("injected fault in the worker loop");
+            })
+            .join()
+        });
+        assert!(died.is_err(), "the worker must have unwound");
+        assert!(queue.is_closed(), "admission closes with the worker");
+        assert!(queue.is_empty());
+        for ticket in tickets {
+            assert!(ticket.wait().is_err(), "every queued ticket resolves");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Criterion: throughput of the three convolution algorithms on a
+//! Criterion: throughput of the two convolution algorithms on a
 //! VGG-shaped layer slice (the numeric substrate itself, not the FPGA
-//! model). Winograd should need ~4x fewer multiplies than direct; im2col
-//! trades memory movement for GEMM regularity.
+//! model): the naive references and the prepared kernels requests run.
+//! Winograd should need ~4x fewer multiplies than direct.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use winofuse_conv::cook_toom::f23;
+use winofuse::runtime::PoolProfiler;
+use winofuse_conv::cook_toom::{f23, f43};
+use winofuse_conv::direct::PackedKernels;
 use winofuse_conv::tensor::random_tensor;
-use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
+use winofuse_conv::winograd::{BatchedFilters, BatchedOptions};
+use winofuse_conv::{direct, winograd, ConvGeometry};
 
 fn bench_conv_algorithms(c: &mut Criterion) {
     // A slice of a VGG-like layer: 8 channels of 32x32, 8 output maps.
@@ -14,39 +17,42 @@ fn bench_conv_algorithms(c: &mut Criterion) {
     let x = random_tensor(1, 8, 32, 32, 1);
     let k = random_tensor(8, 8, 3, 3, 2);
     let macs = (8 * 32 * 32 * 8 * 9) as u64;
+    // The banks a prepared layer holds, built once outside the timing.
+    let packed = PackedKernels::new(&k);
+    let bank = BatchedFilters::new(&k, &f43()).unwrap();
+    let prof = PoolProfiler::disabled();
 
     let mut group = c.benchmark_group("conv2d_32x32x8");
     group.throughput(Throughput::Elements(macs));
     group.bench_function("direct", |b| {
         b.iter(|| direct::conv2d(&x, &k, geom).unwrap())
     });
-    group.bench_function("im2col_gemm", |b| {
-        b.iter(|| im2col::conv2d(&x, &k, geom).unwrap())
-    });
     group.bench_function("winograd_f43", |b| {
-        b.iter(|| winograd::conv2d_f43(&x, &k, geom).unwrap())
+        b.iter(|| winograd::conv2d_with(&x, &k, geom, &f43()).unwrap())
     });
     group.bench_function("winograd_f23", |b| {
         b.iter(|| winograd::conv2d_with(&x, &k, geom, &f23()).unwrap())
     });
-    group.finish();
-}
-
-fn bench_pretransformed_filters(c: &mut Criterion) {
-    // Offline filter transform vs reusing a transformed bank — the reason
-    // hardware ships transformed weights.
-    let geom = ConvGeometry::new(16, 16, 3, 1, 1).unwrap();
-    let x = random_tensor(1, 4, 16, 16, 3);
-    let k = random_tensor(4, 4, 3, 3, 4);
-    let t = winofuse_conv::cook_toom::f43();
-    let bank = winograd::TransformedFilters::new(&k, &t).unwrap();
-
-    let mut group = c.benchmark_group("winograd_filter_reuse");
-    group.bench_function("transform_every_call", |b| {
-        b.iter(|| winograd::conv2d_with(&x, &k, geom, &t).unwrap())
+    group.bench_function("direct_packed", |b| {
+        b.iter(|| {
+            direct::conv2d_fast_packed_ext(&x, &packed, geom, false, 1, None, &prof, None).unwrap()
+        })
     });
-    group.bench_function("pretransformed_bank", |b| {
-        b.iter(|| winograd::conv2d_pretransformed(&x, &bank, geom, &t).unwrap())
+    group.bench_function("winograd_batched_f43", |b| {
+        b.iter(|| {
+            winograd::conv2d_batched_ext(
+                &x,
+                &bank,
+                geom,
+                &f43(),
+                false,
+                1,
+                None,
+                &prof,
+                BatchedOptions::default(),
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }
@@ -79,28 +85,11 @@ fn bench_fixed_point(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fft(c: &mut Criterion) {
-    // FFT convolution pays off only for big kernels; measure both regimes.
-    let mut group = c.benchmark_group("fft_conv");
-    for (h, k, pad) in [(16usize, 3usize, 1usize), (16, 7, 3)] {
-        let geom = ConvGeometry::new(h, h, k, 1, pad).unwrap();
-        let x = random_tensor(1, 2, h, h, 9);
-        let kr = random_tensor(2, 2, k, k, 10);
-        group.bench_function(format!("fft_{h}x{h}_k{k}"), |b| {
-            b.iter(|| winofuse_conv::fft::conv2d(&x, &kr, geom).unwrap())
-        });
-        group.bench_function(format!("direct_{h}x{h}_k{k}"), |b| {
-            b.iter(|| direct::conv2d(&x, &kr, geom).unwrap())
-        });
-    }
-    group.finish();
-}
-
 fn bench_fixed_winograd(c: &mut Criterion) {
     let geom = ConvGeometry::new(16, 16, 3, 1, 1).unwrap();
     let x = random_tensor(1, 4, 16, 16, 11).cast::<winofuse_conv::fixed::Fix16>();
     let k = random_tensor(4, 4, 3, 3, 12).cast::<winofuse_conv::fixed::Fix16>();
-    let t = winofuse_conv::cook_toom::f43();
+    let t = f43();
     c.bench_function("winograd_fix16_f43", |b| {
         b.iter(|| winograd::conv2d_fix16_with(&x, &k, geom, &t).unwrap())
     });
@@ -109,7 +98,6 @@ fn bench_fixed_winograd(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_conv_algorithms, bench_pretransformed_filters, bench_fixed_point,
-              bench_fft, bench_fixed_winograd
+    targets = bench_conv_algorithms, bench_fixed_point, bench_fixed_winograd
 }
 criterion_main!(benches);

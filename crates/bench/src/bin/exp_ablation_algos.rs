@@ -9,11 +9,22 @@
 
 use winofuse_bench::banner;
 use winofuse_conv::cook_toom::WinogradTransform;
-use winofuse_conv::fft::fft_conv_multiplies;
 use winofuse_conv::ConvGeometry;
 use winofuse_model::layer::LayerKind;
 use winofuse_model::network::Network;
 use winofuse_model::zoo;
+
+/// Real multiplications of FFT convolution for one (input channel, output
+/// channel) plane pair: `3 · P·P·log₂(P·P) + 4·P·P` (three 2-D transforms
+/// amortized + the pointwise product, 4 real mults per complex one),
+/// where `P` is the padded power-of-two size.
+fn fft_conv_multiplies(geom: ConvGeometry) -> u64 {
+    let ph = (geom.height() + geom.kernel() - 1).next_power_of_two() as u64;
+    let pw = (geom.width() + geom.kernel() - 1).next_power_of_two() as u64;
+    let n = ph * pw;
+    let log = (64 - n.leading_zeros() - 1) as u64;
+    3 * n * log + 4 * n
+}
 
 fn wino_multiplies(geom: ConvGeometry, m: usize) -> Option<u64> {
     let t = WinogradTransform::generate(m, geom.kernel()).ok()?;
@@ -101,4 +112,25 @@ fn main() {
     println!("\nwinograd F(4x4,3x3) dominates on every stride-1 small-kernel layer;");
     println!("fft never amortizes at CNN kernel sizes — matching the paper's choice");
     println!("to explore {{conventional, winograd}} only.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn complexity_crossover() {
+        // For 3x3 kernels on a 56-wide map, FFT needs *more* multiplies
+        // per plane pair than direct (that's why the paper's framework
+        // explores winograd instead); for large kernels it wins.
+        let small_k = ConvGeometry::new(56, 56, 3, 1, 1).unwrap();
+        let direct_small = small_k.macs_per_channel_pair();
+        assert!(fft_conv_multiplies(small_k) > direct_small);
+
+        // Large kernel on a large map (the power-of-two padding must not
+        // dominate): 11x11 on 100x100 pads to 128x128.
+        let big_k = ConvGeometry::new(100, 100, 11, 1, 5).unwrap();
+        let direct_big = big_k.macs_per_channel_pair();
+        assert!(fft_conv_multiplies(big_k) < direct_big);
+    }
 }

@@ -163,7 +163,7 @@ fn run_case(case: &Case, threads: usize, runs: usize) -> Measurement {
         grouped(&x, case, |g, xs| {
             let ks = &group_kernels[g];
             if case.winograd {
-                winograd::conv2d_f43(xs, ks, geom).expect("naive winograd")
+                winograd::conv2d_with(xs, ks, geom, &transform).expect("naive winograd")
             } else {
                 direct::conv2d(xs, ks, geom).expect("naive direct")
             }

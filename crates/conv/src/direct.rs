@@ -250,8 +250,8 @@ fn lower_row<T: Scalar>(
 }
 
 /// Fills `patches` (length `C·K² × outH·outW`) with the im2col lowering of
-/// batch element `bn`, rows ordered `(channel, ku, kv)` — the same order
-/// [`crate::im2col::im2col`] produces and the naive kernels accumulate in.
+/// batch element `bn`, rows ordered `(channel, ku, kv)` — the order the
+/// naive kernels ([`conv2d`], [`conv2d_fix16`]) accumulate in.
 fn fill_patches<T: Scalar + Send + Sync>(
     input: &Tensor<T>,
     geom: ConvGeometry,

@@ -6,14 +6,15 @@
 //! paper). Stride must be 1 — the framework's optimizer falls back to the
 //! conventional algorithm otherwise, exactly as the paper does.
 
-use crate::cook_toom::{f43, WinogradTransform};
+use crate::cook_toom::WinogradTransform;
+use crate::fixed::Fix16;
 use crate::gemm::{
     gemm_packed, panels, BPanels, CRows, ConvPhase, ConvStats, GemmBlocking, PackedA, MR, NR,
 };
 use crate::matrix::Mat;
 use crate::microkernel::{KernelChoice, LaneBody};
 use crate::sparse::{prune_plane_with, sparse_keep_count, DENSITY_SCALE};
-use crate::tensor::Tensor;
+use crate::tensor::{Scalar, Tensor};
 use crate::{ConvError, ConvGeometry};
 use std::time::Instant;
 use winofuse_runtime::PoolProfiler;
@@ -22,8 +23,8 @@ use winofuse_runtime::PoolProfiler;
 /// input channel) pair, one `α×α` matrix each, computed with
 /// [`Mat::mul_into`].
 ///
-/// This is the reference: [`conv2d_with`] and [`conv2d_pretransformed`]
-/// run on it, and tests hold [`BatchedFilters`], which computes the same
+/// This is the reference: [`conv2d_with`] and [`conv2d_fix16_with`] run
+/// on it, and tests hold [`BatchedFilters`], which computes the same
 /// products lane-wise straight into GEMM panels, to it bit for bit.
 #[derive(Debug, Clone)]
 pub struct TransformedFilters {
@@ -43,6 +44,22 @@ impl TransformedFilters {
     /// not `r × r`.
     pub fn new(kernels: &Tensor<f32>, transform: &WinogradTransform) -> Result<Self, ConvError> {
         check_kernel_size(kernels, transform)?;
+        Ok(Self::build(
+            kernels.n(),
+            kernels.c(),
+            transform,
+            |n, c, u, v| kernels.get(n, c, u, v),
+        ))
+    }
+
+    /// The bank of `out_c × in_c` kernels whose taps `tap(n, c, u, v)`
+    /// reads.
+    fn build(
+        out_c: usize,
+        in_c: usize,
+        transform: &WinogradTransform,
+        tap: impl Fn(usize, usize, usize, usize) -> f32,
+    ) -> Self {
         let r = transform.r();
         let g = transform.g_f32();
         let g_t = g.transpose();
@@ -51,12 +68,12 @@ impl TransformedFilters {
         // loop: the only per-(n, c) allocation is the stored bank.
         let mut gk = Mat::<f32>::zeros(r, r);
         let mut g_gk = Mat::<f32>::zeros(alpha, r);
-        let mut banks = Vec::with_capacity(kernels.n() * kernels.c());
-        for n in 0..kernels.n() {
-            for c in 0..kernels.c() {
+        let mut banks = Vec::with_capacity(out_c * in_c);
+        for n in 0..out_c {
+            for c in 0..in_c {
                 for u in 0..r {
                     for v in 0..r {
-                        gk.set(u, v, kernels.get(n, c, u, v));
+                        gk.set(u, v, tap(n, c, u, v));
                     }
                 }
                 g.mul_into(&gk, &mut g_gk);
@@ -65,12 +82,12 @@ impl TransformedFilters {
                 banks.push(bank);
             }
         }
-        Ok(TransformedFilters {
-            alpha: transform.alpha(),
-            out_c: kernels.n(),
-            in_c: kernels.c(),
+        TransformedFilters {
+            alpha,
+            out_c,
+            in_c,
             banks,
-        })
+        }
     }
 
     /// The transformed `α×α` bank for output channel `n`, input channel `c`.
@@ -90,8 +107,8 @@ impl TransformedFilters {
 }
 
 /// Rejects kernels whose spatial size is not the transform's `r × r`.
-fn check_kernel_size(
-    kernels: &Tensor<f32>,
+fn check_kernel_size<T: Scalar>(
+    kernels: &Tensor<T>,
     transform: &WinogradTransform,
 ) -> Result<(), ConvError> {
     let r = transform.r();
@@ -104,20 +121,16 @@ fn check_kernel_size(
     Ok(())
 }
 
-/// Winograd convolution with an explicit transform (any generated
-/// `F(m, r)`).
-///
-/// # Errors
-///
-/// * [`ConvError::StrideUnsupported`] when `geom.stride() != 1`,
-/// * [`ConvError::ShapeMismatch`] when shapes disagree with `geom` or the
-///   kernel size differs from the transform's `r`.
-pub fn conv2d_with(
-    input: &Tensor<f32>,
-    kernels: &Tensor<f32>,
+/// The argument checks of both naive references: stride 1, the
+/// geometry's kernel and the kernel tensor both the transform's `r × r`,
+/// the input the geometry's size, and one kernel channel per input
+/// channel.
+fn check_args<T: Scalar>(
+    input: &Tensor<T>,
+    kernels: &Tensor<T>,
     geom: ConvGeometry,
     transform: &WinogradTransform,
-) -> Result<Tensor<f32>, ConvError> {
+) -> Result<(), ConvError> {
     if geom.stride() != 1 {
         return Err(ConvError::StrideUnsupported {
             stride: geom.stride(),
@@ -141,41 +154,25 @@ pub fn conv2d_with(
             found: format!("{}", kernels.c()),
         });
     }
-
-    let filters = TransformedFilters::new(kernels, transform)?;
-    conv2d_pretransformed(input, &filters, geom, transform)
+    check_kernel_size(kernels, transform)
 }
 
-/// Winograd convolution reusing an already-transformed filter bank.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_with`]; additionally the filter bank must
-/// have been built with the same transform (checked via `α`).
-pub fn conv2d_pretransformed(
-    input: &Tensor<f32>,
-    filters: &TransformedFilters,
+/// The naive tile loop of both references, one scalar at a time. For
+/// every `m×m` output tile of every batch element it forms the input
+/// transforms `V = Bᵀ·d·B` of all channels from the zero-padded input
+/// `read(bn, c, h, w)`, passes each element of `V` through `quantize`,
+/// accumulates `M = Σ_c U[n][c] ⊙ V[c]` per output channel in ascending
+/// `c`, and hands every in-bounds element of `Y = Aᵀ·M·A` to
+/// `store(bn, n, h, w, y)`.
+fn naive_tiles(
+    batch: usize,
     geom: ConvGeometry,
     transform: &WinogradTransform,
-) -> Result<Tensor<f32>, ConvError> {
-    if geom.stride() != 1 {
-        return Err(ConvError::StrideUnsupported {
-            stride: geom.stride(),
-        });
-    }
-    if filters.alpha() != transform.alpha() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("filter bank with alpha {}", transform.alpha()),
-            found: format!("alpha {}", filters.alpha()),
-        });
-    }
-    if filters.in_c != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} input channels", filters.in_c),
-            found: format!("{}", input.c()),
-        });
-    }
-
+    filters: &TransformedFilters,
+    read: impl Fn(usize, usize, isize, isize) -> f32,
+    quantize: impl Fn(f32) -> f32,
+    mut store: impl FnMut(usize, usize, usize, usize, f32),
+) {
     let m = transform.m();
     let alpha = transform.alpha();
     let b_t = transform.b_t_f32();
@@ -183,15 +180,12 @@ pub fn conv2d_pretransformed(
     let a_t = transform.a_t_f32();
     let a = a_t.transpose();
 
-    let (batch, in_c, _, _) = input.shape();
-    let out_c = filters.out_c;
+    let (in_c, out_c) = (filters.in_c, filters.out_c);
     let (oh, ow) = (geom.output_height(), geom.output_width());
     let pad = geom.pad() as isize;
-
     let tiles_h = oh.div_ceil(m);
     let tiles_w = ow.div_ceil(m);
 
-    let mut out = Tensor::zeros(batch, out_c, oh, ow);
     // Scratch: transformed input tiles for all channels at one position.
     let mut v_tiles: Vec<Mat<f32>> = vec![Mat::zeros(alpha, alpha); in_c];
 
@@ -200,28 +194,25 @@ pub fn conv2d_pretransformed(
             for tw in 0..tiles_w {
                 let h0 = (th * m) as isize - pad;
                 let w0 = (tw * m) as isize - pad;
-                // Input transforms V = Bᵀ·d·B for every channel.
                 for (c, v_tile) in v_tiles.iter_mut().enumerate() {
                     let d = Mat::from_fn(alpha, alpha, |u, v| {
-                        input.get_padded(bn, c, h0 + u as isize, w0 + v as isize)
+                        read(bn, c, h0 + u as isize, w0 + v as isize)
                     });
-                    *v_tile = b_t.mul(&d).mul(&b);
+                    *v_tile = b_t.mul(&d).mul(&b).map(&quantize);
                 }
                 for n in 0..out_c {
-                    // M = Σ_c U[n][c] ⊙ V[c]
                     let mut acc = Mat::<f32>::zeros(alpha, alpha);
                     for (c, v_tile) in v_tiles.iter().enumerate() {
                         let prod = filters.bank(n, c).hadamard(v_tile);
                         acc = Mat::from_fn(alpha, alpha, |u, v| acc.get(u, v) + prod.get(u, v));
                     }
-                    // Y = Aᵀ·M·A, scattered with edge clipping.
+                    // Y = Aᵀ·M·A, stored with edge clipping.
                     let y = a_t.mul(&acc).mul(&a);
                     for u in 0..m {
                         for v in 0..m {
-                            let oh_i = th * m + u;
-                            let ow_i = tw * m + v;
-                            if oh_i < oh && ow_i < ow {
-                                out.set(bn, n, oh_i, ow_i, y.get(u, v));
+                            let (oi, oj) = (th * m + u, tw * m + v);
+                            if oi < oh && oj < ow {
+                                store(bn, n, oi, oj, y.get(u, v));
                             }
                         }
                     }
@@ -229,37 +220,58 @@ pub fn conv2d_pretransformed(
             }
         }
     }
-    Ok(out)
 }
 
-/// Winograd convolution with the paper's uniform tile choice
-/// `F(4×4, 3×3)` (§2.1: "we use a uniform size F(4×4, 3×3)").
+/// Winograd convolution with an explicit transform (any generated
+/// `F(m, r)`; the paper's uniform choice is [`f43`](crate::cook_toom::f43),
+/// §2.1: "we use a uniform size F(4×4, 3×3)").
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_with`]; the kernel must be 3×3 and stride 1.
+/// * [`ConvError::StrideUnsupported`] when `geom.stride() != 1`,
+/// * [`ConvError::ShapeMismatch`] when shapes disagree with `geom`, or the
+///   geometry's or the kernel tensor's size differs from the transform's
+///   `r`.
 ///
 /// # Examples
 ///
 /// ```
-/// use winofuse_conv::{direct, winograd, tensor::random_tensor, ConvGeometry};
+/// use winofuse_conv::{cook_toom::f43, direct, winograd, tensor::random_tensor, ConvGeometry};
 ///
 /// # fn main() -> Result<(), winofuse_conv::ConvError> {
 /// let geom = ConvGeometry::new(12, 12, 3, 1, 1)?;
 /// let x = random_tensor(1, 4, 12, 12, 1);
 /// let w = random_tensor(8, 4, 3, 3, 2);
 /// let reference = direct::conv2d(&x, &w, geom)?;
-/// let fast = winograd::conv2d_f43(&x, &w, geom)?;
-/// assert!(reference.approx_eq(&fast, 1e-3));
+/// let wino = winograd::conv2d_with(&x, &w, geom, &f43())?;
+/// assert!(reference.approx_eq(&wino, 1e-3));
 /// # Ok(())
 /// # }
 /// ```
-pub fn conv2d_f43(
+pub fn conv2d_with(
     input: &Tensor<f32>,
     kernels: &Tensor<f32>,
     geom: ConvGeometry,
+    transform: &WinogradTransform,
 ) -> Result<Tensor<f32>, ConvError> {
-    conv2d_with(input, kernels, geom, &f43())
+    check_args(input, kernels, geom, transform)?;
+    let filters = TransformedFilters::new(kernels, transform)?;
+    let mut out = Tensor::zeros(
+        input.n(),
+        kernels.n(),
+        geom.output_height(),
+        geom.output_width(),
+    );
+    naive_tiles(
+        input.n(),
+        geom,
+        transform,
+        &filters,
+        |bn, c, h, w| input.get_padded(bn, c, h, w),
+        |v| v,
+        |bn, n, h, w, y| out.set(bn, n, h, w, y),
+    );
+    Ok(out)
 }
 
 /// Input tiles scattered per job in the barrier (transform-point) path,
@@ -1217,8 +1229,8 @@ fn add_phase_totals(cx: &WinoCtx<'_>, s: &ConvStats) {
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_pretransformed`]; the filter bank must have
-/// been built with the same transform.
+/// Same conditions as [`conv2d_with`]; the filter bank must have been
+/// built with the same transform.
 #[allow(clippy::too_many_arguments)] // the batched entry plus observability
 pub fn conv2d_batched_ext(
     input: &Tensor<f32>,
@@ -1563,115 +1575,51 @@ fn run_tile_block(
 ///
 /// Same conditions as [`conv2d_with`].
 pub fn conv2d_fix16_with(
-    input: &Tensor<crate::fixed::Fix16>,
-    kernels: &Tensor<crate::fixed::Fix16>,
+    input: &Tensor<Fix16>,
+    kernels: &Tensor<Fix16>,
     geom: ConvGeometry,
     transform: &WinogradTransform,
-) -> Result<Tensor<crate::fixed::Fix16>, ConvError> {
-    use crate::fixed::Fix16;
-
-    if geom.stride() != 1 {
-        return Err(ConvError::StrideUnsupported {
-            stride: geom.stride(),
-        });
-    }
-    if geom.kernel() != transform.r() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("kernel size {} for this transform", transform.r()),
-            found: format!("{}", geom.kernel()),
-        });
-    }
-    if input.h() != geom.height() || input.w() != geom.width() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("input {}x{}", geom.height(), geom.width()),
-            found: format!("{}x{}", input.h(), input.w()),
-        });
-    }
-    if kernels.c() != input.c() {
-        return Err(ConvError::ShapeMismatch {
-            expected: format!("{} kernel channels", input.c()),
-            found: format!("{}", kernels.c()),
-        });
-    }
-
+) -> Result<Tensor<Fix16>, ConvError> {
+    check_args(input, kernels, geom, transform)?;
     // Rebalance the constant magnitudes between the input and filter
     // transforms (free power-of-two shifts in hardware) so neither side
     // underflows Q8.8.
     let transform = transform.rebalanced();
-    let m = transform.m();
-    let alpha = transform.alpha();
-    let b_t = transform.b_t_f32();
-    let b = b_t.transpose();
-    let a_t = transform.a_t_f32();
-    let a = a_t.transpose();
-    let g = transform.g_f32();
-    let g_t = g.transpose();
-
+    let q88 = |v: f32| Fix16::from_f32(v).to_f32();
     // Offline: transformed filters quantized to Q8.8 (what the BRAM
     // holds).
-    let mut banks: Vec<Mat<f32>> = Vec::with_capacity(kernels.n() * kernels.c());
-    for n in 0..kernels.n() {
-        for c in 0..kernels.c() {
-            let gk = Mat::from_fn(transform.r(), transform.r(), |u, v| {
-                kernels.get(n, c, u, v).to_f32()
-            });
-            let u = g.mul(&gk).mul(&g_t);
-            banks.push(u.map(|v| Fix16::from_f32(v).to_f32()));
-        }
+    let mut filters =
+        TransformedFilters::build(kernels.n(), kernels.c(), &transform, |n, c, u, v| {
+            kernels.get(n, c, u, v).to_f32()
+        });
+    for bank in &mut filters.banks {
+        *bank = bank.map(q88);
     }
-
-    let (batch, in_c, _, _) = input.shape();
-    let out_c = kernels.n();
-    let (oh, ow) = (geom.output_height(), geom.output_width());
-    let pad = geom.pad() as isize;
-    let tiles_h = oh.div_ceil(m);
-    let tiles_w = ow.div_ceil(m);
-
-    let mut out = Tensor::zeros(batch, out_c, oh, ow);
-    let mut v_tiles: Vec<Mat<f32>> = vec![Mat::zeros(alpha, alpha); in_c];
-
-    for bn in 0..batch {
-        for th in 0..tiles_h {
-            for tw in 0..tiles_w {
-                let h0 = (th * m) as isize - pad;
-                let w0 = (tw * m) as isize - pad;
-                for (c, v_tile) in v_tiles.iter_mut().enumerate() {
-                    let d = Mat::from_fn(alpha, alpha, |u, v| {
-                        input
-                            .get_padded(bn, c, h0 + u as isize, w0 + v as isize)
-                            .to_f32()
-                    });
-                    // Input transform then requantize to the multiplier
-                    // width (the precision-critical step).
-                    *v_tile = b_t.mul(&d).mul(&b).map(|v| Fix16::from_f32(v).to_f32());
-                }
-                for n in 0..out_c {
-                    // Wide accumulation across channels (DSP cascade).
-                    let mut acc = Mat::<f32>::zeros(alpha, alpha);
-                    for (c, v_tile) in v_tiles.iter().enumerate() {
-                        let prod = banks[n * in_c + c].hadamard(v_tile);
-                        acc = Mat::from_fn(alpha, alpha, |u, v| acc.get(u, v) + prod.get(u, v));
-                    }
-                    let y = a_t.mul(&acc).mul(&a);
-                    for u in 0..m {
-                        for v in 0..m {
-                            let (oi, oj) = (th * m + u, tw * m + v);
-                            if oi < oh && oj < ow {
-                                out.set(bn, n, oi, oj, Fix16::from_f32(y.get(u, v)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut out = Tensor::zeros(
+        input.n(),
+        kernels.n(),
+        geom.output_height(),
+        geom.output_width(),
+    );
+    // The input transform's output is requantized to the multiplier
+    // width (the precision-critical step); products accumulate wide
+    // across channels (DSP cascade) and round once at writeback.
+    naive_tiles(
+        input.n(),
+        geom,
+        &transform,
+        &filters,
+        |bn, c, h, w| input.get_padded(bn, c, h, w).to_f32(),
+        q88,
+        |bn, n, h, w, y| out.set(bn, n, h, w, Fix16::from_f32(y)),
+    );
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cook_toom::f23;
+    use crate::cook_toom::{f23, f43};
     use crate::direct;
     use crate::tensor::random_tensor;
 
@@ -2004,7 +1952,7 @@ mod tests {
         let x = random_tensor(1, 1, 8, 8, 1);
         let k = random_tensor(1, 1, 3, 3, 2);
         assert_eq!(
-            conv2d_f43(&x, &k, geom),
+            conv2d_with(&x, &k, geom, &f43()),
             Err(ConvError::StrideUnsupported { stride: 2 })
         );
     }
@@ -2014,20 +1962,27 @@ mod tests {
         let geom = ConvGeometry::new(8, 8, 5, 1, 2).unwrap();
         let x = random_tensor(1, 1, 8, 8, 1);
         let k = random_tensor(1, 1, 5, 5, 2);
-        assert!(conv2d_f43(&x, &k, geom).is_err());
+        assert!(conv2d_with(&x, &k, geom, &f43()).is_err());
     }
 
     #[test]
-    fn pretransformed_filters_reusable() {
-        let t = f43();
+    fn both_references_reject_kernels_of_the_wrong_size() {
+        // A 3×3 geometry with 1×1 or 5×5 kernel tensors: the geometry
+        // matches the transform, the kernels do not.
         let geom = ConvGeometry::new(8, 8, 3, 1, 1).unwrap();
-        let k = random_tensor(2, 2, 3, 3, 5);
-        let filters = TransformedFilters::new(&k, &t).unwrap();
-        for seed in 0..3 {
-            let x = random_tensor(1, 2, 8, 8, seed + 100);
-            let a = conv2d_pretransformed(&x, &filters, geom, &t).unwrap();
-            let b = direct::conv2d(&x, &k, geom).unwrap();
-            assert!(a.approx_eq(&b, 1e-3));
+        let x = random_tensor(1, 2, 8, 8, 1);
+        for side in [1usize, 5] {
+            let k = random_tensor(2, 2, side, side, 2);
+            let f32_err = conv2d_with(&x, &k, geom, &f43()).unwrap_err();
+            assert!(
+                matches!(f32_err, ConvError::ShapeMismatch { .. }),
+                "{side}x{side} f32: {f32_err:?}"
+            );
+            let fix_err = conv2d_fix16_with(&x.cast(), &k.cast(), geom, &f43()).unwrap_err();
+            assert!(
+                matches!(fix_err, ConvError::ShapeMismatch { .. }),
+                "{side}x{side} Q8.8: {fix_err:?}"
+            );
         }
     }
 
@@ -2178,7 +2133,7 @@ mod tests {
             let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
             let x = random_tensor(2, in_c, h, w, (h * 131 + w) as u64);
             let k = random_tensor(out_c, in_c, 3, 3, (h + w + pad) as u64);
-            let naive = conv2d_f43(&x, &k, geom).unwrap();
+            let naive = conv2d_with(&x, &k, geom, &f43()).unwrap();
             let filters = BatchedFilters::new(&k, &f43()).unwrap();
             let fast = batched(&x, &filters, geom, &f43(), 1, None).unwrap();
             let diff = naive.max_abs_diff(&fast).unwrap();

@@ -2,11 +2,11 @@
 //! must agree with the direct reference on arbitrary shapes and data.
 
 use proptest::prelude::*;
-use winofuse_conv::cook_toom::WinogradTransform;
+use winofuse_conv::cook_toom::{f43, WinogradTransform};
 use winofuse_conv::fixed::Fix16;
 use winofuse_conv::rational::Rational;
 use winofuse_conv::tensor::{random_tensor, Tensor};
-use winofuse_conv::{direct, im2col, winograd, ConvGeometry};
+use winofuse_conv::{direct, winograd, ConvGeometry};
 
 /// Relative-ish tolerance for Winograd vs direct: inputs are in [-1,1),
 /// accumulation depth is bounded by channels·K², so an absolute bound
@@ -17,26 +17,6 @@ fn tol(channels: usize, k: usize) -> f32 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn im2col_matches_direct(
-        h in 3usize..12,
-        w in 3usize..12,
-        k in 1usize..4,
-        s in 1usize..3,
-        pad in 0usize..2,
-        in_c in 1usize..4,
-        out_c in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
-        let geom = ConvGeometry::rect(h, w, k, s, pad).unwrap();
-        let x = random_tensor(1, in_c, h, w, seed);
-        let kr = random_tensor(out_c, in_c, k, k, seed + 1);
-        let a = direct::conv2d(&x, &kr, geom).unwrap();
-        let b = im2col::conv2d(&x, &kr, geom).unwrap();
-        prop_assert!(a.approx_eq(&b, tol(in_c, k)));
-    }
 
     #[test]
     fn winograd_f43_matches_direct(
@@ -52,7 +32,7 @@ proptest! {
         let x = random_tensor(1, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 7);
         let a = direct::conv2d(&x, &kr, geom).unwrap();
-        let b = winograd::conv2d_f43(&x, &kr, geom).unwrap();
+        let b = winograd::conv2d_with(&x, &kr, geom, &f43()).unwrap();
         prop_assert!(
             a.approx_eq(&b, tol(in_c, 3)),
             "max diff {}", a.max_abs_diff(&b).unwrap()
@@ -152,30 +132,5 @@ proptest! {
         for &v in ya.as_slice() {
             prop_assert!(v >= lo - 1e-5 && v <= hi + 1e-5);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn fft_matches_direct(
-        h in 4usize..14,
-        k in 1usize..5,
-        s in 1usize..3,
-        pad in 0usize..2,
-        in_c in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(k <= h + 2 * pad);
-        let geom = ConvGeometry::rect(h, h, k, s, pad).unwrap();
-        let x = random_tensor(1, in_c, h, h, seed);
-        let kr = random_tensor(2, in_c, k, k, seed + 31);
-        let a = direct::conv2d(&x, &kr, geom).unwrap();
-        let b = winofuse_conv::fft::conv2d(&x, &kr, geom).unwrap();
-        prop_assert!(
-            a.approx_eq(&b, tol(in_c, k)),
-            "max diff {}", a.max_abs_diff(&b).unwrap()
-        );
     }
 }

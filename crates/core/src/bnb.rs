@@ -37,12 +37,10 @@
 //!
 //! The search core is immutable (`&self`) and `Sync`: the `fusion[i][j]`
 //! cache lives behind a sharded lock so [`crate::parallel`] can fill the
-//! whole plan table from scoped worker threads, and a single large group
-//! can be split across workers with [`GroupPlanner::plan_split`].
+//! whole plan table from scoped worker threads, one range per worker.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use winofuse_fpga::device::FpgaDevice;
@@ -53,7 +51,6 @@ use winofuse_fusion::pipeline::{
 };
 use winofuse_model::network::Network;
 use winofuse_model::shape::DataType;
-use winofuse_runtime::PoolProfiler;
 use winofuse_telemetry::Telemetry;
 
 use crate::{CoreError, MAX_FUSION_LAYERS};
@@ -329,9 +326,8 @@ pub struct GroupPlanner<'a> {
 }
 
 /// Search-tree counts, tallied in plain integers by the searching thread
-/// and published to the `bnb.*` counters once per search (or split
-/// task), so a traced search pays no atomic read-modify-write per node
-/// and split workers never contend on a shared counter.
+/// and published to the `bnb.*` counters once per search, so a traced
+/// search pays no atomic read-modify-write per node.
 #[derive(Debug, Default)]
 struct Tally {
     /// `visit` calls actually made (tree nodes entered).
@@ -419,12 +415,6 @@ struct Ctx<'m> {
     start: usize,
     n: usize,
     best: Option<Incumbent>,
-    /// Cross-worker incumbent, present only in split search. Workers
-    /// prune with it *strictly* (`bound > shared`) and accept leaves
-    /// against their local best only, which keeps every worker's local
-    /// winner — and therefore the reduced result — bit-identical to the
-    /// serial depth-first search even when latencies tie.
-    shared_best: Option<&'m AtomicU64>,
     tally: Tally,
 }
 
@@ -461,9 +451,6 @@ fn visit<'m>(ctx: &mut Ctx<'m>, off: usize, chosen: &mut Vec<&'m MenuEntry>, tot
             "incremental leaf evaluation diverged from group_timing"
         );
         ctx.tally.incumbent_updates += 1;
-        if let Some(shared) = ctx.shared_best {
-            shared.fetch_min(latency, Ordering::Relaxed);
-        }
         ctx.best = Some((latency, configs, timing));
         return;
     }
@@ -474,16 +461,10 @@ fn visit<'m>(ctx: &mut Ctx<'m>, off: usize, chosen: &mut Vec<&'m MenuEntry>, tot
     let menus = ctx.menus;
     for algo_menu in &menus[idx] {
         for (pos, entry) in algo_menu.iter().enumerate() {
-            let local_best = ctx.best.as_ref().map_or(u64::MAX, |b| b.0);
+            let best_latency = ctx.best.as_ref().map_or(u64::MAX, |b| b.0);
             // Parallelism descends within the menu, so the bound only
-            // grows: break, don't continue (paper line 16-17). The shared
-            // incumbent tightens the limit only strictly (`> shared`) so
-            // equal-latency ties still resolve in serial order.
-            let prune_limit = match ctx.shared_best {
-                None => local_best,
-                Some(s) => local_best.min(s.load(Ordering::Relaxed).saturating_add(1)),
-            };
-            if entry.bound >= prune_limit {
+            // grows: break, don't continue (paper line 16-17).
+            if entry.bound >= best_latency {
                 ctx.tally.pruned_bound += (algo_menu.len() - pos) as u64 * child_weight;
                 break;
             }
@@ -729,36 +710,6 @@ impl<'a> GroupPlanner<'a> {
         plan
     }
 
-    /// Like [`GroupPlanner::plan_shared`], but splits the branch-and-bound
-    /// itself across up to `threads` workers: each first-layer menu entry
-    /// opens an independent subtree, workers share the incumbent latency
-    /// through an atomic, and the reduction picks the winner by
-    /// `(latency, menu position)` — bit-identical to the serial search.
-    ///
-    /// Worth it only when the plan table has a single admissible range
-    /// (e.g. a fully-fused AlexNet body); otherwise ranges themselves are
-    /// the better unit of parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a subtree's search panics, as the serial search would.
-    pub fn plan_split(&self, range: Range<usize>, threads: usize) -> Option<GroupPlan> {
-        let key = (range.start, range.end);
-        if let Some(hit) = self.cache.get(key) {
-            self.telemetry.counter("bnb.plan_cache_hits").incr();
-            return hit;
-        }
-        self.telemetry.counter("bnb.plans_computed").incr();
-        let span = self.telemetry.span(
-            "bnb",
-            &format!("plan layers {}..{}", range.start, range.end),
-        );
-        let plan = self.search_parallel(range.clone(), threads);
-        drop(span);
-        self.cache.insert(key, plan.clone());
-        plan
-    }
-
     fn range_admissible(&self, range: &Range<usize>) -> bool {
         !range.is_empty() && range.end <= self.net.len() && range.len() <= self.max_group_layers
     }
@@ -811,32 +762,22 @@ impl<'a> GroupPlanner<'a> {
     }
 
     /// A fresh depth-first search over `range`.
-    fn ctx<'m>(
-        &'m self,
-        range: &Range<usize>,
-        bounds: &'m RangeBounds,
-        shared_best: Option<&'m AtomicU64>,
-    ) -> Ctx<'m> {
-        Ctx {
+    fn search(&self, range: Range<usize>) -> Option<GroupPlan> {
+        if !self.range_admissible(&range) {
+            return None;
+        }
+        let bounds = self.range_bounds(&range);
+        let mut ctx = Ctx {
             menus: &self.menus,
-            bounds,
+            bounds: &bounds,
             capacity: *self.device.resources(),
             device: self.device,
             bpc: self.device.bytes_per_cycle(),
             start: range.start,
             n: range.len(),
             best: None,
-            shared_best,
             tally: Tally::default(),
-        }
-    }
-
-    fn search(&self, range: Range<usize>) -> Option<GroupPlan> {
-        if !self.range_admissible(&range) {
-            return None;
-        }
-        let bounds = self.range_bounds(&range);
-        let mut ctx = self.ctx(&range, &bounds, None);
+        };
         let mut chosen = Vec::with_capacity(range.len());
         visit(&mut ctx, 0, &mut chosen, PathTotals::default());
         self.publish(&ctx.tally);
@@ -846,81 +787,6 @@ impl<'a> GroupPlanner<'a> {
             configs,
             timing,
         })
-    }
-
-    /// The split branch-and-bound behind [`GroupPlanner::plan_split`]:
-    /// the root's children (first-layer menu entries, in menu order) are
-    /// the jobs of one `winofuse-runtime` pool run, each writing its
-    /// subtree's winner into its own result slot.
-    ///
-    /// Determinism: the serial winner is the depth-first-first leaf that
-    /// attains the global minimum latency, and every entry on its path
-    /// has `bound ≤` that latency `≤ shared`, so the strict shared check
-    /// can never cut it. Workers whose subtree attains the global minimum
-    /// therefore report exactly their serial-subtree winner; all others
-    /// report strictly slower candidates (or none), and the
-    /// `(latency, task index)` reduction returns the serial result. The
-    /// node accounting identity (`expanded + Σ pruned == tree size`)
-    /// still holds exactly, though the expanded/pruned split may vary
-    /// run to run — shared pruning races are benign for totals, not for
-    /// the breakdown.
-    fn search_parallel(&self, range: Range<usize>, threads: usize) -> Option<GroupPlan> {
-        if !self.range_admissible(&range) {
-            return None;
-        }
-        let n = range.len();
-        let tasks: Vec<&MenuEntry> = self.menus[range.start].iter().flatten().collect();
-        if threads <= 1 || tasks.len() < 2 {
-            return self.search(range);
-        }
-        let bounds = self.range_bounds(&range);
-        // The root node itself.
-        self.publish(&Tally {
-            expanded: 1,
-            ..Tally::default()
-        });
-        let child_weight = 1 + bounds.subtree.get(1).copied().unwrap_or(0);
-
-        let shared = AtomicU64::new(u64::MAX);
-        let mut slots: Vec<Option<Incumbent>> = tasks.iter().map(|_| None).collect();
-        let searched = winofuse_runtime::run_jobs(
-            threads,
-            slots.iter_mut().collect(),
-            &PoolProfiler::disabled(),
-            || (),
-            |(), t, slot: &mut Option<Incumbent>| {
-                let entry = tasks[t];
-                let mut ctx = self.ctx(&range, &bounds, Some(&shared));
-                let limit = shared.load(Ordering::Relaxed).saturating_add(1);
-                let totals = PathTotals::default().with(entry, LatencyProfile::slot(0, n));
-                let optimistic = totals.used + bounds.suffix_min[1];
-                if entry.bound >= limit {
-                    ctx.tally.pruned_bound += child_weight;
-                } else if !optimistic.fits_within(&ctx.capacity) {
-                    ctx.tally.pruned_resource += child_weight;
-                } else {
-                    let mut chosen = Vec::with_capacity(n);
-                    chosen.push(entry);
-                    visit(&mut ctx, 1, &mut chosen, totals);
-                }
-                self.publish(&ctx.tally);
-                *slot = ctx.best;
-            },
-        );
-        if let Err(e) = searched {
-            panic!("split branch-and-bound: {e}");
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(t, best)| best.map(|b| (t, b)))
-            .min_by_key(|(t, (latency, _, _))| (*latency, *t))
-            .map(|(_, (_, configs, timing))| GroupPlan {
-                start: range.start,
-                end: range.end,
-                configs,
-                timing,
-            })
     }
 }
 
@@ -1215,26 +1081,6 @@ mod tests {
                     b.as_ref().map(GroupPlan::latency),
                     "range 0..{end}: dominance pruning must not change the optimum"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn split_search_matches_serial() {
-        let net = zoo::small_test_net();
-        let dev = FpgaDevice::zc706();
-        for policy in [
-            AlgoPolicy::heterogeneous(),
-            AlgoPolicy::conventional_only(),
-            AlgoPolicy::winograd_preferred(),
-            AlgoPolicy::heterogeneous_sparse(250),
-        ] {
-            let mut serial = GroupPlanner::new(&net, &dev, policy).unwrap();
-            let split = GroupPlanner::new(&net, &dev, policy).unwrap();
-            for end in 1..=net.len() {
-                let a = serial.plan(0..end);
-                let b = split.plan_split(0..end, 4);
-                assert_eq!(a, b, "policy {policy:?}, range 0..{end}");
             }
         }
     }

@@ -11,12 +11,12 @@
 //!
 //! Determinism: each cell is searched serially by exactly one worker, so
 //! the per-range search — and every `bnb.*` node counter — is
-//! bit-identical to a single-threaded run. Only the *order* in which
-//! spans are recorded, and the `bnb.plan_cache_hits` count (every DP
-//! request becomes a hit), differ from the lazy path. When the cut mask
-//! admits a single range (a fully-fused network), range-level
-//! parallelism degenerates, so the one branch-and-bound is split across
-//! workers instead ([`GroupPlanner::plan_split`]).
+//! bit-identical to a single-threaded run, for every network and thread
+//! count. Only the *order* in which spans are recorded, and the
+//! `bnb.plan_cache_hits` count (every DP request becomes a hit), differ
+//! from the lazy path. A table with a single admissible range (a
+//! one-layer network, or a modular network of one module) is one job on
+//! one worker.
 
 use winofuse_runtime::PoolProfiler;
 
@@ -34,7 +34,8 @@ pub struct PlanTableStats {
     /// Admissible `(i, j)` ranges enumerated (== `bnb.plans_computed`
     /// when the cache started empty).
     pub ranges: usize,
-    /// Worker threads actually spawned.
+    /// Workers that ran the table's jobs; worker 0 is the calling
+    /// thread, so the fill spawned one thread fewer.
     pub workers: usize,
 }
 
@@ -108,23 +109,16 @@ pub fn fill_plan_table(
         .telemetry()
         .counter("parallel.table_ranges")
         .add(ranges as u64);
-    let workers = if let [(i, j)] = cells[..] {
-        // One admissible range: parallelism must come from inside the
-        // branch-and-bound itself.
-        planner.plan_split(i..j + 1, threads);
-        1
-    } else {
-        winofuse_runtime::run_jobs(
-            threads,
-            cells,
-            &PoolProfiler::disabled(),
-            || (),
-            |(), _, (i, j)| {
-                planner.plan_shared(i..j + 1);
-            },
-        )
-        .map_err(|e| CoreError::Substrate(format!("plan table: {e}")))?
-    };
+    let workers = winofuse_runtime::run_jobs(
+        threads,
+        cells,
+        &PoolProfiler::disabled(),
+        || (),
+        |(), _, (i, j)| {
+            planner.plan_shared(i..j + 1);
+        },
+    )
+    .map_err(|e| CoreError::Substrate(format!("plan table: {e}")))?;
     drop(span);
     Ok(PlanTableStats { ranges, workers })
 }

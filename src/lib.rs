@@ -13,7 +13,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`conv`] | `winofuse-conv` | direct / im2col / Winograd convolution, Cook–Toom transform generation, 16-bit fixed point |
+//! | [`conv`] | `winofuse-conv` | direct / Winograd convolution, Cook–Toom transform generation, 16-bit fixed point |
 //! | [`model`] | `winofuse-model` | CNN descriptions, AlexNet/VGG zoo, prototxt parser, reference executor |
 //! | [`fpga`] | `winofuse-fpga` | device catalog, resource vectors, roofline, engine cost models, energy |
 //! | [`fusion`] | `winofuse-fusion` | pyramid math, line buffers, pipeline timing, timing simulator, fused runner, Alwani (MICRO'16) baseline |

@@ -79,7 +79,7 @@ proptest! {
         let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
         let x = random_tensor(batch, in_c, h, w, seed);
         let kr = random_tensor(out_c, in_c, 3, 3, seed + 1);
-        let naive_wino = winograd::conv2d_f43(&x, &kr, geom).unwrap();
+        let naive_wino = winograd::conv2d_with(&x, &kr, geom, &f43()).unwrap();
         let naive_direct = direct::conv2d(&x, &kr, geom).unwrap();
         let fast = batched_all_threads(&x, &kr, geom);
         prop_assert!(
@@ -283,7 +283,7 @@ fn odd_geometries_batched_winograd() {
         let geom = ConvGeometry::rect(h, w, 3, 1, pad).unwrap();
         let x = random_tensor(2, in_c, h, w, h as u64 * 31 + w as u64);
         let kr = random_tensor(out_c, in_c, 3, 3, 977);
-        let naive = winograd::conv2d_f43(&x, &kr, geom).unwrap();
+        let naive = winograd::conv2d_with(&x, &kr, geom, &f43()).unwrap();
         let fast = batched_all_threads(&x, &kr, geom);
         assert!(
             fast.approx_eq(&naive, tol(in_c, 3)),

@@ -9,8 +9,10 @@ use winofuse::core::bnb::{AlgoPolicy, GroupPlanner};
 use winofuse::core::parallel::fill_plan_table;
 use winofuse::model::layer::{ConvParams, PoolParams};
 use winofuse::model::shape::DataType;
-use winofuse::model::zoo;
-use winofuse::prelude::{FmShape, FpgaDevice, Framework, Network, Telemetry};
+use winofuse::model::{zoo, ModularNetwork};
+use winofuse::prelude::{
+    FmShape, FpgaDevice, Framework, Network, OptimizedDesign, RunTelemetry, Telemetry,
+};
 
 const MB: u64 = 1024 * 1024;
 
@@ -30,26 +32,17 @@ const PINNED: &[&str] = &[
     "dp.subproblems",
 ];
 
-fn pinned_counters(run: &winofuse::telemetry::RunTelemetry) -> Vec<(&'static str, u64)> {
+fn pinned_counters(run: &RunTelemetry) -> Vec<(&'static str, u64)> {
     PINNED.iter().map(|&k| (k, run.counter(k))).collect()
 }
 
-/// Optimizes `net` at every thread count and checks that the design and
+/// Runs `optimize` at every thread count and checks that the design and
 /// every pinned counter match the single-threaded run.
-fn assert_thread_invariant(net: &Network, budget: u64, max_group_layers: usize) {
-    let fw = |threads: usize| {
-        Framework::new(FpgaDevice::zc706())
-            .with_max_group_layers(max_group_layers)
-            .with_threads(threads)
-    };
-    let (baseline, base_run) = fw(1)
-        .optimize_traced(net, budget)
-        .expect("serial optimization must succeed");
+fn assert_invariant_over_threads(optimize: impl Fn(usize) -> (OptimizedDesign, RunTelemetry)) {
+    let (baseline, base_run) = optimize(1);
     let base_counters = pinned_counters(&base_run);
     for threads in [2usize, 4, 8] {
-        let (design, run) = fw(threads)
-            .optimize_traced(net, budget)
-            .expect("parallel optimization must succeed");
+        let (design, run) = optimize(threads);
         assert_eq!(
             design, baseline,
             "{threads}-thread design differs from serial"
@@ -60,6 +53,18 @@ fn assert_thread_invariant(net: &Network, budget: u64, max_group_layers: usize) 
             "{threads}-thread search counters differ from serial"
         );
     }
+}
+
+/// Optimizes `net` at every thread count and checks that the design and
+/// every pinned counter match the single-threaded run.
+fn assert_thread_invariant(net: &Network, budget: u64, max_group_layers: usize) {
+    assert_invariant_over_threads(|threads| {
+        Framework::new(FpgaDevice::zc706())
+            .with_max_group_layers(max_group_layers)
+            .with_threads(threads)
+            .optimize_traced(net, budget)
+            .expect("optimization must succeed")
+    });
 }
 
 #[test]
@@ -80,46 +85,35 @@ fn alexnet_is_thread_count_invariant() {
 }
 
 #[test]
-fn split_search_preserves_the_accounting_identity() {
-    // `plan_split` shares an incumbent across workers, which makes the
-    // expanded/pruned *breakdown* timing-dependent — but every node must
-    // still be accounted exactly once, so the total stays pinned to the
-    // exhaustive tree size.
+fn single_cell_searches_are_thread_count_invariant() {
+    // A plan table with one admissible range is one job on one worker, so
+    // its search counters match the serial run's at every thread count:
+    // a one-layer network, and a network optimized as a single module.
+    let one_conv = Network::builder("one-conv", FmShape::new(3, 20, 20))
+        .conv("conv", ConvParams::new(6, 3, 1, 1, true))
+        .build()
+        .expect("one-conv net is valid");
+    assert_thread_invariant(&one_conv, 8 * MB, winofuse::core::MAX_FUSION_LAYERS);
+
     let net = zoo::small_test_net();
-    let dev = FpgaDevice::zc706();
-    let mut planner = GroupPlanner::new(&net, &dev, AlgoPolicy::heterogeneous()).unwrap();
-    let tele = Telemetry::enabled();
-    planner.set_telemetry(tele.clone());
-
-    let expected: u64 = planner
-        .menu_sizes()
-        .iter()
-        .rev()
-        .fold(1u64, |t, &m| 1 + m as u64 * t);
-    let split = planner
-        .plan_split(0..net.len(), 4)
-        .expect("small net must plan");
-
-    let s = tele.summary();
-    let accounted = s.counter("bnb.nodes_expanded")
-        + s.counter("bnb.pruned_bound")
-        + s.counter("bnb.pruned_resource")
-        + s.counter("bnb.pruned_floor");
-    assert_eq!(
-        accounted, expected,
-        "split search lost or double-counted nodes"
-    );
-
-    // And the plan itself matches a fresh serial search.
-    let mut serial = GroupPlanner::new(&net, &dev, AlgoPolicy::heterogeneous()).unwrap();
-    let lazy = serial.plan(0..net.len()).expect("small net must plan");
-    assert_eq!(split, lazy);
+    let n = net.len();
+    let whole = std::iter::once(0..n).collect();
+    let one_module = ModularNetwork::new(net, whole).expect("one module tiles the net");
+    assert_invariant_over_threads(|threads| {
+        let tele = Telemetry::enabled();
+        let design = Framework::new(FpgaDevice::zc706())
+            .with_threads(threads)
+            .with_telemetry(tele.clone())
+            .optimize_modular(&one_module, 8 * MB)
+            .expect("one-module optimization must succeed");
+        (design, tele.summary())
+    });
 }
 
 #[test]
 fn single_range_table_matches_serial() {
     // `Some(&[])` forbids interior cuts, leaving exactly one admissible
-    // range — the case where the table path degenerates into `plan_split`.
+    // range: the table runs it as one job on one worker.
     let net = zoo::small_test_net();
     let dev = FpgaDevice::zc706();
     let planner = GroupPlanner::new(&net, &dev, AlgoPolicy::heterogeneous()).unwrap();

@@ -1,5 +1,6 @@
-//! **Serving benchmark** — throughput and tail latency of the plan-cached
-//! serving engine against the one-shot-per-request CLI baseline.
+//! **Serving benchmark** — throughput and tail latency of the serving
+//! engine, which builds its plan once, against the one-shot-per-request
+//! CLI baseline.
 //!
 //! Three execution regimes over the same conv body and weights:
 //!
@@ -7,15 +8,15 @@
 //!    transforms, and weight prepacking before running a single frame,
 //!    exactly like invoking `winofuse run` per request;
 //! 2. **serve (seq)** — a warm [`ServeEngine`] answering one frame per
-//!    batch: the plan cache amortizes search and transforms, batching
-//!    adds nothing;
+//!    batch: the engine's one plan amortizes search and transforms,
+//!    batching adds nothing;
 //! 3. **serve (batched)** — the same engine at `--max-batch 8`,
 //!    coalescing eight frames per invocation.
 //!
 //! Outputs of all three regimes are cross-checked bit-identical, a
 //! queued load phase (client threads × submit/wait) populates the
-//! request-latency percentiles, and the plan cache is pinned to exactly
-//! one strategy search across every regime (`plan_search_once`). Writes
+//! request-latency percentiles, and the engine is pinned to exactly one
+//! strategy search across every regime (`plan_search_once`). Writes
 //! `BENCH_serve.json` for `bench_diff` to gate.
 //!
 //! ```text
@@ -34,7 +35,6 @@ use winofuse_conv::tensor::{random_tensor, Tensor};
 use winofuse_core::framework::Framework;
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_model::runtime::NetworkWeights;
-use winofuse_model::shape::DataType;
 use winofuse_model::zoo;
 use winofuse_telemetry::Telemetry;
 
@@ -56,12 +56,7 @@ fn oneshot_request(
 ) -> Tensor<f32> {
     let fw = Framework::new(FpgaDevice::zc706()).with_threads(threads);
     let entry = fw
-        .plan_entry(
-            Arc::clone(net),
-            Arc::clone(weights),
-            BUDGET_BYTES,
-            DataType::Fixed16,
-        )
+        .plan_entry(Arc::clone(net), Arc::clone(weights), BUDGET_BYTES)
         .expect("one-shot plan builds");
     entry
         .executor()

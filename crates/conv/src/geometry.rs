@@ -128,12 +128,6 @@ impl ConvGeometry {
     pub fn macs_per_channel_pair(&self) -> u64 {
         self.output_height() as u64 * self.output_width() as u64 * (self.kernel as u64).pow(2)
     }
-
-    /// Returns a copy with a different input size (used when propagating
-    /// shapes through a network).
-    pub fn with_input(&self, height: usize, width: usize) -> Result<Self, ConvError> {
-        Self::rect(height, width, self.kernel, self.stride, self.pad)
-    }
 }
 
 #[cfg(test)]

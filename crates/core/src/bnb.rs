@@ -125,15 +125,6 @@ impl AlgoPolicy {
             ..Self::default()
         }
     }
-
-    /// This policy with sparse Winograd added at `density_pm`.
-    pub fn with_sparse(self, density_pm: u16) -> Self {
-        AlgoPolicy {
-            sparse: true,
-            sparse_density_pm: density_pm,
-            ..self
-        }
-    }
 }
 
 /// One implemented fusion group: resolved per-layer configs + timing.

@@ -2,11 +2,15 @@
 //! optimal strategy + report out.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
+use winofuse_conv::tensor::Tensor;
 use winofuse_fpga::device::FpgaDevice;
 use winofuse_fpga::energy::EnergyModel;
 use winofuse_fpga::engine::Algorithm;
+use winofuse_fusion::runner::{FusedNetworkRunner, GroupSpec};
 use winofuse_model::network::Network;
+use winofuse_model::runtime::{ExecAlgo, NetworkExecutor, NetworkWeights, PreparedNetwork};
 use winofuse_runtime::faults::{FaultInjector, FaultMode};
 use winofuse_telemetry::{RunTelemetry, Telemetry};
 
@@ -172,20 +176,9 @@ impl Framework {
         self
     }
 
-    /// Replaces the energy model.
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// The target device.
     pub fn device(&self) -> &FpgaDevice {
         &self.device
-    }
-
-    /// The energy model used in reports.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
     }
 
     /// Optimizes `net` under a feature-map transfer budget (Problem 1).
@@ -356,10 +349,9 @@ impl Framework {
     /// Validates a design end to end, group by group: the timing
     /// simulator gives each group's cycles, and the design's fused runner
     /// (strict DRAM reconciliation) computes its values, which must match
-    /// the layer-by-layer executor prepared like the plan
-    /// ([`ExecutionPlan::prepare`](crate::plan::ExecutionPlan::prepare))
-    /// within `tol` at the group's last layer — the one-call functional
-    /// and timing check of a strategy.
+    /// the layer-by-layer executor on the same plan-shaped preparation
+    /// ([`Framework::lower`]) within `tol` at the group's last layer —
+    /// the one-call functional and timing check of a strategy.
     ///
     /// Returns the fused network output and one row per group.
     ///
@@ -372,29 +364,25 @@ impl Framework {
         &self,
         net: &Network,
         design: &OptimizedDesign,
-        weights: &winofuse_model::runtime::NetworkWeights,
-        input: &winofuse_conv::tensor::Tensor<f32>,
+        weights: &NetworkWeights,
+        input: &Tensor<f32>,
         tol: f32,
-    ) -> Result<(winofuse_conv::tensor::Tensor<f32>, Vec<GroupValidation>), CoreError> {
-        let plan = design.execution_plan();
-        let prepared = plan.prepare(net, weights)?;
-        let runner = self
-            .configure_runner(plan.lower(net, weights, &prepared)?)
-            .with_fault_mode(FaultMode::Strict);
-        let reference =
-            winofuse_model::runtime::NetworkExecutor::from_prepared(net, prepared.into())?
-                .with_threads(self.threads)
-                .run_all(input)?;
+    ) -> Result<(Tensor<f32>, Vec<GroupValidation>), CoreError> {
+        let (prepared, runner) = self.lower(net, design, weights)?;
+        let runner = runner.with_fault_mode(FaultMode::Strict);
+        let reference = NetworkExecutor::from_prepared(net, prepared)?
+            .with_threads(self.threads)
+            .run_all(input)?;
         let mut cur = input.clone();
         let mut rows = Vec::with_capacity(runner.groups().len());
         // Simulator stages get consecutive trace lanes across groups, and
         // each group starts where the previous one finished in cycle time.
         let (mut tid_base, mut cycles) = (1u64, 0u64);
-        for (planned, group) in plan.groups().iter().zip(runner.groups()) {
+        for (planned, group) in design.partition.groups.iter().zip(runner.groups()) {
             let mut sim = winofuse_fusion::simulator::FusedGroupSim::new(
                 net,
                 planned.start,
-                planned.configs,
+                &planned.configs,
                 &self.device,
             )?;
             if self.telemetry.is_enabled() {
@@ -424,41 +412,69 @@ impl Framework {
         Ok((cur, rows))
     }
 
-    /// Instantiates the plan-faithful fused runner for a design: one
-    /// group runner per fusion group, driving the fast convolution
-    /// kernels with the strategy's algorithm choices and reconciling
-    /// measured DRAM traffic against each group's analytic budget. The
-    /// runner prepares its own filter banks; the framework's thread
-    /// count and telemetry context carry over.
+    /// Lowers a design for execution on the CPU — the one lowering every
+    /// caller uses. It prepares `net` the way the plan computes it,
+    /// [`ExecAlgo::Sparse`] at the planned density on every layer the
+    /// plan prunes and [`ExecAlgo::Auto`] everywhere else, and lowers the
+    /// fused runner onto that preparation: one group runner per fusion
+    /// group, sharing every bank and reconciling its measured DRAM
+    /// traffic against the group's analytic budget, with the framework's
+    /// threads, telemetry, fault injector and fault mode. A
+    /// [`NetworkExecutor`] built from the returned preparation is the
+    /// layer-by-layer reference of the plan's values.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Substrate`] when the design cannot be executed
-    /// (missing weights, unfusable layer kind).
-    pub fn fused_runner(
+    /// [`CoreError::Substrate`] when the weights do not fit `net` or a
+    /// group cannot be executed (unfusable layer kind, broken chain).
+    pub fn lower(
         &self,
         net: &Network,
         design: &OptimizedDesign,
-        weights: &winofuse_model::runtime::NetworkWeights,
-    ) -> Result<winofuse_fusion::runner::FusedNetworkRunner, CoreError> {
-        Ok(self.configure_runner(design.execution_plan().runner(net, weights)?))
-    }
-
-    /// Applies the framework's threads, telemetry and fault handling to a
-    /// lowered fused runner (see
-    /// [`ExecutionPlan::lower`](crate::plan::ExecutionPlan::lower)).
-    pub fn configure_runner(
-        &self,
-        runner: winofuse_fusion::runner::FusedNetworkRunner,
-    ) -> winofuse_fusion::runner::FusedNetworkRunner {
-        let mut runner = runner
+        weights: &NetworkWeights,
+    ) -> Result<(Arc<PreparedNetwork>, FusedNetworkRunner), CoreError> {
+        let groups = &design.partition.groups;
+        // The groups tile the network in order, so the i-th config is
+        // layer i's.
+        let planned: Vec<Algorithm> = groups
+            .iter()
+            .flat_map(|g| g.configs.iter().map(|c| c.engine.algorithm))
+            .collect();
+        let prepared = PreparedNetwork::per_layer(net, weights, |i| match planned.get(i) {
+            Some(&Algorithm::SparseWinograd { density_pm, .. }) => ExecAlgo::Sparse { density_pm },
+            _ => ExecAlgo::Auto,
+        })?;
+        let specs: Vec<GroupSpec<'_>> = groups
+            .iter()
+            .map(|g| GroupSpec {
+                start: g.start,
+                configs: &g.configs,
+                analytic_dram_bytes: Some(g.timing.dram_fmap_bytes + g.timing.dram_weight_bytes),
+            })
+            .collect();
+        let mut runner = FusedNetworkRunner::new(net, &prepared, &specs)?
             .with_threads(self.threads)
             .with_telemetry(self.telemetry.clone())
             .with_faults(self.faults.clone());
         if let Some(mode) = self.fault_mode {
             runner = runner.with_fault_mode(mode);
         }
-        runner
+        Ok((Arc::new(prepared), runner))
+    }
+
+    /// The design's fused runner, lowered by [`Framework::lower`] onto
+    /// its own plan-shaped preparation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Framework::lower`].
+    pub fn fused_runner(
+        &self,
+        net: &Network,
+        design: &OptimizedDesign,
+        weights: &NetworkWeights,
+    ) -> Result<FusedNetworkRunner, CoreError> {
+        Ok(self.lower(net, design, weights)?.1)
     }
 
     /// A per-layer bottleneck diagnosis: for every layer of every fusion
@@ -662,7 +678,7 @@ mod tests {
         let net = zoo::small_test_net();
         let fw = Framework::new(FpgaDevice::zc706());
         let d = fw.optimize(&net, 8 * MB).unwrap();
-        let weights = winofuse_model::runtime::NetworkWeights::random(&net, 23).unwrap();
+        let weights = NetworkWeights::random(&net, 23).unwrap();
         let x = winofuse_conv::tensor::random_tensor(1, 3, 32, 32, 24);
         let (out, groups) = fw
             .validate_by_simulation(&net, &d, &weights, &x, 1e-4)
@@ -679,6 +695,54 @@ mod tests {
         assert!(fw
             .validate_by_simulation(&net, &d, &weights, &x, -1.0)
             .is_err());
+    }
+
+    #[test]
+    fn lowered_runner_mirrors_partition_accounting() {
+        let net = zoo::small_test_net();
+        let fw = Framework::new(FpgaDevice::zc706());
+        let d = fw.optimize(&net, 8 * MB).unwrap();
+        let weights = NetworkWeights::random(&net, 7).unwrap();
+        let runner = fw.fused_runner(&net, &d, &weights).unwrap();
+        assert_eq!(runner.groups().len(), d.partition.groups.len());
+        let analytic: u64 = runner
+            .groups()
+            .iter()
+            .map(|g| g.analytic_dram_bytes())
+            .sum();
+        assert_eq!(
+            analytic,
+            d.timing.fmap_transfer_bytes + d.timing.weight_transfer_bytes
+        );
+        let mut next = 0;
+        for (g, planned) in runner.groups().iter().zip(&d.partition.groups) {
+            assert_eq!((g.start(), g.end()), (next, planned.end));
+            next = g.end();
+        }
+        assert_eq!(next, net.len());
+    }
+
+    #[test]
+    fn lowered_runner_matches_reference_and_budget() {
+        let net = zoo::small_test_net();
+        let fw = Framework::new(FpgaDevice::zc706());
+        // A tight budget forces more than one group, exercising the
+        // group-to-group DRAM round trip.
+        let d = fw.optimize(&net, 60 * 1024).unwrap();
+        let weights = NetworkWeights::random(&net, 7).unwrap();
+        let x = winofuse_conv::tensor::random_tensor(1, 3, 32, 32, 8);
+        let runner = fw
+            .fused_runner(&net, &d, &weights)
+            .unwrap()
+            .with_fault_mode(FaultMode::Strict);
+        let report = runner.run(&x).unwrap();
+        let gold = winofuse_model::runtime::forward(&net, &weights, &x).unwrap();
+        assert!(report.output.approx_eq(gold.last().unwrap(), 1e-4));
+        assert_eq!(report.max_dram_delta(), 0);
+        assert_eq!(
+            report.analytic_dram_bytes(),
+            d.timing.fmap_transfer_bytes + d.timing.weight_transfer_bytes
+        );
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //!   bit-identical results at any thread count,
 //! * [`framework`] — the end-to-end driver ("Caffe model + FPGA spec in,
 //!   strategy + report out", §3), including homogeneous-algorithm
-//!   restrictions for ablations,
-//! * [`plan`] — lowering a solved strategy to an executable plan and
-//!   instantiating the plan-faithful fused runner with per-group DRAM
+//!   restrictions for ablations, and the one lowering of a solved
+//!   strategy onto the CPU: a plan-shaped preparation and the
+//!   plan-faithful fused runner on it, with per-group DRAM
 //!   reconciliation,
+//! * [`cache`] — the serving plan: a design, its preparation and its
+//!   runner, built once per served model,
 //! * [`report`] — machine-readable (JSON/CSV) export of designs.
 //!
 //! ## Example
@@ -49,7 +51,6 @@ pub mod dp;
 pub mod exhaustive;
 pub mod framework;
 pub mod parallel;
-pub mod plan;
 pub mod report;
 pub mod strategy;
 

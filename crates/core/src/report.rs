@@ -5,27 +5,9 @@
 use std::fmt::Write as _;
 
 use winofuse_model::network::Network;
+use winofuse_telemetry::json::esc;
 
 use crate::framework::OptimizedDesign;
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Serializes an optimized design to a self-describing JSON document:
 /// network identity, per-group plans with per-layer strategy triples and
@@ -180,15 +162,6 @@ mod tests {
         }
         assert!(json.contains("\"algorithm\""));
         assert!(json.contains("\"bram_18k\""));
-    }
-
-    #[test]
-    fn escaping_handles_special_characters() {
-        assert_eq!(esc("a\"b"), "a\\\"b");
-        assert_eq!(esc("a\\b"), "a\\\\b");
-        assert_eq!(esc("a\nb"), "a\\nb");
-        assert_eq!(esc("a\u{1}b"), "a\\u0001b");
-        assert_eq!(esc("plain"), "plain");
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //! a fusion group the way the strategy says the hardware would — and
 //! fast. It is the one source of fused values. Each group streams rows
 //! through per-stage line-buffer windows. A runner is lowered from a
-//! [`PreparedNetwork`]: its `f32` convolution strips run
-//! [`PreparedConv::run`] on the layer's shared banks — the executor's
-//! own preparation and dispatch, batched
+//! [`PreparedNetwork`] and holds plan state only: no weights of its own.
+//! Its `f32` convolution strips run [`PreparedConv::run`] on the layer's
+//! shared banks — the executor's own preparation and dispatch, batched
 //! Winograd-as-GEMM on 3×3 stride-1 layers and blocked im2col+GEMM
 //! elsewhere — while the BnB's per-layer algorithm choice sets the
-//! weight stream each stage meters (and, for sparse Winograd, the pruned
-//! bank it computes with: a dense bank with the dropped coefficients
-//! zeroed, while the meter charges the CSR stream the accelerator would
-//! read). Pool, LRN and ReLU stages call the executor's own slice
-//! kernels ([`ops::pool_row`], [`ops::lrn_block`],
+//! weight stream each stage meters. A sparse-Winograd stage must be
+//! lowered onto a preparation pruned at the plan's density (a dense bank
+//! with the dropped coefficients zeroed; the meter charges the CSR stream
+//! the accelerator would read). Pool, LRN and ReLU stages call the
+//! executor's own slice kernels ([`ops::pool_row`], [`ops::lrn_block`],
 //! [`ops::relu_in_place`]) on the streamed rows. So `run` matches the
-//! layer-by-layer executor on the same preparation bit for bit, and
-//! `run_fix16` matches [`forward_fix16`] bit for bit.
+//! layer-by-layer executor on the same preparation bit for bit. The
+//! fixed-point datapath takes the weights per call: `run_fix16`
+//! quantizes each conv stage's kernels once and matches
+//! [`forward_fix16`] bit for bit.
 //!
 //! [`forward_fix16`]: winofuse_model::runtime::forward_fix16
 //!
@@ -41,10 +43,10 @@ use winofuse_conv::ops::{self, LrnParams};
 use winofuse_conv::tensor::{Scalar, Tensor};
 use winofuse_conv::{direct, ConvGeometry};
 use winofuse_fpga::engine::Algorithm;
-use winofuse_model::layer::{ConvParams, LayerKind, PoolParams};
+use winofuse_model::layer::{ConvParams, Layer, LayerKind, PoolParams};
 use winofuse_model::network::Network;
 use winofuse_model::runtime::{
-    conv_grouped, ExecAlgo, LayerWeights, NetworkWeights, PreparedConv, PreparedNetwork,
+    conv_grouped, LayerWeights, NetworkWeights, PreparedConv, PreparedNetwork,
 };
 use winofuse_model::shape::{DataType, FmShape};
 use winofuse_runtime::faults::{fall_back, Failure, Fault, FaultInjector, FaultKind, FaultMode};
@@ -177,18 +179,11 @@ impl<T> FusedRunReport<T> {
     }
 }
 
-/// One conv stage's plan state: the quantized kernels of the fixed-point
-/// datapath, the weight-stream bytes the plan's algorithm meters, and the
-/// `f32` preparation its strips compute with.
+/// One conv stage's plan state: the weight-stream bytes the plan's
+/// algorithm meters and the `f32` preparation its strips compute with.
 struct ConvStage {
-    /// Per-group quantized kernels (exact fixed-point path).
-    kernels_fix: Vec<Tensor<Fix16>>,
-    /// The layer's [`PreparedConv`]: shared with the [`PreparedNetwork`]
-    /// the runner was lowered from, or — for a sparse-planned layer that
-    /// preparation does not prune at the plan's density — the stage's own
-    /// pruned preparation, since there the plan's choice changes the
-    /// computed values (the accelerator multiplies by pruned
-    /// coefficients), not just the metered stream.
+    /// The layer's [`PreparedConv`], shared with the [`PreparedNetwork`]
+    /// the runner was lowered from.
     conv: Arc<PreparedConv>,
     /// DRAM bytes the accelerator streams for this layer's weights per
     /// frame.
@@ -203,6 +198,8 @@ enum StageOp {
 }
 
 struct RunnerStage {
+    /// The network layer the stage computes.
+    layer: Layer,
     input: FmShape,
     output: FmShape,
     /// Window/stride/pad for row-dependency math (1/1/0 for pointwise).
@@ -236,12 +233,18 @@ impl RunnerStage {
 /// [`NetworkExecutor`]: winofuse_model::runtime::NetworkExecutor
 /// [`forward_fix16`]: winofuse_model::runtime::forward_fix16
 trait RunnerElement: Scalar + PartialOrd {
+    /// What one call computes a stage with besides the runner's plan
+    /// state: nothing for `f32`; a conv stage's quantized kernels, one
+    /// tensor per channel group, for [`Fix16`].
+    type Kernels;
+
     /// Runs one conv stage on a materialized zero-padded strip, folded
     /// ReLU included. `force_direct` pins the blocked direct kernels (the
     /// lenient-mode fallback rung — numerically identical to the unfused
     /// direct executor).
     fn run_conv(
         stage: &ConvStage,
+        kernels: &Self::Kernels,
         strip: &Tensor<Self>,
         geom: ConvGeometry,
         threads: usize,
@@ -251,8 +254,11 @@ trait RunnerElement: Scalar + PartialOrd {
 }
 
 impl RunnerElement for f32 {
+    type Kernels = ();
+
     fn run_conv(
         stage: &ConvStage,
+        _kernels: &(),
         strip: &Tensor<f32>,
         geom: ConvGeometry,
         threads: usize,
@@ -266,8 +272,11 @@ impl RunnerElement for f32 {
 }
 
 impl RunnerElement for Fix16 {
+    type Kernels = Vec<Tensor<Fix16>>;
+
     fn run_conv(
         stage: &ConvStage,
+        kernels: &Vec<Tensor<Fix16>>,
         strip: &Tensor<Fix16>,
         geom: ConvGeometry,
         threads: usize,
@@ -280,7 +289,7 @@ impl RunnerElement for Fix16 {
         Ok(conv_grouped(stage.conv.params(), strip, geom, |g, x| {
             direct::conv2d_fix16_fast_with_kernel(
                 x,
-                &stage.kernels_fix[g],
+                &kernels[g],
                 geom,
                 threads,
                 KernelChoice::auto(),
@@ -311,9 +320,7 @@ impl FusedGroupRunner {
     /// Lowers the group described by `configs` (resolved layer
     /// configurations for consecutive layers of `net` starting at
     /// `start`) onto `prepared`: each conv stage computes with the
-    /// layer's shared [`PreparedConv`], except a sparse-planned layer
-    /// that `prepared` does not prune at the plan's density, which prunes
-    /// its own bank from `weights`. The analytic DRAM budget
+    /// layer's shared [`PreparedConv`]. The analytic DRAM budget
     /// defaults to the configs' own accounting (group input + output
     /// feature maps plus every member's weight stream) — override it
     /// with [`FusedGroupRunner::with_analytic_budget`] when lowering
@@ -323,14 +330,14 @@ impl FusedGroupRunner {
     ///
     /// Returns [`FusionError::InvalidGroup`] for an empty/unchained
     /// group, layers the fusion architecture cannot host (FC, softmax),
-    /// a `prepared` built for another network, or a layer the plan does
-    /// not prune whose preparation is pruned, and
-    /// [`FusionError::Simulation`] for missing weights.
+    /// a `prepared` built for another network, or a conv layer whose
+    /// preparation is not pruned exactly where the plan prunes it (at
+    /// the plan's density on a layer with an `F(4×4, 3×3)` bank, not at
+    /// all elsewhere).
     pub fn new(
         net: &Network,
         start: usize,
         configs: &[LayerConfig],
-        weights: &NetworkWeights,
         prepared: &PreparedNetwork,
     ) -> Result<Self, FusionError> {
         if configs.is_empty() {
@@ -365,16 +372,13 @@ impl FusedGroupRunner {
             let spec = crate::pyramid::SpatialSpec::of(&cfg.layer.kind);
             let (op, strip_rows) = match &cfg.layer.kind {
                 LayerKind::Conv(c) => {
-                    let (Some(LayerWeights::Conv(kernels)), Some(shared)) =
-                        (weights.get(idx), prepared.conv(idx))
-                    else {
-                        return Err(FusionError::Simulation(format!(
-                            "missing conv weights for layer {idx} `{}`",
+                    let Some(shared) = prepared.conv(idx) else {
+                        return Err(FusionError::InvalidGroup(format!(
+                            "layer {idx} `{}` has no prepared convolution",
                             cfg.layer.name
                         )));
                     };
-                    let conv =
-                        ConvStage::lower(c, kernels, cfg.input, cfg.engine.algorithm, shared)?;
+                    let conv = ConvStage::lower(c, cfg.input, cfg.engine.algorithm, shared)?;
                     let strip = conv
                         .conv
                         .winograd_m()
@@ -392,6 +396,7 @@ impl FusedGroupRunner {
                 }
             };
             stages.push(RunnerStage {
+                layer: cfg.layer.clone(),
                 input: cfg.input,
                 output: cfg.output,
                 kernel: spec.kernel,
@@ -514,19 +519,42 @@ impl FusedGroupRunner {
     /// kernel panic. Lenient mode degrades to unfused execution instead
     /// (see [`GroupFallback`]).
     pub fn run(&self, input: &Tensor<f32>) -> Result<GroupRunResult<f32>, FusionError> {
-        self.run_guarded(input)
+        // `f32` stages compute with their preparation alone.
+        self.run_guarded(input, &vec![(); self.stages.len()])
     }
 
-    /// Streams one fixed-point frame through the group. Bit-exact
-    /// against [`forward_fix16`] on the same quantized weights.
+    /// Streams one fixed-point frame through the group, computing with
+    /// `weights`: each conv stage's kernels are quantized once for the
+    /// call, and every strip shares them. Bit-exact against
+    /// [`forward_fix16`] on the same weights.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FusedGroupRunner::run`].
+    /// [`FusionError::Model`] when `weights` do not fit the group's layers
+    /// ([`NetworkWeights::check_layer`]); otherwise the same conditions as
+    /// [`FusedGroupRunner::run`].
     ///
     /// [`forward_fix16`]: winofuse_model::runtime::forward_fix16
-    pub fn run_fix16(&self, input: &Tensor<Fix16>) -> Result<GroupRunResult<Fix16>, FusionError> {
-        self.run_guarded(input)
+    pub fn run_fix16(
+        &self,
+        input: &Tensor<Fix16>,
+        weights: &NetworkWeights,
+    ) -> Result<GroupRunResult<Fix16>, FusionError> {
+        let mut kernels = Vec::with_capacity(self.stages.len());
+        for (i, st) in (self.start..).zip(&self.stages) {
+            let entry = weights.check_layer(i, &st.layer, st.input)?;
+            kernels.push(match (&st.op, entry) {
+                (StageOp::Conv(conv), LayerWeights::Conv(k)) => {
+                    let c = conv.conv.params();
+                    let ng = c.num_output / c.groups.max(1);
+                    (0..c.groups.max(1))
+                        .map(|g| k.slice_channels_n(g * ng, (g + 1) * ng).cast())
+                        .collect()
+                }
+                _ => Vec::new(),
+            });
+        }
+        self.run_guarded(input, &kernels)
     }
 
     /// Runs the group behind the fault guard and the algorithm-fallback
@@ -540,6 +568,7 @@ impl FusedGroupRunner {
     fn run_guarded<T: RunnerElement>(
         &self,
         input: &Tensor<T>,
+        kernels: &[T::Kernels],
     ) -> Result<GroupRunResult<T>, FusionError> {
         let primary = || {
             if self.faults.trip(&format!("fused.group{}", self.start)) == Some(FaultKind::Saturate)
@@ -551,13 +580,15 @@ impl FusedGroupRunner {
             }
             // Shape, config and simulation errors are not kernel faults —
             // switching algorithms cannot fix them.
-            let r = self.run_generic(input, false, true).map_err(|e| match e {
-                FusionError::KernelFault { .. } => Failure::Fault(Fault {
-                    class: "kernel_fault",
-                    reason: e.to_string(),
-                }),
-                e => Failure::Error(e),
-            })?;
+            let r = self
+                .run_generic(input, kernels, false, true)
+                .map_err(|e| match e {
+                    FusionError::KernelFault { .. } => Failure::Fault(Fault {
+                        class: "kernel_fault",
+                        reason: e.to_string(),
+                    }),
+                    e => Failure::Error(e),
+                })?;
             if r.dram.delta() == 0 {
                 return Ok(r);
             }
@@ -576,7 +607,7 @@ impl FusedGroupRunner {
                 }),
             })
         };
-        let fallback = Some(|| self.run_generic(input, true, false));
+        let fallback = Some(|| self.run_generic(input, kernels, true, false));
         let fault = |reason| FusionError::GroupFault {
             start: self.start,
             reason,
@@ -595,13 +626,15 @@ impl FusedGroupRunner {
         Ok(r)
     }
 
-    /// One streaming pass. `force_direct` pins every conv stage to the
-    /// blocked direct kernels (the fallback rung); `primary` gates fault
-    /// injection and the `fused.*` telemetry so a fallback re-run never
-    /// re-trips its own cause or double-counts traffic.
+    /// One streaming pass, stage `i` computing with `kernels[i]`.
+    /// `force_direct` pins every conv stage to the blocked direct kernels
+    /// (the fallback rung); `primary` gates fault injection and the
+    /// `fused.*` telemetry so a fallback re-run never re-trips its own
+    /// cause or double-counts traffic.
     fn run_generic<T: RunnerElement>(
         &self,
         input: &Tensor<T>,
+        kernels: &[T::Kernels],
         force_direct: bool,
         primary: bool,
     ) -> Result<GroupRunResult<T>, FusionError> {
@@ -672,6 +705,7 @@ impl FusedGroupRunner {
                     }
                     let rows = self.produce_strip(
                         i,
+                        &kernels[i],
                         &windows[i],
                         win_start[i],
                         o0,
@@ -756,6 +790,7 @@ impl FusedGroupRunner {
     fn produce_strip<T: RunnerElement>(
         &self,
         i: usize,
+        kernels: &T::Kernels,
         window: &VecDeque<Vec<T>>,
         win_start: usize,
         o0: usize,
@@ -793,7 +828,7 @@ impl FusedGroupRunner {
                 } else {
                     PoolProfiler::disabled()
                 };
-                self.conv_strip(st, conv, &row_at, o0, o1, &prof, force_direct)
+                self.conv_strip(st, conv, kernels, &row_at, o0, o1, &prof, force_direct)
             }
             StageOp::Pool(p) => {
                 let iw = st.input.width;
@@ -843,6 +878,7 @@ impl FusedGroupRunner {
         &self,
         st: &RunnerStage,
         conv: &ConvStage,
+        kernels: &T::Kernels,
         row_at: &impl Fn(usize) -> Result<&'w Vec<T>, FusionError>,
         o0: usize,
         o1: usize,
@@ -871,7 +907,15 @@ impl FusedGroupRunner {
             }
         }
         let geom = ConvGeometry::rect(span, pw, c.kernel, c.stride, 0)?;
-        let strip_out = T::run_conv(conv, &strip, geom, self.threads, prof, force_direct)?;
+        let strip_out = T::run_conv(
+            conv,
+            kernels,
+            &strip,
+            geom,
+            self.threads,
+            prof,
+            force_direct,
+        )?;
         let (out_c, out_w) = (st.output.channels, st.output.width);
         let strip_rows = o1 - o0;
         let src = strip_out.as_slice();
@@ -889,9 +933,8 @@ impl FusedGroupRunner {
 }
 
 impl ConvStage {
-    /// Quantizes a conv layer's kernels, picks the `f32` preparation its
-    /// strips compute with, and derives the weight-stream bytes the
-    /// plan's datapath implies.
+    /// Shares the layer's `f32` preparation and derives the weight-stream
+    /// bytes the plan's datapath implies.
     ///
     /// Which datapath *computes* a layer is independent of the stream
     /// the plan's algorithm *meters*: a Winograd-planned 5×5 layer
@@ -900,40 +943,37 @@ impl ConvStage {
     /// bank while metering the raw K² stream — exactly what the
     /// executor runs, so the fused/executor comparison times identical
     /// kernels. A sparse-planned layer is the exception: its pruned
-    /// coefficients change the computed values, so the stage shares the
-    /// preparation only when it is pruned at the plan's density, and
-    /// prepares its own pruned bank otherwise.
+    /// coefficients change the computed values, so where the layer has
+    /// an `F(4×4, 3×3)` bank it must be pruned at the plan's density,
+    /// and no other layer's may be pruned.
     fn lower(
         c: &ConvParams,
-        kernels: &Tensor<f32>,
         input: FmShape,
         algorithm: Algorithm,
         shared: &Arc<PreparedConv>,
     ) -> Result<Self, FusionError> {
+        let planned = match algorithm {
+            Algorithm::SparseWinograd { density_pm, .. } if shared.winograd_capable() => {
+                Some(density_pm)
+            }
+            _ => None,
+        };
+        if shared.density_pm() != planned {
+            return Err(FusionError::InvalidGroup(format!(
+                "a {algorithm} layer cannot run on a preparation {}",
+                shared
+                    .density_pm()
+                    .map_or("that is not pruned".into(), |d| format!("pruned to {d}‰"))
+            )));
+        }
         let groups = c.groups.max(1);
         let cg = c.channels_per_group(input.channels);
         let ng = c.num_output / groups;
-        let kernels_fix = (0..groups)
-            .map(|g| kernels.slice_channels_n(g * ng, (g + 1) * ng).cast())
-            .collect();
-        let conv = match (algorithm, shared.density_pm()) {
-            (Algorithm::SparseWinograd { density_pm, .. }, kept) if kept != Some(density_pm) => {
-                Arc::new(PreparedConv::new(
-                    c,
-                    kernels,
-                    ExecAlgo::Sparse { density_pm },
-                )?)
-            }
-            (Algorithm::SparseWinograd { .. }, _) | (_, None) => Arc::clone(shared),
-            (_, Some(_)) => {
-                return Err(FusionError::InvalidGroup(format!(
-                    "a {algorithm} layer cannot share a pruned preparation"
-                )))
-            }
-        };
         let dtype_bytes = DataType::Fixed16.bytes() as u64;
         let weight_stream_bytes = match algorithm {
-            Algorithm::Conventional => kernels.as_slice().len() as u64 * dtype_bytes,
+            Algorithm::Conventional => {
+                (c.num_output * cg * c.kernel * c.kernel) as u64 * dtype_bytes
+            }
             Algorithm::Winograd { m } => {
                 // The plan streams the transformed α² coefficients.
                 let alpha = (m + c.kernel - 1) as u64;
@@ -951,8 +991,7 @@ impl ConvStage {
             }
         };
         Ok(ConvStage {
-            kernels_fix,
-            conv,
+            conv: Arc::clone(shared),
             weight_stream_bytes,
         })
     }
@@ -989,7 +1028,6 @@ impl FusedNetworkRunner {
     /// [`FusionError::InvalidGroup`] for a broken chain.
     pub fn new(
         net: &Network,
-        weights: &NetworkWeights,
         prepared: &PreparedNetwork,
         specs: &[GroupSpec<'_>],
     ) -> Result<Self, FusionError> {
@@ -998,8 +1036,7 @@ impl FusedNetworkRunner {
         }
         let mut groups = Vec::with_capacity(specs.len());
         for spec in specs {
-            let mut runner =
-                FusedGroupRunner::new(net, spec.start, spec.configs, weights, prepared)?;
+            let mut runner = FusedGroupRunner::new(net, spec.start, spec.configs, prepared)?;
             if let Some(bytes) = spec.analytic_dram_bytes {
                 runner = runner.with_analytic_budget(bytes);
             }
@@ -1084,13 +1121,18 @@ impl FusedNetworkRunner {
         self.run_generic(input, FusedGroupRunner::run)
     }
 
-    /// Streams one fixed-point frame through every group in order.
+    /// Streams one fixed-point frame through every group in order, each
+    /// computing with `weights` (see [`FusedGroupRunner::run_fix16`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FusedGroupRunner::run`].
-    pub fn run_fix16(&self, input: &Tensor<Fix16>) -> Result<FusedRunReport<Fix16>, FusionError> {
-        self.run_generic(input, FusedGroupRunner::run_fix16)
+    /// Same conditions as [`FusedGroupRunner::run_fix16`].
+    pub fn run_fix16(
+        &self,
+        input: &Tensor<Fix16>,
+        weights: &NetworkWeights,
+    ) -> Result<FusedRunReport<Fix16>, FusionError> {
+        self.run_generic(input, |g, x| g.run_fix16(x, weights))
     }
 
     /// The batched fused entry: streams every frame of an `n ≥ 1` batch
@@ -1164,11 +1206,11 @@ mod tests {
     use super::*;
     use winofuse_conv::tensor::random_tensor;
     use winofuse_fpga::engine::EngineConfig;
-    use winofuse_model::runtime::{forward, forward_fix16};
+    use winofuse_model::runtime::{forward, forward_fix16, ExecAlgo};
     use winofuse_model::zoo;
 
-    fn prepared(net: &Network, weights: &NetworkWeights) -> PreparedNetwork {
-        PreparedNetwork::new(net, weights, ExecAlgo::Auto).unwrap()
+    fn prepared(net: &Network, weights: &NetworkWeights, algo: ExecAlgo) -> PreparedNetwork {
+        PreparedNetwork::new(net, weights, algo).unwrap()
     }
 
     /// The group runner over `configs` starting at `start`, lowered
@@ -1179,7 +1221,8 @@ mod tests {
         configs: &[LayerConfig],
         weights: &NetworkWeights,
     ) -> Result<FusedGroupRunner, FusionError> {
-        FusedGroupRunner::new(net, start, configs, weights, &prepared(net, weights))
+        let prepared = prepared(net, weights, ExecAlgo::Auto);
+        FusedGroupRunner::new(net, start, configs, &prepared)
     }
 
     fn configs_for(
@@ -1331,7 +1374,13 @@ mod tests {
         let x = random_tensor(1, 3, 20, 20, 92);
         let algo = Algorithm::sparse_f43(250);
         let configs = configs_for(&net, 0..net.len(), algo);
-        let runner = group_runner(&net, 0, &configs, &weights)
+        // The plan prunes, so a dense preparation cannot host it.
+        assert!(matches!(
+            group_runner(&net, 0, &configs, &weights),
+            Err(FusionError::InvalidGroup(_))
+        ));
+        let pruned = prepared(&net, &weights, ExecAlgo::Sparse { density_pm: 250 });
+        let runner = FusedGroupRunner::new(&net, 0, &configs, &pruned)
             .unwrap()
             .with_fault_mode(FaultMode::Strict);
         let r = runner.run(&x).unwrap();
@@ -1366,7 +1415,8 @@ mod tests {
         let x = random_tensor(1, 3, 20, 20, 94);
         let sparse = configs_for(&net, 0..net.len(), Algorithm::sparse_f43(1000));
         let dense = configs_for(&net, 0..net.len(), Algorithm::Winograd { m: 4 });
-        let rs = group_runner(&net, 0, &sparse, &weights)
+        let full = prepared(&net, &weights, ExecAlgo::Sparse { density_pm: 1000 });
+        let rs = FusedGroupRunner::new(&net, 0, &sparse, &full)
             .unwrap()
             .run(&x)
             .unwrap();
@@ -1408,7 +1458,7 @@ mod tests {
         let runner = group_runner(&net, 0, &configs, &weights)
             .unwrap()
             .with_threads(2);
-        let r = runner.run_fix16(&x).unwrap();
+        let r = runner.run_fix16(&x, &weights).unwrap();
         assert_eq!(&r.output, reference.last().unwrap());
         assert_eq!(r.dram.delta(), 0);
     }
@@ -1452,8 +1502,8 @@ mod tests {
                 analytic_dram_bytes: None,
             },
         ];
-        let runner =
-            FusedNetworkRunner::new(&net, &weights, &prepared(&net, &weights), &specs).unwrap();
+        let prepared = prepared(&net, &weights, ExecAlgo::Auto);
+        let runner = FusedNetworkRunner::new(&net, &prepared, &specs).unwrap();
         let report = runner.run(&x).unwrap();
         assert!(report.output.approx_eq(reference.last().unwrap(), 1e-4));
         assert_eq!(report.groups.len(), 2);
@@ -1479,8 +1529,8 @@ mod tests {
             configs: &configs,
             analytic_dram_bytes: None,
         }];
-        let runner =
-            FusedNetworkRunner::new(&net, &weights, &prepared(&net, &weights), &specs).unwrap();
+        let prepared = prepared(&net, &weights, ExecAlgo::Auto);
+        let runner = FusedNetworkRunner::new(&net, &prepared, &specs).unwrap();
         let frames: Vec<_> = (0..3)
             .map(|i| random_tensor(1, 3, 32, 32, 92 + i))
             .collect();
@@ -1666,14 +1716,14 @@ mod tests {
         );
         // FC layers have no fusion config at all, or the runner rejects
         // them; either way the plan cannot host them.
-        let prepared = prepared(&net, &weights);
+        let prepared = prepared(&net, &weights, ExecAlgo::Auto);
         if let Ok(cfg) = cfg {
             let cfgs = std::slice::from_ref(&cfg);
-            let err = FusedGroupRunner::new(&net, fc, cfgs, &weights, &prepared);
+            let err = FusedGroupRunner::new(&net, fc, cfgs, &prepared);
             assert!(err.is_err());
         }
         // Empty group.
-        assert!(FusedGroupRunner::new(&net, 0, &[], &weights, &prepared).is_err());
+        assert!(FusedGroupRunner::new(&net, 0, &[], &prepared).is_err());
     }
 
     #[test]

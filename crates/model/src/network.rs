@@ -320,9 +320,9 @@ impl Network {
     /// A stable 64-bit structural fingerprint of the network: FNV-1a over
     /// the name, input shape, and every layer's name, kind, and
     /// parameters. Two networks fingerprint equal iff they describe the
-    /// same computation on the same shapes — the plan cache keys on this
-    /// (together with a weights fingerprint) so a cached strategy is
-    /// never replayed against a different model.
+    /// same computation on the same shapes — a `PreparedNetwork` records
+    /// it, so an executor or fused runner refuses a preparation built for
+    /// a different model.
     ///
     /// The value is deterministic across runs and platforms (all inputs
     /// are hashed through fixed-width little-endian encodings), so it is

@@ -18,7 +18,7 @@
 //! an executor prepared like an optimized plan is the reference the fused
 //! runner's values are validated against.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use winofuse_conv::cook_toom::{f43, WinogradTransform};
 use winofuse_conv::direct::PackedKernels;
@@ -35,15 +35,13 @@ use winofuse_telemetry::Telemetry;
 
 use crate::layer::{ConvParams, Layer, LayerKind};
 use crate::network::Network;
+use crate::shape::FmShape;
 use crate::ModelError;
 
 /// Per-layer weights for a network (synthetic, seeded).
 #[derive(Debug, Clone)]
 pub struct NetworkWeights {
     entries: Vec<LayerWeights>,
-    /// [`NetworkWeights::fingerprint`], computed on first use. The
-    /// entries never change after construction, so it stays valid.
-    fingerprint: OnceLock<u64>,
 }
 
 /// Weights of one layer.
@@ -113,10 +111,7 @@ impl NetworkWeights {
             };
             entries.push(w);
         }
-        Ok(NetworkWeights {
-            entries,
-            fingerprint: OnceLock::new(),
-        })
+        Ok(NetworkWeights { entries })
     }
 
     /// Weights of layer `index`.
@@ -124,16 +119,10 @@ impl NetworkWeights {
     /// # Panics
     ///
     /// Panics when the index is out of range — use
-    /// [`NetworkWeights::get`] on indices that are not already validated.
+    /// [`NetworkWeights::check_layer`] on indices that are not already
+    /// validated.
     pub fn layer(&self, index: usize) -> &LayerWeights {
         &self.entries[index]
-    }
-
-    /// Weights of layer `index`, or `None` when the index is out of range
-    /// — the fallible companion of [`NetworkWeights::layer`] for callers
-    /// holding externally supplied indices.
-    pub fn get(&self, index: usize) -> Option<&LayerWeights> {
-        self.entries.get(index)
     }
 
     /// Number of layer entries.
@@ -146,50 +135,84 @@ impl NetworkWeights {
         self.entries.is_empty()
     }
 
-    /// A stable 64-bit fingerprint over every weight bit (FNV-1a on the
-    /// IEEE bit patterns, little-endian). Combined with
-    /// [`Network::fingerprint`] this identifies a servable model: same
-    /// structure + same weights ⇒ same fingerprints ⇒ the plan cache may
-    /// reuse a prepared entry.
+    /// Checks these weights against `net`'s layers: one entry per layer,
+    /// each fitting its layer ([`NetworkWeights::check_layer`]).
     ///
-    /// The hash reads every weight, so it is computed once per value and
-    /// memoized; a clone carries the memoized value with its entries.
-    pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    /// # Errors
+    ///
+    /// [`ModelError::Execution`] for an entry count that differs from the
+    /// layer count, or naming the first layer whose entry does not fit;
+    /// shape-inference errors of `net`.
+    pub fn check(&self, net: &Network) -> Result<(), ModelError> {
+        if self.entries.len() != net.len() {
+            return Err(ModelError::Execution(format!(
+                "weights hold {} layer entries, network `{}` has {} layers",
+                self.entries.len(),
+                net.name(),
+                net.len()
+            )));
+        }
+        let shapes = net.shapes()?;
+        for (i, layer) in net.layers().iter().enumerate() {
+            self.check_layer(i, layer, shapes[i])?;
+        }
+        Ok(())
     }
 
-    /// The FNV-1a pass behind [`NetworkWeights::fingerprint`].
-    fn compute_fingerprint(&self) -> u64 {
-        let mut h = crate::network::Fnv1a::new();
-        h.u64(self.entries.len() as u64);
-        for entry in &self.entries {
-            match entry {
-                LayerWeights::Conv(t) => {
-                    h.str("conv");
-                    let (n, c, kh, kw) = t.shape();
-                    for d in [n, c, kh, kw] {
-                        h.u64(d as u64);
-                    }
-                    for &v in t.as_slice() {
-                        h.f32(v);
-                    }
-                }
-                LayerWeights::Fc { weights, bias } => {
-                    h.str("fc");
-                    h.u64(weights.len() as u64);
-                    for &v in weights {
-                        h.f32(v);
-                    }
-                    h.u64(bias.len() as u64);
-                    for &v in bias {
-                        h.f32(v);
-                    }
-                }
-                LayerWeights::None => h.str("none"),
-            }
+    /// The weights of layer `index` (`layer`, fed an `input` map), checked
+    /// to fit it: conv kernels are `num_output × C/groups × K × K`, FC
+    /// weights `num_output × in_features` with a bias of `num_output`,
+    /// and every other layer has [`LayerWeights::None`].
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Execution`] naming the layer's index and name and
+    /// the expected and found shapes.
+    pub fn check_layer(
+        &self,
+        index: usize,
+        layer: &Layer,
+        input: FmShape,
+    ) -> Result<&LayerWeights, ModelError> {
+        let expected = match &layer.kind {
+            LayerKind::Conv(c) => ParamShape::Conv([
+                c.num_output,
+                c.channels_per_group(input.channels),
+                c.kernel,
+                c.kernel,
+            ]),
+            LayerKind::Fc(fc) => ParamShape::Fc([
+                fc.num_output.saturating_mul(input.elements()),
+                fc.num_output,
+            ]),
+            _ => ParamShape::NoParameters,
+        };
+        let entry = self.entries.get(index);
+        let found = match entry {
+            Some(LayerWeights::Conv(t)) => ParamShape::Conv(t.shape().into()),
+            Some(LayerWeights::Fc { weights, bias }) => ParamShape::Fc([weights.len(), bias.len()]),
+            Some(LayerWeights::None) => ParamShape::NoParameters,
+            None => ParamShape::NoEntry,
+        };
+        match entry {
+            Some(w) if found == expected => Ok(w),
+            _ => Err(ModelError::Execution(format!(
+                "layer {index} `{}`: expected {expected:?}, found {found:?}",
+                layer.name
+            ))),
         }
-        h.finish()
     }
+}
+
+/// A layer entry's parameter shape as [`NetworkWeights::check_layer`]
+/// compares and reports it: conv kernels `[N, C, K, K]`, FC weight and
+/// bias lengths.
+#[derive(Debug, PartialEq)]
+enum ParamShape {
+    Conv([usize; 4]),
+    Fc([usize; 2]),
+    NoParameters,
+    NoEntry,
 }
 
 /// Runs the network with the conventional algorithm everywhere, returning
@@ -198,7 +221,8 @@ impl NetworkWeights {
 /// # Errors
 ///
 /// Returns [`ModelError::Execution`] when the input tensor does not match
-/// the network's input shape or a numeric kernel rejects its arguments.
+/// the network's input shape, the weights do not fit the network
+/// ([`NetworkWeights::check`]), or a numeric kernel rejects its arguments.
 pub fn forward(
     net: &Network,
     weights: &NetworkWeights,
@@ -212,10 +236,7 @@ pub fn forward(
         |i, layer, x| match &layer.kind {
             LayerKind::Fc(fc) => {
                 let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing fc weights for layer {i} `{}`",
-                        layer.name
-                    )));
+                    unreachable!("invariant: the weights were checked against the network");
                 };
                 let mut y = ops::fully_connected(x, w, bias, fc.num_output)?;
                 if fc.relu {
@@ -242,9 +263,10 @@ pub fn forward(
 /// # Errors
 ///
 /// Returns [`ModelError::Execution`] when the input does not match the
-/// network's input shape, when conv weights are missing, or for layer
-/// kinds outside the fused set (FC, softmax) — quantized execution
-/// models the accelerator datapath, which hosts only the conv body.
+/// network's input shape, when the weights do not fit the network
+/// ([`NetworkWeights::check`]), or for layer kinds outside the fused set
+/// (FC, softmax) — quantized execution models the accelerator datapath,
+/// which hosts only the conv body.
 ///
 /// [`Fix16`]: winofuse_conv::fixed::Fix16
 pub fn forward_fix16(
@@ -290,16 +312,14 @@ fn reference_layers<T: Scalar + PartialOrd>(
     mut dense: impl FnMut(usize, &Layer, &Tensor<T>) -> Result<Tensor<T>, ModelError>,
 ) -> Result<Vec<Tensor<T>>, ModelError> {
     check_input(net, input)?;
+    weights.check(net)?;
     let mut outputs: Vec<Tensor<T>> = Vec::with_capacity(net.len());
     for (i, layer) in net.layers().iter().enumerate() {
         let cur = outputs.last().unwrap_or(input);
         let next = match &layer.kind {
             LayerKind::Conv(c) => {
                 let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                    return Err(ModelError::Execution(format!(
-                        "missing conv weights for layer {i} `{}`",
-                        layer.name
-                    )));
+                    unreachable!("invariant: the weights were checked against the network");
                 };
                 let geom = ConvGeometry::rect(cur.h(), cur.w(), c.kernel, c.stride, c.pad)?;
                 let ng = c.num_output / c.groups.max(1);
@@ -540,6 +560,12 @@ impl PreparedConv {
         self.density_pm
     }
 
+    /// Whether the layer's shape (3×3, stride 1) admits a dense or pruned
+    /// `F(4×4, 3×3)` bank; other layers run direct under any algorithm.
+    pub fn winograd_capable(&self) -> bool {
+        self.params.kernel == self.transform.r() && self.params.stride == 1
+    }
+
     /// Output rows per Winograd tile when the layer computes on a bank —
     /// a strip of it must start on a multiple of this to keep the
     /// whole-image tile grid — or `None` for a direct layer.
@@ -617,7 +643,7 @@ enum PreparedLayer {
 pub struct PreparedNetwork {
     layers: Vec<PreparedLayer>,
     /// Validated per-layer input shapes (`shapes[i]` feeds layer `i`).
-    shapes: Vec<crate::shape::FmShape>,
+    shapes: Vec<FmShape>,
     network_fingerprint: u64,
 }
 
@@ -627,10 +653,10 @@ impl PreparedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Execution`] when a layer's weights are
-    /// missing or malformed, or when [`ExecAlgo::Winograd`] is forced on
-    /// a layer the `F(4×4, 3×3)` path cannot run (kernel ≠ 3 or
-    /// stride ≠ 1).
+    /// Returns [`ModelError::Execution`] when the weights do not fit the
+    /// network ([`NetworkWeights::check`]), or when [`ExecAlgo::Winograd`]
+    /// is forced on a layer the `F(4×4, 3×3)` path cannot run (kernel ≠ 3
+    /// or stride ≠ 1).
     pub fn new(
         net: &Network,
         weights: &NetworkWeights,
@@ -651,16 +677,14 @@ impl PreparedNetwork {
         weights: &NetworkWeights,
         algo_of: impl Fn(usize) -> ExecAlgo,
     ) -> Result<Self, ModelError> {
+        weights.check(net)?;
         let shapes = net.shapes()?;
         let mut layers = Vec::with_capacity(net.len());
         for (i, layer) in net.layers().iter().enumerate() {
             let p = match &layer.kind {
                 LayerKind::Conv(c) => {
                     let LayerWeights::Conv(kernels) = weights.layer(i) else {
-                        return Err(ModelError::Execution(format!(
-                            "missing conv weights for layer {i} `{}`",
-                            layer.name
-                        )));
+                        unreachable!("invariant: the weights were checked against the network");
                     };
                     let algo = algo_of(i);
                     let conv = PreparedConv::new(c, kernels, algo)?;
@@ -674,10 +698,7 @@ impl PreparedNetwork {
                 }
                 LayerKind::Fc(_) => {
                     let LayerWeights::Fc { weights: w, bias } = weights.layer(i) else {
-                        return Err(ModelError::Execution(format!(
-                            "missing fc weights for layer {i} `{}`",
-                            layer.name
-                        )));
+                        unreachable!("invariant: the weights were checked against the network");
                     };
                     PreparedLayer::Fc {
                         weights: w.clone(),
@@ -761,8 +782,8 @@ impl<'n> NetworkExecutor<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Execution`] when a layer's weights are
-    /// missing or malformed.
+    /// Returns [`ModelError::Execution`] when the weights do not fit the
+    /// network ([`NetworkWeights::check`]).
     pub fn new(net: &'n Network, weights: &NetworkWeights) -> Result<Self, ModelError> {
         Self::with_algo(net, weights, ExecAlgo::Auto)
     }
@@ -1072,23 +1093,6 @@ mod tests {
             let s = shapes[i + 1];
             assert_eq!((out.c(), out.h(), out.w()), (s.channels, s.height, s.width));
         }
-    }
-
-    #[test]
-    fn memoized_fingerprint_equals_a_fresh_hash_before_and_after_clone() {
-        let net = zoo::small_test_net();
-        let w = NetworkWeights::random(&net, 5).unwrap();
-        let fresh = w.compute_fingerprint();
-        let unfilled = w.clone();
-        assert_eq!(w.fingerprint(), fresh);
-        assert_eq!(w.fingerprint(), fresh, "second read of the memo");
-        let filled = w.clone();
-        for c in [&unfilled, &filled] {
-            assert_eq!(c.fingerprint(), c.compute_fingerprint());
-            assert_eq!(c.fingerprint(), fresh);
-        }
-        let other = NetworkWeights::random(&net, 6).unwrap();
-        assert_ne!(other.fingerprint(), fresh, "the memo is per value");
     }
 
     #[test]

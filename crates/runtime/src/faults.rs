@@ -75,8 +75,7 @@ impl FaultKind {
 
 /// The sites the execution stack checks, as site patterns, with the kinds
 /// each applies: the pool before every job, the executor per layer, the
-/// fused runner per group and per DRAM meter, and the plan cache per
-/// build.
+/// fused runner per group and per DRAM meter, and the plan build.
 const SITE_CLASSES: [(&str, &[&str]); 5] = [
     ("pool.*", &["panic"]),
     ("exec.*", &["panic", "sat"]),

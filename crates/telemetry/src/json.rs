@@ -250,6 +250,15 @@ mod tests {
     }
 
     #[test]
+    fn escaping_handles_special_characters() {
+        assert_eq!(esc("a\"b"), "a\\\"b");
+        assert_eq!(esc("a\\b"), "a\\\\b");
+        assert_eq!(esc("a\nb"), "a\\nb");
+        assert_eq!(esc("a\u{1}b"), "a\\u0001b");
+        assert_eq!(esc("plain"), "plain");
+    }
+
+    #[test]
     fn esc_then_parse_is_identity() {
         let nasty = "quote\" slash\\ nl\n tab\t ctrl\u{1} unicode\u{00e9}";
         let wrapped = format!("\"{}\"", esc(nasty));

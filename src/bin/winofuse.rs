@@ -31,7 +31,7 @@ use winofuse::model::runtime::{ExecAlgo, LayerProfile, NetworkExecutor, NetworkW
 use winofuse::model::{prototxt, zoo, DataType, LayerKind, Network};
 use winofuse::prelude::{FpgaDevice, Framework};
 use winofuse::runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
-use winofuse::telemetry::{ChromeTraceSink, JsonLinesSink, Telemetry, TraceSink};
+use winofuse::telemetry::{json, ChromeTraceSink, JsonLinesSink, Telemetry, TraceSink};
 use winofuse::{error::render_chain, ServeConfig, ServeEngine, TaskError};
 
 const MB: u64 = 1024 * 1024;
@@ -93,7 +93,7 @@ fn usage() -> ! {
                              small, mixed\n\
            --profile-json PATH  `profile` only: machine-readable per-layer\n\
                              attribution (default profile.json)\n\
-         serve options (the long-running engine; conv body, plan cached):\n\
+         serve options (the long-running engine; conv body, plan built once):\n\
            --requests N      total requests the built-in load generator submits\n\
                              (default 32)\n\
            --concurrency N   client threads submitting concurrently (default 4)\n\
@@ -546,15 +546,12 @@ fn cmd_run_fused(net: &Network, o: &Options) -> Result<(), TaskError> {
     );
     // The runner and its reference share one preparation, pruned exactly
     // where the plan prunes.
-    let plan = design.execution_plan();
-    let prepared = plan.prepare(net, &weights)?;
+    let (prepared, runner) = fw.lower(net, &design, &weights)?;
     // Lenient mode by default: collect every group's delta (and any
     // fault-driven fallbacks) for the table, then fail once at the end
     // so the operator sees the whole picture. `--fault-mode strict`
     // surfaces the first fault as a typed error instead.
-    let runner = fw
-        .configure_runner(plan.lower(net, &weights, &prepared)?)
-        .with_fault_mode(o.fault_mode.unwrap_or(FaultMode::Lenient));
+    let runner = runner.with_fault_mode(o.fault_mode.unwrap_or(FaultMode::Lenient));
     let start = std::time::Instant::now();
     let report = runner.run(&input)?;
     let elapsed = start.elapsed().as_secs_f64();
@@ -576,7 +573,7 @@ fn cmd_run_fused(net: &Network, o: &Options) -> Result<(), TaskError> {
             g.delta()
         );
     }
-    let exec = NetworkExecutor::from_prepared(net, prepared.into())?.with_threads(o.threads);
+    let exec = NetworkExecutor::from_prepared(net, prepared)?.with_threads(o.threads);
     let reference = exec.run(&input)?;
     let err = report.output.max_abs_diff(&reference)?;
     println!(
@@ -725,9 +722,9 @@ fn cmd_run(net: &Network, o: &Options) -> Result<(), TaskError> {
 }
 
 /// `winofuse serve`: start the long-running engine (bounded queue →
-/// dynamic batcher → plan cache → batched execution), drive it with the
-/// built-in load generator, and report throughput, tail latency, and
-/// plan-cache traffic.
+/// dynamic batcher → the plan, built once → batched execution), drive it
+/// with the built-in load generator, and report throughput, tail
+/// latency, and the plan counters.
 fn cmd_serve(net: &Network, o: &Options) -> Result<(), TaskError> {
     use std::time::{Duration, Instant};
     let telemetry = if o.telemetry.is_enabled() {
@@ -751,7 +748,6 @@ fn cmd_serve(net: &Network, o: &Options) -> Result<(), TaskError> {
         batch_window: Duration::from_millis(o.batch_window_ms.unwrap_or(2)),
         queue_depth: o.queue_depth.unwrap_or(64).max(1),
         budget_bytes: o.budget_bytes,
-        precision: DataType::Fixed16,
         fused: o.fused,
     };
     let requests = o.requests.unwrap_or(32);
@@ -886,18 +882,7 @@ fn zoo_network(name: &str) -> Result<Network, TaskError> {
 }
 
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json::esc(s))
 }
 
 /// The sparse density in effect for roofline math: the backend's own if

@@ -1,11 +1,12 @@
 //! The serving engine: a bounded request queue, a dynamic batcher, and
-//! the plan cache, composed into a long-running throughput pipeline.
+//! the engine's one plan, composed into a long-running throughput
+//! pipeline.
 //!
 //! ```text
 //!  clients ──▶ ServeQueue (bounded, admission control)
 //!                  │ pop_batch(max_batch, batch_window)
 //!                  ▼
-//!             worker thread ──▶ PlanCache (search + transforms once)
+//!             worker thread ──▶ plan slot (search + transforms once)
 //!                  │                 │ Arc<PlanEntry>
 //!                  ▼                 ▼
 //!             concat_frames ──▶ batched executor / fused runner
@@ -15,10 +16,12 @@
 //! ```
 //!
 //! The one-shot CLI pays strategy search and Winograd filter transforms
-//! on every invocation. The engine pays them once — the first request
-//! for a configuration builds a [`PlanEntry`]; every later request is a
-//! hash lookup (`serve.plan_hits`) plus a batched kernel invocation that
-//! amortizes packing across coalesced frames.
+//! on every invocation. The engine serves one fixed configuration and
+//! pays them once — the first request builds its [`PlanEntry`]; every
+//! later request reads the filled slot (`serve.plan_hits`) and runs a
+//! batched kernel invocation that amortizes packing across coalesced
+//! frames. Both execution modes answer the plan's network: the executor
+//! and the fused runner share the plan-shaped preparation.
 //!
 //! Failure is contained per batch: everything from the plan build to the
 //! per-frame split runs under `catch_unwind`, so a poisoned request or a
@@ -37,10 +40,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use winofuse_conv::tensor::Tensor;
-use winofuse_core::cache::{PlanCache, PlanEntry, PlanKey};
+use winofuse_core::cache::PlanEntry;
 use winofuse_core::framework::Framework;
 use winofuse_model::runtime::NetworkWeights;
-use winofuse_model::{DataType, Network};
+use winofuse_model::Network;
 use winofuse_runtime::faults::{describe_panic, FaultMode};
 use winofuse_runtime::serve::ServeQueue;
 use winofuse_telemetry::Telemetry;
@@ -58,10 +61,8 @@ pub struct ServeConfig {
     /// Queue capacity; pushes beyond it are rejected with
     /// [`ServeError::Overloaded`](winofuse_runtime::serve::ServeError).
     pub queue_depth: usize,
-    /// Feature-map transfer budget for the cached strategy search.
+    /// Feature-map transfer budget for the strategy search.
     pub budget_bytes: u64,
-    /// Precision axis of the plan key.
-    pub precision: DataType,
     /// Execute batches on the fused-group runner (conv body, per-group
     /// DRAM reconciliation) instead of the batched layer executor.
     pub fused: bool,
@@ -74,7 +75,6 @@ impl Default for ServeConfig {
             batch_window: Duration::from_millis(2),
             queue_depth: 64,
             budget_bytes: 8 * 1024 * 1024,
-            precision: DataType::Fixed16,
             fused: false,
         }
     }
@@ -178,8 +178,8 @@ struct Shared {
     fw: Framework,
     net: Arc<Network>,
     weights: Arc<NetworkWeights>,
-    key: PlanKey,
-    cache: PlanCache,
+    /// The engine's one plan, empty until the first build succeeds.
+    entry: Mutex<Option<Arc<PlanEntry>>>,
     telemetry: Telemetry,
     cfg: ServeConfig,
 }
@@ -194,20 +194,30 @@ impl Shared {
         })
     }
 
-    /// The cached plan, built on a miss. A build that panics fails like
-    /// one that errs: nothing is cached, so the next call builds again.
+    /// The engine's plan, built on first use (`serve.plan_misses`) and
+    /// read from the slot afterwards (`serve.plan_hits`). The build runs
+    /// under the slot's lock, so concurrent first requests pay one build
+    /// between them. A build that panics fails like one that errs:
+    /// nothing is stored, so the next call builds again. The slot is
+    /// written only by a successful build, so a poisoned lock is
+    /// recovered.
     fn plan(&self) -> Result<Arc<PlanEntry>, TaskError> {
+        let mut slot = self.entry.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(entry) = slot.as_ref() {
+            self.telemetry.counter("serve.plan_hits").incr();
+            return Ok(Arc::clone(entry));
+        }
+        self.telemetry.counter("serve.plan_misses").incr();
         let built = self.contain("plan build", || {
-            self.cache.get_or_build(&self.key, || {
-                self.fw.plan_entry(
-                    Arc::clone(&self.net),
-                    Arc::clone(&self.weights),
-                    self.cfg.budget_bytes,
-                    self.cfg.precision,
-                )
-            })
+            self.fw.plan_entry(
+                Arc::clone(&self.net),
+                Arc::clone(&self.weights),
+                self.cfg.budget_bytes,
+            )
         });
-        built.map_err(TaskError::Other)?.map_err(TaskError::from)
+        let entry = Arc::new(built.map_err(TaskError::Other)??);
+        *slot = Some(Arc::clone(&entry));
+        Ok(entry)
     }
 
     /// Answers one coalesced batch frame by frame: plan, concat along N,
@@ -219,7 +229,7 @@ impl Shared {
         Ok((0..out.n()).map(|b| out.frame(b)).collect())
     }
 
-    /// Runs one coalesced batch through the cached plan. The error side
+    /// Runs one coalesced batch through the plan. The error side
     /// is a plain message: it fans out to every ticket in the batch.
     fn execute(&self, entry: &PlanEntry, batched: &Tensor<f32>) -> Result<Tensor<f32>, String> {
         if self.cfg.fused {
@@ -261,12 +271,13 @@ impl ServeEngine {
     /// degrades to direct before it fails a batch; `telemetry` receives
     /// the serve counters and latency histograms.
     ///
-    /// The plan cache starts cold — call [`ServeEngine::warm`] to pay
-    /// the first build eagerly, or let the first request pay it.
+    /// The plan starts unbuilt — call [`ServeEngine::warm`] to pay the
+    /// build eagerly, or let the first request pay it.
     ///
     /// # Errors
     ///
-    /// [`TaskError::Model`] when the network has no valid shape chain.
+    /// [`TaskError::Model`] when the network has no valid shape chain or
+    /// the weights do not fit it ([`NetworkWeights::check`]).
     pub fn start(
         fw: Framework,
         net: Network,
@@ -274,16 +285,14 @@ impl ServeEngine {
         telemetry: Telemetry,
         cfg: ServeConfig,
     ) -> Result<Self, TaskError> {
-        net.shapes()?;
-        let key = fw.plan_key(&net, &weights, cfg.budget_bytes, cfg.precision);
+        weights.check(&net)?;
         // One fault mode for both execution paths: the fused runner
         // takes it from the framework when the plan is built.
         let fault_mode = fw.fault_mode().unwrap_or(FaultMode::Lenient);
         let shared = Arc::new(Shared {
-            cache: PlanCache::new(telemetry.clone()),
             net: Arc::new(net),
             weights: Arc::new(weights),
-            key,
+            entry: Mutex::new(None),
             telemetry,
             fw: fw.with_fault_mode(fault_mode),
             cfg,
@@ -304,8 +313,8 @@ impl ServeEngine {
         })
     }
 
-    /// Builds (or confirms) the cached plan for the configured key, so
-    /// the first real request doesn't pay strategy search.
+    /// Builds (or confirms) the engine's plan, so the first real request
+    /// doesn't pay strategy search.
     ///
     /// # Errors
     ///
@@ -357,10 +366,10 @@ impl ServeEngine {
         }
     }
 
-    /// Runs `frames` as one batch through the plan cache synchronously,
+    /// Runs `frames` as one batch through the plan synchronously,
     /// bypassing the queue — the deterministic entry point the
     /// bit-identity tests and the serve benchmark use. Shares every
-    /// downstream stage (cache, concat, batched execution, split) with
+    /// downstream stage (plan, concat, batched execution, split) with
     /// the queued path.
     ///
     /// # Errors
@@ -376,14 +385,16 @@ impl ServeEngine {
         self.queue.len()
     }
 
-    /// Plan-cache hits so far (`serve.plan_hits`).
+    /// Plan reads that found the plan already built so far
+    /// (`serve.plan_hits`).
     pub fn plan_hits(&self) -> u64 {
-        self.shared.cache.hits()
+        self.shared.telemetry.counter("serve.plan_hits").get()
     }
 
-    /// Plan-cache misses so far (`serve.plan_misses`).
+    /// Plan builds attempted so far, failed ones included
+    /// (`serve.plan_misses`).
     pub fn plan_misses(&self) -> u64 {
-        self.shared.cache.misses()
+        self.shared.telemetry.counter("serve.plan_misses").get()
     }
 
     /// Graceful drain: stops admission, lets the worker finish every

@@ -55,9 +55,8 @@ fn assert_groups_match_reference(
     tol: f32,
 ) {
     let reference = forward(net, weights, &input).unwrap();
-    let runner = design
-        .execution_plan()
-        .runner(net, weights)
+    let runner = Framework::new(FpgaDevice::zc706())
+        .fused_runner(net, design, weights)
         .expect("runner lowers")
         .with_fault_mode(FaultMode::Strict);
     let mut cur = input;
@@ -115,8 +114,8 @@ fn sparse_plan_is_validated_against_a_reference_pruned_like_the_plan() {
         .validate_by_simulation(&net, &design, &weights, &x, 1e-3)
         .unwrap();
     assert!(groups.iter().all(|g| g.max_abs_err == 0.0));
-    let prepared = design.execution_plan().prepare(&net, &weights).unwrap();
-    let pruned = NetworkExecutor::from_prepared(&net, prepared.into())
+    let (prepared, _) = fw.lower(&net, &design, &weights).unwrap();
+    let pruned = NetworkExecutor::from_prepared(&net, prepared)
         .unwrap()
         .with_threads(2)
         .run(&x)

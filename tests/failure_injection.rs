@@ -125,3 +125,107 @@ fn fc_network_is_rejected_not_mangled() {
         Err(CoreError::InvalidRequest(_))
     ));
 }
+
+/// Weights that do not fit their network are a typed error at every
+/// entry that takes them — never a silently wrong shape or a panic.
+#[test]
+fn mismatched_weights_are_a_typed_error_at_every_entry() {
+    use winofuse::conv::fixed::Fix16;
+    use winofuse::conv::tensor::{random_tensor, Tensor};
+    use winofuse::model::layer::FcParams;
+    use winofuse::model::runtime::{forward, forward_fix16, NetworkExecutor, NetworkWeights};
+    use winofuse::model::ModelError;
+    use winofuse::{ServeConfig, ServeEngine};
+
+    let net = |input: FmShape, c2: ConvParams| {
+        Network::builder("a", input)
+            .conv("conv1", ConvParams::new(8, 3, 1, 1, true))
+            .conv("conv2", c2)
+            .build()
+            .expect("network")
+    };
+    let shape = FmShape::new(3, 16, 16);
+    let a = net(shape, ConvParams::new(8, 3, 1, 1, false));
+    let good = NetworkWeights::random(&a, 1).expect("weights");
+    let x = random_tensor(1, 3, 16, 16, 2);
+    let xq: Tensor<Fix16> = x.cast();
+    let fw = Framework::new(FpgaDevice::zc706()).with_threads(1);
+    let design = fw.optimize(&a, 2 * MB).expect("optimize");
+    let runner = fw.fused_runner(&a, &design, &good).expect("runner");
+    let serve_rejects = |net: &Network, weights: NetworkWeights| match ServeEngine::start(
+        fw.clone(),
+        net.clone(),
+        weights,
+        Telemetry::disabled(),
+        ServeConfig::default(),
+    ) {
+        Err(e) => assert_eq!(e.exit_code(), 3, "{e}"),
+        Ok(_) => panic!("ServeEngine::start accepted weights of another network"),
+    };
+    let model_error = |r: Result<_, ModelError>| match r {
+        Err(ModelError::Execution(msg)) => msg,
+        Err(other) => panic!("expected an execution error, got {other:?}"),
+        Ok(_) => panic!("weights of another network were accepted"),
+    };
+
+    let cases = [
+        // The last conv has 5 outputs, not 8.
+        net(shape, ConvParams::new(5, 3, 1, 1, false)),
+        // The last conv is 5x5, not 3x3.
+        net(shape, ConvParams::new(8, 5, 1, 2, false)),
+        // The first conv reads 4 channels, not 3.
+        net(FmShape::new(4, 16, 16), ConvParams::new(8, 3, 1, 1, false)),
+        // One layer too few.
+        Network::builder("a", shape)
+            .conv("conv1", ConvParams::new(8, 3, 1, 1, true))
+            .build()
+            .expect("network"),
+    ];
+    for (i, other) in cases.iter().enumerate() {
+        let bad = NetworkWeights::random(other, 1).expect("weights");
+        let msg = model_error(forward(&a, &bad, &x).map(|_| ()));
+        if i == 0 {
+            assert!(
+                msg.contains("layer 1 `conv2`")
+                    && msg.contains("[8, 8, 3, 3]")
+                    && msg.contains("[5, 8, 3, 3]"),
+                "the error names the layer and both shapes: {msg}"
+            );
+        }
+        model_error(forward_fix16(&a, &bad, &xq, 1).map(|_| ()));
+        model_error(NetworkExecutor::new(&a, &bad).map(|_| ()));
+        assert!(
+            fw.fused_runner(&a, &design, &bad).is_err(),
+            "case {i}: lowering accepted weights of another network"
+        );
+        assert!(
+            matches!(
+                runner.run_fix16(&xq, &bad),
+                Err(winofuse::fusion::FusionError::Model(_))
+            ),
+            "case {i}: run_fix16 accepted weights of another network"
+        );
+        serve_rejects(&a, bad);
+    }
+
+    // FC weights are `num_output × in_features` with a bias of `num_output`.
+    let fc_net = |outputs: usize| {
+        Network::builder("fc", FmShape::new(3, 8, 8))
+            .conv("conv1", ConvParams::new(4, 3, 1, 1, true))
+            .fc(
+                "fc1",
+                FcParams {
+                    num_output: outputs,
+                    relu: false,
+                },
+            )
+            .build()
+            .expect("network")
+    };
+    let (fc10, bad) = (fc_net(10), NetworkWeights::random(&fc_net(12), 1).unwrap());
+    let x = random_tensor(1, 3, 8, 8, 3);
+    let msg = model_error(forward(&fc10, &bad, &x).map(|_| ()));
+    assert!(msg.contains("layer 1 `fc1`"), "{msg}");
+    model_error(NetworkExecutor::new(&fc10, &bad).map(|_| ()));
+    serve_rejects(&fc10, bad);
+}

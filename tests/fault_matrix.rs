@@ -239,7 +239,7 @@ fn fused_dram_perturbation_degrades_every_group_transparently() {
         .with_fault_mode(FaultMode::Lenient)
         .fused_runner(&net, &design, &weights)
         .expect("runner");
-    let report = runner.run_fix16(&xq).expect("lenient fix16 run");
+    let report = runner.run_fix16(&xq, &weights).expect("lenient fix16 run");
     assert_eq!(report.fallbacks.len(), report.groups.len());
     assert_eq!(&report.output, reference.last().expect("nonempty"));
 }

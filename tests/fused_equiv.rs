@@ -46,12 +46,11 @@ fn check_strategy(
     let weights = NetworkWeights::random(net, seed).expect("weights");
     let shape = net.input_shape();
     let x = random_tensor(1, shape.channels, shape.height, shape.width, seed + 1);
-    let plan = design.execution_plan();
 
     // f32: strict reconciliation on, per-group *exact* DRAM equality
     // asserted independently of the runner's own check.
-    let runner = plan
-        .runner(net, &weights)
+    let runner = fw
+        .fused_runner(net, &design, &weights)
         .expect("runner")
         .with_fault_mode(FaultMode::Strict)
         .with_threads(threads[0]);
@@ -80,8 +79,8 @@ fn check_strategy(
 
     // Thread invariance: same bits at every count.
     for &t in &threads[1..] {
-        let rt = plan
-            .runner(net, &weights)
+        let rt = fw
+            .fused_runner(net, &design, &weights)
             .expect("runner")
             .with_fault_mode(FaultMode::Strict)
             .with_threads(t)
@@ -97,12 +96,12 @@ fn check_strategy(
     // DRAM accounting (traffic is metered in Fixed16 either way).
     let xq: Tensor<Fix16> = x.cast();
     let gold = forward_fix16(net, &weights, &xq, threads[0]).expect("fix16 reference");
-    let rq = plan
-        .runner(net, &weights)
+    let rq = fw
+        .fused_runner(net, &design, &weights)
         .expect("runner")
         .with_fault_mode(FaultMode::Strict)
         .with_threads(threads[0])
-        .run_fix16(&xq)
+        .run_fix16(&xq, &weights)
         .expect("fused fix16 run");
     assert_eq!(
         &rq.output,

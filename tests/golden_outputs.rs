@@ -82,14 +82,12 @@ fn hashes(net: &Network, seed: u64, budget_bytes: u64) -> Vec<(String, u64)> {
             out.push((format!("executor {algo:?} @{threads}t"), fnv1a(&layers)));
         }
     }
-    let design = Framework::new(FpgaDevice::zc706())
-        .optimize(net, budget_bytes)
-        .expect("optimize");
+    let fw = Framework::new(FpgaDevice::zc706());
+    let design = fw.optimize(net, budget_bytes).expect("optimize");
     let frame = x.frame(0);
     for threads in [1usize, 2, 4] {
-        let report = design
-            .execution_plan()
-            .runner(net, &weights)
+        let report = fw
+            .fused_runner(net, &design, &weights)
             .expect("runner")
             .with_threads(threads)
             .run(&frame)

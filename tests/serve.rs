@@ -1,21 +1,26 @@
 //! Serving-path equivalence and amortization guarantees.
 //!
-//! The engine's whole value proposition is that batching and plan
-//! caching are *transparent*: a frame served out of a coalesced batch on
-//! a warm cache must be bit-identical to the same frame run one-shot,
-//! and strategy search must run exactly once per configuration no
-//! matter how much traffic follows. This suite pins both, across the
-//! batch-size × thread-count grid.
+//! The engine's whole value proposition is that batching and the
+//! engine's one plan are *transparent*: a frame served out of a
+//! coalesced batch on a warm engine must be bit-identical to the same
+//! frame run one-shot, both execution modes must answer the plan's
+//! network, and strategy search must run exactly once per engine no
+//! matter how much traffic follows, or how concurrently it arrives. This
+//! suite pins all three, across the batch-size × thread-count grid.
 
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use winofuse::{ServeConfig, ServeEngine, Ticket};
 use winofuse_conv::tensor::{random_tensor, Tensor};
+use winofuse_core::bnb::AlgoPolicy;
 use winofuse_core::framework::Framework;
 use winofuse_fpga::device::FpgaDevice;
+use winofuse_fpga::engine::Algorithm;
+use winofuse_model::layer::ConvParams;
 use winofuse_model::network::Network;
 use winofuse_model::runtime::NetworkWeights;
+use winofuse_model::shape::FmShape;
 use winofuse_model::zoo;
 use winofuse_runtime::faults::{install_quiet_panic_hook, FaultInjector, FaultMode};
 use winofuse_telemetry::Telemetry;
@@ -30,6 +35,10 @@ fn frame(seed: u64) -> Tensor<f32> {
     random_tensor(1, 3, 32, 32, seed)
 }
 
+fn bits(t: &Tensor<f32>) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// One-shot reference: a fresh plan build + single-frame run, the cost
 /// and code path of `winofuse run` invoked once.
 fn oneshot(threads: usize, seeds: &[u64]) -> Vec<Tensor<f32>> {
@@ -40,7 +49,6 @@ fn oneshot(threads: usize, seeds: &[u64]) -> Vec<Tensor<f32>> {
             Arc::new(net),
             Arc::new(weights),
             ServeConfig::default().budget_bytes,
-            ServeConfig::default().precision,
         )
         .expect("plan builds");
     seeds
@@ -91,8 +99,8 @@ fn batched_serve_matches_oneshot_across_batch_and_threads() {
 }
 
 /// After the warm-up build, no amount of traffic re-runs strategy
-/// search: `bnb.plans_computed` freezes and every request is a
-/// `serve.plan_hits` lookup.
+/// search: `bnb.plans_computed` freezes and every request reads the
+/// built plan (`serve.plan_hits`).
 #[test]
 fn warm_cache_never_searches_again() {
     let (net, weights) = body();
@@ -129,38 +137,134 @@ fn warm_cache_never_searches_again() {
     assert_eq!(eng.plan_misses(), 1, "only the warm-up may miss");
     assert!(
         eng.plan_hits() >= 4,
-        "every post-warm batch must hit the cache (got {})",
+        "every post-warm batch must read the built plan (got {})",
         eng.plan_hits()
     );
     assert!(s.counter("serve.completed") >= 6);
     eng.shutdown().expect("clean shutdown");
 }
 
-/// Distinct configurations get distinct cache entries; re-requesting a
-/// configuration hits its entry. (Key-collision coverage above the
-/// `PlanCache` unit tests: two budgets through one engine-style cache.)
+/// Concurrent first requests share one build: `warm()`, `run_batch_now`
+/// and queued submissions race on a cold engine, the plan is built once,
+/// the search runs as much as one warm-up's, and every answer equals
+/// `run_batch_now`'s afterwards, bit for bit.
 #[test]
-fn distinct_budgets_are_distinct_plans() {
-    use winofuse_core::cache::PlanCache;
-    let (net, weights) = body();
-    let (net, weights) = (Arc::new(net), Arc::new(weights));
+fn concurrent_cold_requests_build_the_plan_once() {
+    let start = |telemetry: &Telemetry| {
+        let (net, weights) = body();
+        let fw = Framework::new(FpgaDevice::zc706())
+            .with_threads(2)
+            .with_telemetry(telemetry.clone());
+        ServeEngine::start(fw, net, weights, telemetry.clone(), ServeConfig::default())
+            .expect("engine starts")
+    };
+    let one_warm_up = Telemetry::enabled();
+    let eng = start(&one_warm_up);
+    eng.warm().expect("plan warms");
+    eng.shutdown().expect("clean shutdown");
+    let searched = one_warm_up.summary().counter("bnb.plans_computed");
+    assert!(searched > 0, "warm-up must actually run strategy search");
+
     let telemetry = Telemetry::enabled();
-    let fw = Framework::new(FpgaDevice::zc706()).with_threads(1);
-    let cache = PlanCache::new(telemetry);
-    let precision = ServeConfig::default().precision;
-    for budget in [256 * 1024u64, 8 * 1024 * 1024] {
-        let key = fw.plan_key(&net, &weights, budget, precision);
-        for _ in 0..2 {
-            cache
-                .get_or_build(&key, || {
-                    fw.plan_entry(Arc::clone(&net), Arc::clone(&weights), budget, precision)
+    let eng = start(&telemetry);
+    let clients = 6u64;
+    let barrier = Barrier::new(clients as usize);
+    let answers: Vec<(u64, Tensor<f32>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|i| {
+                let (eng, barrier) = (&eng, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    match i % 3 {
+                        0 => {
+                            eng.warm().expect("plan warms");
+                            None
+                        }
+                        1 => {
+                            let mut out = eng.run_batch_now(&[frame(i)]).expect("serve batch");
+                            Some((i, out.remove(0)))
+                        }
+                        _ => {
+                            let ticket = eng.submit(frame(i)).expect("submit");
+                            Some((i, ticket.wait().expect("queued request completes")))
+                        }
+                    }
                 })
-                .expect("plan builds");
-        }
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(eng.plan_misses(), 1, "one build between the first requests");
+    assert_eq!(
+        telemetry.summary().counter("bnb.plans_computed"),
+        searched,
+        "concurrent first requests searched more than one warm-up"
+    );
+    assert_eq!(answers.len(), 4);
+    for (seed, got) in &answers {
+        let want = eng.run_batch_now(&[frame(*seed)]).expect("serve batch");
+        assert_eq!(bits(got), bits(&want[0]), "frame {seed} diverged");
     }
-    assert_eq!(cache.misses(), 2, "one build per budget");
-    assert_eq!(cache.hits(), 2, "one hit per repeated budget");
-    assert_eq!(cache.len(), 2);
+    eng.shutdown().expect("clean shutdown");
+}
+
+/// Under a sparse policy the plan prunes a layer, and both execution
+/// modes answer that pruned network: the batched executor and the fused
+/// runner agree bit for bit, and both equal `validate_by_simulation`'s
+/// fused output.
+#[test]
+fn both_serve_modes_answer_the_plans_network() {
+    let net = Network::builder("two-conv", FmShape::new(3, 32, 32))
+        .conv("conv1", ConvParams::new(32, 3, 1, 1, false))
+        .conv("conv2", ConvParams::new(32, 3, 1, 1, false))
+        .build()
+        .expect("network");
+    let weights = NetworkWeights::random(&net, 1).expect("weights");
+    let budget_bytes = 2 * 1024 * 1024;
+    let fw = Framework::new(FpgaDevice::zc706())
+        .with_policy(AlgoPolicy::heterogeneous_sparse(250))
+        .with_threads(2);
+    let design = fw.optimize(&net, budget_bytes).expect("optimize");
+    assert!(
+        Framework::conv_algorithms(&net, &design)
+            .iter()
+            .any(|(_, a)| matches!(a, Algorithm::SparseWinograd { .. })),
+        "the plan prunes a layer"
+    );
+    let x = frame(2);
+    let (validated, _) = fw
+        .validate_by_simulation(&net, &design, &weights, &x, 1e-3)
+        .expect("design validates");
+    let serve = |fused: bool| {
+        let cfg = ServeConfig {
+            fused,
+            budget_bytes,
+            ..ServeConfig::default()
+        };
+        let eng = ServeEngine::start(
+            fw.clone(),
+            net.clone(),
+            weights.clone(),
+            Telemetry::disabled(),
+            cfg,
+        )
+        .expect("engine starts");
+        let out = eng
+            .run_batch_now(std::slice::from_ref(&x))
+            .expect("serve batch");
+        eng.shutdown().expect("clean shutdown");
+        out.into_iter().next().expect("one answer")
+    };
+    let (executor, fused) = (serve(false), serve(true));
+    assert_eq!(
+        bits(&executor),
+        bits(&fused),
+        "the modes answer different networks"
+    );
+    assert_eq!(bits(&fused), bits(&validated));
 }
 
 /// A plan build that panics fails the batch that ran it, not the engine:
@@ -192,7 +296,6 @@ fn a_panicking_plan_build_fails_its_batch_not_the_engine() {
 
     let second = resolve(eng.submit(frame(2)).expect("submit")).expect("next build succeeds");
     let want = eng.run_batch_now(&[frame(2)]).expect("synchronous run");
-    let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&second), bits(&want[0]));
 
     let s = telemetry.summary();
